@@ -10,6 +10,7 @@ the command-line layer can serialize results without re-deriving anything.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 
@@ -280,29 +281,20 @@ def _theorem_params(tau1: float, t1, t2, single_time: bool) -> ScalingParams:
     return ScalingParams.for_theorem(tau1, t1, t2)
 
 
-def _ratio_deviation(params, windows, m, single_time, certify) -> float:
-    """R = P_pearcey / P_airy - 1 over the shared windows."""
-    if single_time:
-        times = (0.0,)
-        use_windows = (windows[0],)
-        airy_times = (0.0,)
-    else:
-        # kernel times ascending; window k belongs to process time k
-        times = (params.t1, params.t2)
-        airy_times = (params.u1, params.u2)
-        use_windows = tuple(windows)
+def _ratio_deviation(params, windows, m, single_time, certify, airy_log_p) -> float:
+    """R = P_pearcey / P_airy - 1 over the shared windows; ``airy_log_p(certify)``
+    is the tau1-independent Airy reference log P."""
+    # kernel times ascending; window k belongs to process time k
+    times = (0.0,) if single_time else (params.t1, params.t2)
     qp = GapQuery(
         family="pearcey-conjugated",
         times=times,
-        windows=use_windows,
+        windows=windows,
         m=m,
         params=params,
         certify=certify,
     )
-    qa = GapQuery(
-        family="airy", times=airy_times, windows=use_windows, m=m, certify=certify
-    )
-    return math.expm1(log_gap_probability(qp) - log_gap_probability(qa))
+    return math.expm1(log_gap_probability(qp) - airy_log_p(certify))
 
 
 def theorem_ratio_study(
@@ -330,6 +322,15 @@ def theorem_ratio_study(
     for w in airy_windows:
         if not (np.isfinite(w[0]) and np.isfinite(w[1])):
             raise DomainError(f"windows must be finite, got {w}")
+    airy_times = (0.0,) if single_time else (t1, t2)
+    windows = (airy_windows[0],) if single_time else tuple(airy_windows)
+
+    @functools.cache
+    def airy_log_p(cert: bool) -> float:
+        return log_gap_probability(
+            GapQuery(family="airy", times=airy_times, windows=windows, m=m, certify=cert)
+        )
+
     rows = []
     trusted = []
     devs = []
@@ -337,10 +338,10 @@ def theorem_ratio_study(
     for tau1 in tau1_grid:
         params = _theorem_params(float(tau1), t1, t2, single_time)
         try:
-            r = _ratio_deviation(params, airy_windows, m, single_time, certify)
+            r = _ratio_deviation(params, windows, m, single_time, certify, airy_log_p)
             ok = True
         except AccuracyError:
-            r = _ratio_deviation(params, airy_windows, m, single_time, False)
+            r = _ratio_deviation(params, windows, m, single_time, False, airy_log_p)
             ok = False
         trusted.append(ok)
         if ok:
@@ -356,7 +357,7 @@ def theorem_ratio_study(
             d = t2 - t1
             tau2_ab = match_tau2(float(tau1), t1, t2) - 4.0 * d * t1 * t2 / (3.0 * tau1)
             ablated = replace(params, t2=t_from_tau(tau2_ab, params.z), tau2=tau2_ab)
-            r_ab = _ratio_deviation(ablated, airy_windows, m, single_time, False)
+            r_ab = _ratio_deviation(ablated, windows, m, single_time, False, airy_log_p)
             devs_ablated.append(abs(r_ab))
             row["ratio_dev_ablated"] = r_ab
         rows.append(row)

@@ -21,7 +21,8 @@ from .exceptions import ConcurrencyError
 
 __all__ = ["KernelCache", "CacheLock", "block_key", "default_root"]
 
-_FORMAT = b"pearceygap-cache-1"
+# Bump whenever kernel evaluation changes, so stale blocks stop matching.
+_FORMAT = b"pearceygap-cache-2"
 ENV_ROOT = "PEARCEYGAP_CACHE"
 _DEFAULT_DIRNAME = ".pearceygap-cache"
 

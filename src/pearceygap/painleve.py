@@ -8,8 +8,7 @@ q'' = s q + 2 q^3 with q(s) ~ Ai(s) as s -> +infinity, and
 The ODE is integrated downward from s0 = 8 where the Airy asymptotics are
 accurate far below double precision; the two tail integrals ride along as
 extra state components (I' = -J, J' = -q^2).  scipy supplies both the
-boundary data (special.airy, independent of this package's Airy evaluator)
-and the integrator.
+boundary data (special.airy) and the integrator.
 """
 
 from __future__ import annotations

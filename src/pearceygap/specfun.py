@@ -1,20 +1,4 @@
-"""Airy function, its derivatives, and Gauss-Legendre quadrature rules.
-
-The Airy function is evaluated to ~1e-13 relative accuracy on the range the
-kernels use (roughly [-25, 15]) with a three-branch scheme:
-
-* ``|x| < 2``   -- Maclaurin series (no cancellation in this range).
-* ``x >= 2``    -- contour quadrature through the real saddle ``sqrt(x)`` with
-  the exponential prefactor ``exp(-2/3 x^{3/2})`` factored out exactly.
-* ``x <= -2``   -- contour quadrature through the imaginary saddle
-  ``i*sqrt(-x)`` (a vertical leg plus a descent leg), the stable realization
-  of the modulus/phase asymptotic form.
-
-The switchover sits at |x| = 2 rather than further out because the series
-loses digits like exp(4/3 |x|^{3/2}) * eps in double precision, which already
-costs ~3 digits at |x| = 4.  Both branches are cross-validated on overlap
-bands in the test suite.
-"""
+"""Airy function via ``scipy.special.airy``, its derivatives, Gauss-Legendre rules."""
 
 from __future__ import annotations
 
@@ -23,17 +7,11 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy import special
 
 from .exceptions import DomainError
 
 __all__ = ["AiryValue", "QuadratureRule", "airy", "airy_deriv", "gauss_rule"]
-
-# Closed forms 3^(-2/3)/Gamma(2/3) and -3^(-1/3)/Gamma(1/3).
-_AI0 = 0.35502805388781723926
-_AIP0 = -0.25881940379280679841
-
-_SERIES_CUT = 2.0
-_LOG_EPS = 41.0  # exp(-41) ~ 1.6e-18, envelope truncation for saddle legs
 
 
 @dataclass(frozen=True)
@@ -78,129 +56,15 @@ def gauss_rule(m: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(nodes=mid + half * x, weights=half * w, domain=(a, b))
 
 
-def _airy_series(x: np.ndarray):
-    """Maclaurin series of Ai and Ai' (accurate for |x| < ~3).
-
-    Ai = Ai(0) f + Ai'(0) g with f = sum a_k x^{3k}, g = x sum c_k x^{3k},
-    a_k = a_{k-1}/((3k)(3k-1)), c_k = c_{k-1}/((3k)(3k+1)).
-    """
-    x = np.asarray(x, dtype=float)
-    x2, x3 = x**2, x**3
-    f = np.ones_like(x)
-    fp = np.zeros_like(x)  # f' = sum a_k 3k x^{3k-1}
-    gc = np.ones_like(x)
-    gp = np.ones_like(x)  # g' = sum c_k (3k+1) x^{3k}
-    a = np.ones_like(x)
-    c = np.ones_like(x)
-    apow = np.ones_like(x)  # a_k x^{3k-1} carrier, built without dividing by x
-    for k in range(1, 26):
-        a = a * x3 / ((3 * k) * (3 * k - 1))
-        c = c * x3 / ((3 * k) * (3 * k + 1))
-        apow = apow * x3 / ((3 * k) * (3 * k - 1)) if k > 1 else x2 / 6.0
-        f = f + a
-        gc = gc + c
-        fp = fp + apow * (3 * k)
-        gp = gp + c * (3 * k + 1)
-    ai = _AI0 * f + _AIP0 * x * gc
-    aip = _AI0 * fp + _AIP0 * gp
-    return ai, aip
-
-
-def _airy_right(x: np.ndarray, n: int = 160):
-    """Saddle-point quadrature for x >= 2.
-
-    Ai(x)  = e^{-z}/pi * int_0^inf e^{-sqrt(x) w^2} cos(w^3/3) dw,
-    Ai'(x) = -e^{-z}/pi * int_0^inf e^{-sqrt(x) w^2}
-             [sqrt(x) cos(w^3/3) + w sin(w^3/3)] dw,  z = (2/3) x^{3/2}.
-    """
-    x = np.asarray(x, dtype=float)
-    s = np.sqrt(x)
-    zeta = (2.0 / 3.0) * x * s
-    t01, w01 = _leggauss(n)
-    r01 = 0.5 * (t01 + 1.0)
-    wr = 0.5 * w01
-    rad = np.sqrt(_LOG_EPS / s)  # envelope e^{-s r^2} <= e^{-41} at the cut
-    w = rad[..., None] * r01  # (N, n)
-    ww = rad[..., None] * wr
-    damp = np.exp(-s[..., None] * w**2)
-    cw = np.cos(w**3 / 3.0)
-    sw = np.sin(w**3 / 3.0)
-    i_ai = np.sum(damp * cw * ww, axis=-1)
-    i_aip = np.sum(damp * (s[..., None] * cw + w * sw) * ww, axis=-1)
-    pref = np.exp(-zeta) / np.pi
-    return pref * i_ai, -pref * i_aip
-
-
-def _airy_left(x: np.ndarray, n2: int = 160):
-    """Two-leg contour quadrature for x <= -2 (X = -x).
-
-    Ai(-X) = (1/pi) Im int_P e^{t^3/3 + X t} dt over the path
-    0 -> i sqrt(X) -> i sqrt(X) + e^{i pi/4} * inf; the first leg is a pure
-    phase (finite oscillation ~ (2/3) X^{3/2}), the second decays like
-    e^{-sqrt(X) r^2}.  Ai'(-X) inserts a factor (-t).
-    """
-    x = np.asarray(x, dtype=float)
-    bigx = -x
-    s = np.sqrt(bigx)
-    zeta = (2.0 / 3.0) * bigx * s
-    # leg 1: t = i y, y in (0, s); node count tracks the phase range.
-    n1 = 120 + int(np.max(zeta))
-    t01, w01 = _leggauss(n1)
-    y = s[..., None] * 0.5 * (t01 + 1.0)
-    wy = s[..., None] * 0.5 * w01
-    phase = bigx[..., None] * y - y**3 / 3.0
-    leg1_ai = np.sum(np.cos(phase) * wy, axis=-1)
-    leg1_aip = np.sum(y * np.sin(phase) * wy, axis=-1)
-    # leg 2: t = i s + r e^{i pi/4}, exact exponent i*zeta - s r^2 + r^3 e^{3i pi/4}/3.
-    t02, w02 = _leggauss(n2)
-    rad = np.sqrt(_LOG_EPS / s)
-    r = rad[..., None] * 0.5 * (t02 + 1.0)
-    wr = rad[..., None] * 0.5 * w02
-    d = np.exp(1j * np.pi / 4.0)
-    expo = np.exp(-s[..., None] * r**2 + (r**3 / 3.0) * np.exp(3j * np.pi / 4.0))
-    rot = np.exp(1j * zeta)
-    leg2_ai = np.imag(rot * np.sum(expo * d * wr, axis=-1))
-    tt = 1j * s[..., None] + r * d
-    leg2_aip = np.imag(rot * np.sum(expo * (-tt) * d * wr, axis=-1))
-    ai = (leg1_ai + leg2_ai) / np.pi
-    aip = (leg1_aip + leg2_aip) / np.pi
-    return ai, aip
-
-
-def _airy_arrays(x: np.ndarray):
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("airy: non-finite argument")
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-    mid = np.abs(x) < _SERIES_CUT
-    pos = x >= _SERIES_CUT
-    neg = x <= -_SERIES_CUT
-    if np.any(mid):
-        ai[mid], aip[mid] = _airy_series(x[mid])
-    if np.any(pos):
-        ai[pos], aip[pos] = _airy_right(x[pos])
-    if np.any(neg):
-        ai[neg], aip[neg] = _airy_left(x[neg])
-    return ai, aip
-
-
-@lru_cache(maxsize=200_000)
-def _airy_scalar(x: float):
-    ai, aip = _airy_arrays(np.array([x]))
-    return float(ai[0]), float(aip[0])
-
-
 def airy(x) -> AiryValue:
     """Airy function value and first derivative at ``x`` (scalar or array)."""
-    if np.isscalar(x):
-        xf = float(x)
-        if not np.isfinite(xf):
-            raise DomainError("airy: non-finite argument")
-        ai, aip = _airy_scalar(xf)
-        return AiryValue(x=xf, ai=ai, aip=aip)
-    xa = np.asarray(x, dtype=float)
-    ai, aip = _airy_arrays(xa)
+    scalar = np.isscalar(x)
+    xa = float(x) if scalar else np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise DomainError("airy: non-finite argument")
+    ai, aip, _, _ = special.airy(xa)
+    if scalar:
+        return AiryValue(x=xa, ai=float(ai), aip=float(aip))
     return AiryValue(x=xa, ai=ai, aip=aip)
 
 

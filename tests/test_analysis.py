@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pearceygap import analysis
 from pearceygap.analysis import (
     PdeGrid,
     PsiOperator,
@@ -115,6 +116,22 @@ def test_theorem_two_time_rate():
     assert len(rep.rows) == 6
     assert all(0.0 < abs(r[3]) < 1.0 for r in rep.rows)
     assert all(r[5] == 1 for r in rep.rows)
+
+
+def test_theorem_airy_reference_computed_once_per_certify_level(monkeypatch):
+    # the Airy reference does not depend on tau1: one certified, one uncertified
+    families = []
+    real = analysis.log_gap_probability
+
+    def counting(query):
+        families.append(query.family)
+        return real(query)
+
+    monkeypatch.setattr(analysis, "log_gap_probability", counting)
+    rep = theorem_ratio_study(np.geomspace(30.0, 960.0, 6))
+    assert rep.passed
+    assert families.count("pearcey-conjugated") == 12
+    assert families.count("airy") <= 2
 
 
 def test_theorem_single_time_rate():

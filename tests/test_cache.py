@@ -27,6 +27,13 @@ def test_block_key_is_stable_and_discriminating():
     assert len(variants) == 6
 
 
+def test_block_key_pinned_digest():
+    # update this digest only together with a bump of the cache format
+    x = np.linspace(-1.0, 6.0, 8)
+    key = block_key("airy", -0.5, 0.5, "rec", x, x)
+    assert key == "846441caac7a2f7f54cbb3d1edfb5cf0f8ee460a0a80b2e08f060588fb2c4dfd"
+
+
 def test_default_root_precedence(tmp_path, monkeypatch):
     monkeypatch.delenv("PEARCEYGAP_CACHE", raising=False)
     assert default_root() == ".pearceygap-cache"
