@@ -6,7 +6,7 @@ round-trip float formatting) and a JSON report whose volatile fields
 (timestamps, wall-clock) live in a separate metadata block, so repeated runs
 with an identical configuration produce byte-identical data rows.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 configuration/environment error.
+Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 configuration/usage/environment error.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import csv
 import datetime
 import json
 import math
+import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,7 +39,18 @@ from .painleve import hastings_mcleod, tracy_widom_f2
 
 __all__ = ["StudyConfig", "StudyReport", "run", "main"]
 
-_KINDS = ("gap", "identities", "prop21", "theorem", "pde", "oracle-painleve")
+# subcommand (= study.kind) -> (config-key section whose flags it takes, help)
+_STUDIES = {
+    "gap": ("gap", "one gap probability"),
+    "identities": ("identities", "kernel differential-identity residuals"),
+    "prop21": ("prop21", "kernel convergence order in z"),
+    "theorem": ("theorem", "statistics convergence order in tau1"),
+    "pde": ("pde", "two-time gap-probability PDE residual"),
+    "oracle-painleve": ("oracle", "build/refresh the Painleve II reference table"),
+}
+# config-key sections whose flags every subcommand takes
+_SHARED_SECTIONS = ("output", "cache")
+
 _Z_GRID_DEFAULT = tuple(float(z) for z in np.geomspace(0.35, 0.15, 6))
 _TAU1_DEFAULT = (30.0, 60.0, 120.0, 240.0, 480.0, 960.0)
 _GRID5 = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -47,139 +59,90 @@ _GRID5 = (-1.0, -0.5, 0.0, 0.5, 1.0)
 # oracle-painleve self-check
 _F2_AT_ZERO = 0.9693728283552667
 
+# value kinds that are tuples; a field's annotation names its kind
+Floats = tuple[float, ...]  # config text "0.0,0.5"
+Windows = tuple[tuple[float, float] | None, ...]  # config text "-1.0:6.0,none"
+
+
+def _key(default, key: str, flag: str | None, help: str, choices: tuple = ()):
+    """A StudyConfig field with its dotted config key, the subcommand flag that
+    sets it (None: no flag), its help text and its allowed values (empty: any)."""
+    return field(default=default,
+                 metadata={"key": key, "flag": flag, "help": help, "choices": choices})
+
 
 @dataclass
 class StudyConfig:
     """Flat, fully-defaulted study configuration (see docs/output_formats.md).
 
-    Dotted config keys map 1:1 onto fields; the serialized form roundtrips to
-    an identical value.
+    Each field is declared once, with `_key`: it is one dotted config key and
+    one flag of the subcommand whose section starts the key (`output.` and
+    `cache.` flags go to every subcommand).  The annotation, a string under
+    `from __future__ import annotations`, names the value kind in `_CODECS`.
+    The serialized form roundtrips to an identical value.
     """
 
-    kind: str = "gap"
-    family: str = "airy"
-    times: tuple = (0.0,)
-    windows: tuple = ((-1.0, 6.0),)
-    nodes: int = 40
-    certify: bool = True
-    id_x_grid: tuple = _GRID5
-    id_y_grid: tuple = _GRID5
-    id_s_grid: tuple = (0.1, 0.3, 0.6)
-    id_tolerance: float = 1e-7
-    prop_t: float = 0.0
-    prop_s: float = 0.5
-    prop_z_grid: tuple = _Z_GRID_DEFAULT
-    thm_tau1_grid: tuple = _TAU1_DEFAULT
-    thm_t1: float = -0.5
-    thm_t2: float = 0.5
-    thm_windows: tuple = ((-1.0, 6.0), (-1.0, 6.0))
-    thm_nodes: int = 30
-    thm_single_time: bool = False
-    thm_ablate: bool = True
-    thm_certify: bool = True
-    pde_tau: float = 4.0
-    pde_sigma: float = 0.5
-    pde_xi: float = 3.0
-    pde_eta: float = 0.25
-    pde_mu: float = -1.0
-    pde_nu: float = -1.0
-    pde_step: float = 0.05
-    pde_nodes: int = 24
-    pde_nodes_per_ray: int = 384
-    oracle_s_min: float = -10.0
-    oracle_s_max: float = 6.0
-    oracle_step: float = 0.5
-    out_csv: str = ""
-    out_json: str = ""
-    cache_dir: str = ""
-    cache_enabled: bool = True
+    kind: str = _key("gap", "study.kind", None, "which study to run", tuple(_STUDIES))
+    family: str = _key("airy", "gap.family", "family", "kernel family", ("airy", "pearcey"))
+    times: Floats = _key((0.0,), "gap.times", "times", "strictly ascending process times")
+    windows: Windows = _key(((-1.0, 6.0),), "gap.windows", "windows",
+                            "one lo:hi window per time (or none)")
+    nodes: int = _key(40, "gap.nodes", "nodes", "quadrature nodes per window")
+    certify: bool = _key(True, "gap.certify", "certify", "the m -> 2m refinement certificate")
+    id_x_grid: Floats = _key(_GRID5, "identities.x_grid", "x-grid", "first kernel argument grid")
+    id_y_grid: Floats = _key(_GRID5, "identities.y_grid", "y-grid", "second kernel argument grid")
+    id_s_grid: Floats = _key((0.1, 0.3, 0.6), "identities.s_grid", "s-grid", "time-separation grid")
+    id_tolerance: float = _key(1e-7, "identities.tolerance", "tolerance",
+                               "max allowed absolute residual")
+    prop_t: float = _key(0.0, "prop21.t", "t", "mean Airy time")
+    prop_s: float = _key(0.5, "prop21.s", "s", "half time-difference")
+    prop_z_grid: Floats = _key(_Z_GRID_DEFAULT, "prop21.z_grid", "z", "scaling parameter grid")
+    thm_tau1_grid: Floats = _key(_TAU1_DEFAULT, "theorem.tau1_grid", "tau1",
+                                 "Pearcey time grid (ascending)")
+    thm_t1: float = _key(-0.5, "theorem.t1", "t1", "first Airy time")
+    thm_t2: float = _key(0.5, "theorem.t2", "t2", "second Airy time")
+    thm_windows: Windows = _key(((-1.0, 6.0), (-1.0, 6.0)), "theorem.windows", "windows",
+                                "Airy-coordinate lo:hi windows")
+    thm_nodes: int = _key(30, "theorem.nodes", "nodes", "quadrature nodes per window")
+    thm_single_time: bool = _key(False, "theorem.single_time", "single-time",
+                                 "the one-time variant")
+    thm_ablate: bool = _key(True, "theorem.ablate", "ablate",
+                            "the rerun with the time-matching cross term dropped")
+    thm_certify: bool = _key(True, "theorem.certify", "certify",
+                             "the node-refinement certificate per point")
+    pde_tau: float = _key(4.0, "pde.tau", "tau", "base point: mean time")
+    pde_sigma: float = _key(0.5, "pde.sigma", "sigma", "base point: half time-difference")
+    pde_xi: float = _key(3.0, "pde.xi", "xi", "base point: mean endpoint")
+    pde_eta: float = _key(0.25, "pde.eta", "eta", "base point: endpoint asymmetry")
+    pde_mu: float = _key(-1.0, "pde.mu", "mu", "base point: first window width (< 0)")
+    pde_nu: float = _key(-1.0, "pde.nu", "nu", "base point: second window width (< 0)")
+    pde_step: float = _key(0.05, "pde.step", "step", "finite-difference step h")
+    pde_nodes: int = _key(24, "pde.nodes", "nodes", "quadrature nodes per window")
+    pde_nodes_per_ray: int = _key(384, "pde.nodes_per_ray", "nodes-per-ray",
+                                  "contour nodes per ray")
+    oracle_s_min: float = _key(-5.0, "oracle.s_min", "s-min",
+                               "reference table lower end (the oracle floor is -5)")
+    oracle_s_max: float = _key(6.0, "oracle.s_max", "s-max", "reference table upper end")
+    oracle_step: float = _key(0.5, "oracle.step", "step", "reference table spacing")
+    out_csv: str = _key("", "output.csv", "csv", "CSV path (empty: <study>.csv)")
+    out_json: str = _key("", "output.json", "json", "JSON path (empty: <study>.json)")
+    cache_dir: str = _key("", "cache.dir", "cache-dir", "cache root (overrides PEARCEYGAP_CACHE)")
+    cache_enabled: bool = _key(True, "cache.enabled", "cache", "the kernel block cache")
 
 
-# dotted config key -> (field, value kind)
-_SCHEMA = (
-    ("study.kind", "kind", "str"),
-    ("gap.family", "family", "str"),
-    ("gap.times", "times", "floats"),
-    ("gap.windows", "windows", "windows"),
-    ("gap.nodes", "nodes", "int"),
-    ("gap.certify", "certify", "bool"),
-    ("identities.x_grid", "id_x_grid", "floats"),
-    ("identities.y_grid", "id_y_grid", "floats"),
-    ("identities.s_grid", "id_s_grid", "floats"),
-    ("identities.tolerance", "id_tolerance", "float"),
-    ("prop21.t", "prop_t", "float"),
-    ("prop21.s", "prop_s", "float"),
-    ("prop21.z_grid", "prop_z_grid", "floats"),
-    ("theorem.tau1_grid", "thm_tau1_grid", "floats"),
-    ("theorem.t1", "thm_t1", "float"),
-    ("theorem.t2", "thm_t2", "float"),
-    ("theorem.windows", "thm_windows", "windows"),
-    ("theorem.nodes", "thm_nodes", "int"),
-    ("theorem.single_time", "thm_single_time", "bool"),
-    ("theorem.ablate", "thm_ablate", "bool"),
-    ("theorem.certify", "thm_certify", "bool"),
-    ("pde.tau", "pde_tau", "float"),
-    ("pde.sigma", "pde_sigma", "float"),
-    ("pde.xi", "pde_xi", "float"),
-    ("pde.eta", "pde_eta", "float"),
-    ("pde.mu", "pde_mu", "float"),
-    ("pde.nu", "pde_nu", "float"),
-    ("pde.step", "pde_step", "float"),
-    ("pde.nodes", "pde_nodes", "int"),
-    ("pde.nodes_per_ray", "pde_nodes_per_ray", "int"),
-    ("oracle.s_min", "oracle_s_min", "float"),
-    ("oracle.s_max", "oracle_s_max", "float"),
-    ("oracle.step", "oracle_step", "float"),
-    ("output.csv", "out_csv", "str"),
-    ("output.json", "out_json", "str"),
-    ("cache.dir", "cache_dir", "str"),
-    ("cache.enabled", "cache_enabled", "bool"),
-)
-
-_KEY_TO_FIELD = {key: (attr, kind) for key, attr, kind in _SCHEMA}
+def _bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def _encode_value(value, kind: str) -> str:
-    if kind == "str":
-        return str(value)
-    if kind == "int":
-        return str(int(value))
-    if kind == "float":
-        return repr(float(value))
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "floats":
-        return ",".join(repr(float(v)) for v in value)
-    if kind == "windows":
-        parts = []
-        for w in value:
-            parts.append("none" if w is None else f"{w[0]!r}:{w[1]!r}")
-        return ",".join(parts)
-    raise DomainError(f"unknown schema kind {kind}")
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _decode_value(text: str, kind: str):
-    text = text.strip()
-    if kind == "str":
-        return text
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "bool":
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    if kind == "floats":
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if kind == "windows":
-        return _parse_windows(text)
-    raise DomainError(f"unknown schema kind {kind}")
-
-
-def _parse_windows(text: str) -> tuple:
+def _windows(text: str) -> tuple:
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -195,14 +158,30 @@ def _parse_windows(text: str) -> tuple:
     return tuple(out)
 
 
+# field annotation -> (decode config text, encode value as config text)
+_CODECS = {
+    "str": (str, str),
+    "int": (int, lambda v: str(int(v))),
+    "float": (float, lambda v: repr(float(v))),
+    "bool": (_bool, lambda v: "true" if v else "false"),
+    "Floats": (_floats, lambda v: ",".join(repr(float(x)) for x in v)),
+    "Windows": (_windows, lambda v: ",".join(
+        "none" if w is None else f"{w[0]!r}:{w[1]!r}" for w in v)),
+}
+
+
+def _encoded(config: StudyConfig) -> dict:
+    """Dotted key -> config text of the value, for every field in order."""
+    return {f.metadata["key"]: _CODECS[f.type][1](getattr(config, f.name))
+            for f in fields(config)}
+
+
 def serialize_config(config: StudyConfig) -> str:
-    lines = [f"{key} = {_encode_value(getattr(config, attr), kind)}"
-             for key, attr, kind in _SCHEMA]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {text}\n" for key, text in _encoded(config).items())
 
 
 def parse_config(text: str, base: StudyConfig | None = None) -> StudyConfig:
-    config = base if base is not None else StudyConfig()
+    by_key = {f.metadata["key"]: f for f in fields(StudyConfig)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -212,17 +191,18 @@ def parse_config(text: str, base: StudyConfig | None = None) -> StudyConfig:
         if not sep:
             raise DomainError(f"config line {lineno}: expected key = value")
         key = key.strip()
-        if key not in _KEY_TO_FIELD:
+        if key not in by_key:
             raise DomainError(f"config line {lineno}: unknown key {key!r}")
-        attr, kind = _KEY_TO_FIELD[key]
+        f = by_key[key]
         try:
-            updates[attr] = _decode_value(value, kind)
+            updates[f.name] = _CODECS[f.type][0](value.strip())
         except ValueError as exc:
             raise DomainError(f"config line {lineno}: {exc}") from exc
-    config = replace(config, **updates)
-    if config.kind not in _KINDS:
-        raise DomainError(f"study.kind must be one of {_KINDS}, got {config.kind!r}")
-    return config
+        choices = f.metadata["choices"]
+        if choices and updates[f.name] not in choices:
+            raise DomainError(f"config line {lineno}: {key} must be one of {choices},"
+                              f" got {updates[f.name]!r}")
+    return replace(base if base is not None else StudyConfig(), **updates)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +239,9 @@ def _gap_study(config: StudyConfig) -> StudyReport:
 def _oracle_study(config: StudyConfig) -> StudyReport:
     if config.oracle_step <= 0.0 or config.oracle_s_max <= config.oracle_s_min:
         raise DomainError("oracle grid must be ascending with positive step")
-    count = int(round((config.oracle_s_max - config.oracle_s_min) / config.oracle_step))
+    # last point at or below s_max; the slack keeps an exact multiple that
+    # division rounds just below an integer
+    count = math.floor((config.oracle_s_max - config.oracle_s_min) / config.oracle_step + 1e-9)
     s_grid = config.oracle_s_min + config.oracle_step * np.arange(count + 1)
     rows = []
     for s in s_grid:
@@ -365,8 +347,7 @@ def _write_json(report: StudyReport, path: str, config: StudyConfig) -> None:
         "schema": "pearceygap-report-1",
         "study": report.name,
         "verdict": report.verdict,
-        "config": {key: _encode_value(getattr(config, attr), kind)
-                   for key, attr, kind in _SCHEMA},
+        "config": _encoded(config),
         "inputs": _plain(report.inputs),
         "summary": _plain(report.summary),
         "columns": list(report.columns),
@@ -416,135 +397,76 @@ def run(config: StudyConfig) -> tuple[StudyReport, int]:
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="config file (flat dotted key = value)")
-    sub.add_argument("--csv", dest="out_csv", help="CSV output path")
-    sub.add_argument("--json", dest="out_json", help="JSON report path")
-    sub.add_argument("--cache-dir", dest="cache_dir",
-                     help="cache root (overrides PEARCEYGAP_CACHE)")
-    sub.add_argument("--no-cache", dest="cache_enabled", action="store_false",
-                     default=None, help="disable the kernel block cache")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 3) rather than
+    printing usage and exiting 2, which the exit-code contract reserves for
+    inconclusive studies."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
+def _flag_type(decode):
+    def convert(text: str):
+        try:
+            return decode(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pearceygap",
         description="Gap probabilities of the Airy and Pearcey processes, "
                     "and the convergence/PDE studies built on them.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gap", help="one gap probability")
-    _add_common(p)
-    p.add_argument("--family", choices=("airy", "pearcey"))
-    p.add_argument("--times", help="comma-separated times, ascending")
-    p.add_argument("--windows", help="comma-separated lo:hi windows (or none)")
-    p.add_argument("--nodes", type=int, help="quadrature nodes per window")
-    p.add_argument("--no-certify", dest="certify", action="store_false",
-                   default=None, help="skip the m -> 2m refinement certificate")
-
-    p = subs.add_parser("identities", help="kernel differential-identity residuals")
-    _add_common(p)
-    p.add_argument("--x-grid", dest="id_x_grid", help="comma-separated x values")
-    p.add_argument("--y-grid", dest="id_y_grid", help="comma-separated y values")
-    p.add_argument("--s-grid", dest="id_s_grid", help="comma-separated s values")
-    p.add_argument("--tolerance", dest="id_tolerance", type=float)
-
-    p = subs.add_parser("prop21", help="kernel convergence order in z")
-    _add_common(p)
-    p.add_argument("--t", dest="prop_t", type=float, help="mean time")
-    p.add_argument("--s", dest="prop_s", type=float, help="half time-difference")
-    p.add_argument("--z", dest="prop_z_grid", help="comma-separated z values")
-
-    p = subs.add_parser("theorem", help="statistics convergence order in tau1")
-    _add_common(p)
-    p.add_argument("--tau1", dest="thm_tau1_grid", help="comma-separated tau1 grid")
-    p.add_argument("--t1", dest="thm_t1", type=float)
-    p.add_argument("--t2", dest="thm_t2", type=float)
-    p.add_argument("--windows", dest="thm_windows",
-                   help="comma-separated lo:hi windows")
-    p.add_argument("--nodes", dest="thm_nodes", type=int)
-    p.add_argument("--single-time", dest="thm_single_time", action="store_true",
-                   default=None)
-    p.add_argument("--no-ablate", dest="thm_ablate", action="store_false",
-                   default=None)
-    p.add_argument("--no-certify", dest="thm_certify", action="store_false",
-                   default=None)
-
-    p = subs.add_parser("pde", help="two-time gap-probability PDE residual")
-    _add_common(p)
-    for name in ("tau", "sigma", "xi", "eta", "mu", "nu", "step"):
-        p.add_argument(f"--{name}", dest=f"pde_{name}", type=float)
-    p.add_argument("--nodes", dest="pde_nodes", type=int)
-    p.add_argument("--nodes-per-ray", dest="pde_nodes_per_ray", type=int)
-
-    p = subs.add_parser("oracle-painleve",
-                        help="build/refresh the Painleve II reference table")
-    _add_common(p)
-    p.add_argument("--s-min", dest="oracle_s_min", type=float)
-    p.add_argument("--s-max", dest="oracle_s_max", type=float)
-    p.add_argument("--step", dest="oracle_step", type=float)
-
+    for command, (section, summary) in _STUDIES.items():
+        sub = subs.add_parser(command, help=summary)
+        sub.add_argument("--config", help="config file (flat dotted key = value)")
+        for f in fields(StudyConfig):
+            key, flag, help_text = f.metadata["key"], f.metadata["flag"], f.metadata["help"]
+            if flag is None or key.split(".")[0] not in (section, *_SHARED_SECTIONS):
+                continue
+            if f.type == "bool":
+                # default on: --no-<flag> turns it off; default off: --<flag> turns it on
+                sub.add_argument(f"--no-{flag}" if f.default else f"--{flag}", dest=f.name,
+                                 action="store_false" if f.default else "store_true",
+                                 default=None,
+                                 help=f"turn {'off' if f.default else 'on'} {help_text} [{key}]")
+            else:
+                choices = f.metadata["choices"] or None
+                sub.add_argument(f"--{flag}", dest=f.name, type=_flag_type(_CODECS[f.type][0]),
+                                 choices=choices, metavar=None if choices else f.type.upper(),
+                                 help=f"{help_text} [{key}]")
     return parser
 
 
-# value-taking flags whose argument may start with "-" (negative numbers,
-# windows like -1:6); merged into --flag=value so argparse does not mistake
-# the value for an option
-_VALUE_FLAGS = frozenset({
-    "--times", "--windows", "--x-grid", "--y-grid", "--s-grid", "--z",
-    "--t", "--s", "--t1", "--t2", "--tau1", "--tau", "--sigma", "--xi",
-    "--eta", "--mu", "--nu", "--step", "--s-min", "--s-max", "--tolerance",
-})
-
-
 def _merge_negative_values(argv: list) -> list:
+    """Merge a value-taking flag and a value that starts with "-" (negative
+    numbers, windows like -1:6) into --flag=value, so argparse does not mistake
+    the value for an option."""
+    value_flags = {f"--{f.metadata['flag']}" for f in fields(StudyConfig)
+                   if f.metadata["flag"] is not None and f.type != "bool"}
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in _VALUE_FLAGS and i + 1 < len(argv)):
-            nxt = argv[i + 1]
-            if len(nxt) > 1 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == "."):
-                out.append(f"{tok}={nxt}")
-                i += 2
-                continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in value_flags and re.match(r"-[\d.]", tok):
+            out[-1] += f"={tok}"
+        else:
+            out.append(tok)
     return out
 
 
-_TUPLE_FLAGS = {
-    "times": "floats",
-    "windows": "windows",
-    "id_x_grid": "floats",
-    "id_y_grid": "floats",
-    "id_s_grid": "floats",
-    "prop_z_grid": "floats",
-    "thm_tau1_grid": "floats",
-    "thm_windows": "windows",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> StudyConfig:
-    config = StudyConfig(kind=args.command)
+    config = StudyConfig()
     if args.config:
         with open(args.config) as fh:
-            config = parse_config(fh.read(), base=config)
-        config = replace(config, kind=args.command)
-    overrides = {}
-    for attr in vars(config):
-        value = getattr(args, attr, None)
-        if value is None or attr == "kind":
-            continue
-        if attr in _TUPLE_FLAGS and isinstance(value, str):
-            try:
-                value = _decode_value(value, _TUPLE_FLAGS[attr])
-            except ValueError as exc:
-                raise DomainError(f"--{attr}: {exc}") from exc
-        overrides[attr] = value
-    return replace(config, **overrides)
+            config = parse_config(fh.read())
+    flags = {f.name: getattr(args, f.name) for f in fields(config)
+             if getattr(args, f.name, None) is not None}
+    return replace(config, kind=args.command, **flags)
 
 
 def _headline(report: StudyReport) -> str:
@@ -569,11 +491,10 @@ def _headline(report: StudyReport) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
+        args = _build_parser().parse_args(_merge_negative_values(list(argv)))
         config = _config_from_args(args)
     except (DomainError, OSError, ValueError) as exc:
         print(f"pearceygap: config error: {exc}", file=sys.stderr)

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +61,8 @@ def test_config_ignores_comments_and_blank_lines():
         "gap.nodes 40",
         "gap.certify = perhaps",
         "gap.windows = 1..2",
+        "gap.family = custom",
+        "gap.family = pearcey-conjugated",
     ],
 )
 def test_config_rejects_malformed_input(line):
@@ -68,6 +73,13 @@ def test_config_rejects_malformed_input(line):
 def test_windows_accept_none_placeholder():
     config = parse_config("gap.windows = none,-1.0:6.0\n")
     assert config.windows == (None, (-1.0, 6.0))
+
+
+def test_docs_config_table_matches_study_config():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "output_formats.md").read_text()
+    documented = re.findall(r"^\| `(\w+\.\w+)` \| (\w+) \|", doc, flags=re.MULTILINE)
+    declared = [(f.metadata["key"], f.type.lower()) for f in fields(StudyConfig)]
+    assert documented == declared
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +147,8 @@ def test_inconclusive_study_exits_2(tmp_path, monkeypatch):
         ["gap", "--config", "/no/such/file.cfg"],
         ["prop21", "--t", "2.0", "--no-cache"],  # out-of-domain parameter
         ["pde", "--sigma", "-0.5", "--no-cache"],
+        ["gap", "--bogus"],  # usage errors are configuration errors, not exit 2
+        ["gap", "--nodes", "abc"],
     ],
 )
 def test_configuration_errors_exit_3(argv, tmp_path, monkeypatch, capsys):
@@ -219,6 +233,18 @@ def test_csv_has_header_and_full_precision(tmp_path, monkeypatch):
     # repr round-trip: parsing the cell reproduces the float exactly
     for cell in cells:
         assert repr(float(cell)) == cell or float(cell) == int(float(cell))
+
+
+def test_oracle_grid_stops_at_s_max(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(
+        ["oracle-painleve", "--s-min", "-2", "--s-max", "2", "--step", "0.7",
+         "--no-cache", "--csv", "oracle.csv", "--json", "oracle.json"]
+    )
+    assert code == 0
+    rows = (tmp_path / "oracle.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 6
+    assert float(rows[-1].split(",")[0]) <= 2.0
 
 
 def test_json_separates_metadata_from_data(tmp_path, monkeypatch):

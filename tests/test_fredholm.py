@@ -261,3 +261,15 @@ def test_hastings_mcleod_boundary_behaviour():
     assert abs(q0 - 0.3670615) <= 1e-6
     with pytest.raises(DomainError):
         tracy_widom_f2(-15.0)
+
+
+def test_hastings_mcleod_refuses_below_floor():
+    # at s = -8 the backward integration has drifted off the separatrix
+    # (q(-8) = 1.93 against the asymptotic sqrt(-s/2) = 2)
+    with pytest.raises(DomainError):
+        hastings_mcleod(-8.0)
+
+
+def test_tracy_widom_at_floor_matches_fredholm():
+    q = GapQuery(family="airy", times=(0.0,), windows=((-5.0, 15.0),), m=60)
+    assert abs(math.log(tracy_widom_f2(-5.0)) - log_gap_probability(q)) <= 1e-6
