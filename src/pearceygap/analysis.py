@@ -19,7 +19,7 @@ import numpy as np
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, PearceyGapError
 from .fredholm import GapQuery, log_gap_probability
-from .pearcey_process import PearceyContour, conjugated_block_grid
+from .pearcey_process import PearceyContour, conjugated_block_grid, ray_radius_bound
 from .scaling import ScalingParams, match_tau2, t_from_tau
 from .specfun import airy_derivs_upto, gauss_rule
 
@@ -138,6 +138,8 @@ def identity_grid_study(
     y_grid = np.linspace(-1.0, 1.0, 5) if y_grid is None else np.asarray(y_grid, float)
     if tolerance <= 0.0:
         raise DomainError("tolerance must be positive")
+    if 0 in (len(x_grid), len(y_grid), len(s_grid)):
+        raise DomainError("identity x, y and s grids need at least one point each")
     rows = []
     for s in s_grid:
         for x in x_grid:
@@ -457,8 +459,19 @@ class PdeGrid:
             )
 
 
-def _pde_f_factory(grid: PdeGrid, m: int):
-    contour = PearceyContour(nodes_per_ray=grid.nodes_per_ray)
+def _pde_contour(grid: PdeGrid) -> PearceyContour:
+    """One contour for every block of the study, so all blocks share one ray
+    system and one cache record: its radius is the per-block rule's radius at
+    the stencil's reach, with each coordinate shifted by up to 2h."""
+    reach = 2.0 * grid.h
+    tau_max = grid.tau + grid.sigma + 2.0 * reach
+    coord_max = abs(grid.xi) + abs(grid.eta) + max(abs(grid.mu), abs(grid.nu)) + 3.0 * reach
+    return PearceyContour(
+        radius=ray_radius_bound(tau_max, coord_max), nodes_per_ray=grid.nodes_per_ray
+    )
+
+
+def _pde_f_factory(grid: PdeGrid, m: int, contour: PearceyContour):
     cache: dict = {}
 
     def f(dtau=0.0, dsigma=0.0, dxi=0.0, deta=0.0, dmu=0.0, dnu=0.0):
@@ -489,8 +502,8 @@ def _pde_f_factory(grid: PdeGrid, m: int):
     return f
 
 
-def _pde_terms(grid: PdeGrid, m: int, h: float) -> dict:
-    f = _pde_f_factory(grid, m)
+def _pde_terms(grid: PdeGrid, m: int, h: float, contour: PearceyContour) -> dict:
+    f = _pde_f_factory(grid, m, contour)
     h2, h3 = h * h, h * h * h
 
     def d3(axis):
@@ -566,11 +579,12 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
     discretization-noise estimate (the study is inconclusive when the noise
     reaches the residual)."""
     grid = grid if grid is not None else PdeGrid()
-    terms = _pde_terms(grid, grid.m, grid.h)
+    contour = _pde_contour(grid)
+    terms = _pde_terms(grid, grid.m, grid.h, contour)
     total, scale = _pde_combine(terms)
     normalized = abs(total) / max(scale, 1e-300)
 
-    terms_half = _pde_terms(grid, grid.m, grid.h / 2.0)
+    terms_half = _pde_terms(grid, grid.m, grid.h / 2.0, contour)
     total_half, scale_half = _pde_combine(terms_half)
     normalized_half = abs(total_half) / max(scale_half, 1e-300)
 
@@ -578,7 +592,7 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
     ablation_ratio = abs(flipped) / max(abs(total), 1e-300)
 
     # quadrature-noise probe: same stencil at a different node count
-    terms_noise = _pde_terms(replace(grid, m=grid.m + 8), grid.m + 8, grid.h)
+    terms_noise = _pde_terms(replace(grid, m=grid.m + 8), grid.m + 8, grid.h, contour)
     total_noise, _ = _pde_combine(terms_noise)
     noise = abs(total_noise - total) / max(scale, 1e-300)
 
@@ -601,6 +615,7 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
         "noise_estimate": noise,
         "term_scale": scale,
         "h": grid.h,
+        "ray_radius": contour.radius,
         "inconclusive": inconclusive,
     }
     return StudyReport(

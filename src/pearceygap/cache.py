@@ -22,7 +22,7 @@ from .exceptions import ConcurrencyError
 __all__ = ["KernelCache", "CacheLock", "block_key", "default_root"]
 
 # Bump whenever kernel evaluation changes, so stale blocks stop matching.
-_FORMAT = b"pearceygap-cache-2"
+_FORMAT = b"pearceygap-cache-3"
 ENV_ROOT = "PEARCEYGAP_CACHE"
 _DEFAULT_DIRNAME = ".pearceygap-cache"
 

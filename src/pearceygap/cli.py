@@ -180,6 +180,13 @@ def serialize_config(config: StudyConfig) -> str:
     return "".join(f"{key} = {text}\n" for key, text in _encoded(config).items())
 
 
+def _check_choice(f, value) -> None:
+    """Reject a value outside the field's allowed values (if it lists any)."""
+    choices = f.metadata["choices"]
+    if choices and value not in choices:
+        raise DomainError(f"{f.metadata['key']} must be one of {choices}, got {value!r}")
+
+
 def parse_config(text: str, base: StudyConfig | None = None) -> StudyConfig:
     by_key = {f.metadata["key"]: f for f in fields(StudyConfig)}
     updates = {}
@@ -196,12 +203,9 @@ def parse_config(text: str, base: StudyConfig | None = None) -> StudyConfig:
         f = by_key[key]
         try:
             updates[f.name] = _CODECS[f.type][0](value.strip())
-        except ValueError as exc:
+            _check_choice(f, updates[f.name])
+        except (ValueError, DomainError) as exc:
             raise DomainError(f"config line {lineno}: {exc}") from exc
-        choices = f.metadata["choices"]
-        if choices and updates[f.name] not in choices:
-            raise DomainError(f"config line {lineno}: {key} must be one of {choices},"
-                              f" got {updates[f.name]!r}")
     return replace(base if base is not None else StudyConfig(), **updates)
 
 
@@ -301,9 +305,7 @@ def _dispatch(config: StudyConfig) -> StudyReport:
             nodes_per_ray=config.pde_nodes_per_ray,
         )
         return pde_residual(grid)
-    if config.kind == "oracle-painleve":
-        return _oracle_study(config)
-    raise DomainError(f"unknown study kind {config.kind!r}")
+    return _oracle_study(config)  # run() admits only the kinds in _STUDIES
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +363,8 @@ def _write_json(report: StudyReport, path: str, config: StudyConfig) -> None:
 
 def run(config: StudyConfig) -> tuple[StudyReport, int]:
     """Execute one configured study and write its CSV/JSON reports."""
+    for f in fields(config):
+        _check_choice(f, getattr(config, f.name))
     started = time.time()
     lock = None
     cache = None

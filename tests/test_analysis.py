@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from pearceygap.analysis import (
     theorem_ratio_study,
 )
 from pearceygap.exceptions import DomainError
+from pearceygap.fredholm import BlockDiscretization
+from pearceygap.pearcey_process import _x_rays, _y_rays
 
 
 def test_psi_operator_coefficients():
@@ -169,6 +172,31 @@ def test_pde_residual_default_grid():
     assert rep.passed
     names = [r[0] for r in rep.rows]
     assert names == sorted(names[:-1]) + ["pde_total"]
+
+
+def test_pde_study_radius_covers_every_block(monkeypatch):
+    # record the queries instead of computing determinants
+    queries = []
+
+    def record(query):
+        queries.append(query)
+        return 0.0
+
+    monkeypatch.setattr(analysis, "log_gap_probability", record)
+    rep = pde_residual(PdeGrid())
+    assert len({q.contour for q in queries}) == 1
+    radius = queries[0].contour.radius
+    assert rep.summary["ray_radius"] == radius
+    # the per-block rule (radius=None) on each side of every block
+    free = replace(queries[0].contour, radius=None)
+    block_radii = []
+    for q in queries:
+        disc = BlockDiscretization.build(q)
+        for tau, nodes in zip(disc.times, disc.nodes):
+            coord = float(np.max(np.abs(nodes)))
+            rays = _x_rays(free, tau, coord) + _y_rays(free, tau, coord)
+            block_radii.extend(ray[3] for ray in rays)
+    assert max(block_radii) <= radius
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "846441caac7a2f7f54cbb3d1edfb5cf0f8ee460a0a80b2e08f060588fb2c4dfd"
+    assert key == "2e8a51f9fec31de034b73651c7f7ef7b1416c8ac7006824f4fc565d7054a816c"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):

@@ -149,6 +149,7 @@ def test_inconclusive_study_exits_2(tmp_path, monkeypatch):
         ["pde", "--sigma", "-0.5", "--no-cache"],
         ["gap", "--bogus"],  # usage errors are configuration errors, not exit 2
         ["gap", "--nodes", "abc"],
+        ["identities", "--x-grid=", "--no-cache"],  # empty grid
     ],
 )
 def test_configuration_errors_exit_3(argv, tmp_path, monkeypatch, capsys):
@@ -157,6 +158,22 @@ def test_configuration_errors_exit_3(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pearceygap:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"family": "custom"}, "gap.family"),
+        ({"family": "pearcey-conjugated"}, "gap.family"),
+        ({"kind": "frobnicate"}, "study.kind"),
+    ],
+)
+def test_run_rejects_values_outside_field_choices(change, key, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = StudyConfig(cache_dir=str(tmp_path / "cache"), **change)
+    with pytest.raises(DomainError, match=rf"^{re.escape(key)} must be one of"):
+        run(config)
+    assert os.listdir(tmp_path) == []  # rejected before the cache or any report
 
 
 def test_locked_cache_exits_3(tmp_path, monkeypatch, capsys):

@@ -10,6 +10,7 @@ from pearceygap.exceptions import (
     DomainError,
     StabilityError,
 )
+from pearceygap import pearcey_process
 from pearceygap.pearcey_process import (
     ConjugationFactors,
     PearceyContour,
@@ -240,6 +241,20 @@ def test_unconjugated_recentred_overflow_raises_stability_error():
 def test_insufficient_radius_raises_accuracy_error():
     with pytest.raises(AccuracyError):
         pearcey_tilde(1.0, 1.0, 0.0, 0.0, PearceyContour(radius=2.0, nodes_per_ray=64))
+
+
+def test_fixed_radius_blocks_share_one_ray_system():
+    contour = PearceyContour(radius=4.5, nodes_per_ray=96)
+    xs = np.linspace(-2.0, 2.5, 5)
+    ys = np.linspace(-1.5, 3.0, 4)
+    calls = [(2.0, 3.0, xs, ys), (3.0, 2.0, ys, xs + 0.3)]
+    pearcey_process._ray_system.cache_clear()
+    shared = [pearcey_block_grid(*c, contour) for c in calls]
+    info = pearcey_process._ray_system.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for c, got in zip(calls, shared):
+        pearcey_process._ray_system.cache_clear()
+        assert np.array_equal(pearcey_block_grid(*c, contour), got)
 
 
 @pytest.mark.parametrize("z, expected_ratio", [(0.3, None), (0.25, None)])
