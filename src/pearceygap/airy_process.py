@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AccuracyError, ContourError, DomainError
-from .specfun import QuadratureRule, airy, gauss_rule
+from .specfun import QuadratureRule, airy, gauss_rule, ray_rule
 
 __all__ = [
     "AiryKernelSpec",
@@ -178,13 +178,6 @@ class AiryContour:
             raise ContourError("need at least 4 nodes per ray")
 
 
-def _ray(vertex: complex, angle: float, radius: float, n: int):
-    """Outgoing-ray nodes/weights (complex line element included)."""
-    rule = gauss_rule(n, 0.0, radius)
-    d = complex(math.cos(angle), math.sin(angle))
-    return vertex + rule.nodes * d, rule.weights * d
-
-
 def extended_airy_contour(
     t_i: float, t_j: float, x: float, y: float, contour: AiryContour
 ) -> float:
@@ -201,14 +194,14 @@ def extended_airy_contour(
     n = contour.nodes_per_ray
     rad = contour.radius
 
-    u_up, wu_up = _ray(cu, contour.theta1, rad, n)
-    u_dn, wu_dn = _ray(cu, -contour.theta1p, rad, n)
+    u_up, wu_up = ray_rule(cu, contour.theta1, rad, n)
+    u_dn, wu_dn = ray_rule(cu, -contour.theta1p, rad, n)
     # downward traversal: in along the upper ray, out along the lower
     u = np.concatenate([u_up, u_dn])
     wu = np.concatenate([-wu_up, wu_dn])
 
-    v_up, wv_up = _ray(cv, math.pi - contour.theta2, rad, n)
-    v_dn, wv_dn = _ray(cv, -(math.pi - contour.theta2p), rad, n)
+    v_up, wv_up = ray_rule(cv, math.pi - contour.theta2, rad, n)
+    v_dn, wv_dn = ray_rule(cv, -(math.pi - contour.theta2p), rad, n)
     # upward traversal: in along the lower ray, out along the upper
     v = np.concatenate([v_up, v_dn])
     wv = np.concatenate([wv_up, -wv_dn])

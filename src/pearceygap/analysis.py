@@ -321,9 +321,11 @@ def theorem_ratio_study(
         raise DomainError("tau1 grid must be positive")
     if np.any(np.diff(tau1_grid) <= 0.0):
         raise DomainError("tau1 grid must be strictly ascending")
+    if tau1_grid.size < 2:
+        raise DomainError("tau1 grid needs at least two points for a fit")
     for w in airy_windows:
-        if not (np.isfinite(w[0]) and np.isfinite(w[1])):
-            raise DomainError(f"windows must be finite, got {w}")
+        if w is None or not (np.isfinite(w[0]) and np.isfinite(w[1])):
+            raise DomainError(f"windows must be finite intervals, got {w}")
     airy_times = (0.0,) if single_time else (t1, t2)
     windows = (airy_windows[0],) if single_time else tuple(airy_windows)
 
@@ -445,6 +447,8 @@ class PdeGrid:
     def __post_init__(self):
         if self.h <= 0.0:
             raise DomainError("step h must be positive")
+        if self.nodes_per_ray and self.nodes_per_ray < 4:
+            raise DomainError("nodes_per_ray must be 0 (adaptive) or >= 4")
         if self.sigma <= 2.0 * self.h:
             raise DomainError("sigma must stay positive across the stencil")
         if self.mu + 2.0 * self.h >= 0.0 or self.nu + 2.0 * self.h >= 0.0:

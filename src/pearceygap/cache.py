@@ -10,6 +10,7 @@ treated as a miss and recomputed, never silently reused.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import tempfile
@@ -105,60 +106,37 @@ class KernelCache:
             raise
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
 class CacheLock:
-    """Advisory one-process-per-cache-root lock (pid file, stale-safe)."""
+    """Advisory one-process-per-cache-root lock: a non-blocking exclusive
+    flock on <root>/lock.  The kernel drops it when the holder's file is
+    closed, so a holder that dies leaves no stale lock.  The file stays in
+    place: unlinking it on release would let two processes lock two
+    different files of the same name."""
 
     def __init__(self, root: str):
         self.root = root
-        self.path = os.path.join(root, "lock.pid")
-        self._held = False
+        self.path = os.path.join(root, "lock")
+        self._fd = None
 
     def acquire(self) -> "CacheLock":
         os.makedirs(self.root, exist_ok=True)
-        for _ in range(2):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._holder_stale():
-                    try:
-                        os.remove(self.path)
-                    except OSError:
-                        pass
-                    continue
-                raise ConcurrencyError(
-                    f"cache root {self.root} is locked by another process"
-                )
-            with os.fdopen(fd, "w") as fh:
-                fh.write(str(os.getpid()))
-            self._held = True
-            return self
-        raise ConcurrencyError(f"could not acquire lock in {self.root}")
-
-    def _holder_stale(self) -> bool:
+        fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
         try:
-            with open(self.path) as fh:
-                pid = int(fh.read().strip())
-        except (OSError, ValueError):
-            return True
-        return not _pid_alive(pid)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            os.close(fd)
+            if not isinstance(exc, BlockingIOError):
+                raise
+            raise ConcurrencyError(
+                f"cache root {self.root} is locked by another process"
+            ) from None
+        self._fd = fd
+        return self
 
     def release(self) -> None:
-        if self._held:
-            try:
-                os.remove(self.path)
-            except OSError:
-                pass
-            self._held = False
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def __enter__(self) -> "CacheLock":
         return self.acquire()

@@ -14,7 +14,7 @@ kernels, so agreement of two dyadic levels is a meaningful error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import cache as cache_mod
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, ValidityError
 from .pearcey_process import PearceyContour, conjugated_block_grid, pearcey_block_grid
-from .scaling import ScalingParams, t_from_tau
+from .scaling import ScalingParams
 from .specfun import gauss_rule
 
 __all__ = [
@@ -147,44 +147,27 @@ def set_block_cache(cache) -> None:
     _BLOCK_CACHE = cache
 
 
-def _block_value(query: GapQuery, t_i, t_j, x_i, x_j, contour) -> np.ndarray:
+def _block_value(query: GapQuery, t_i, t_j, x_i, x_j) -> np.ndarray:
     if query.family == "airy":
         return airy_block_grid(t_i, t_j, x_i, x_j)
     if query.family == "pearcey":
-        return pearcey_block_grid(t_i, t_j, x_i, x_j, contour)
+        return pearcey_block_grid(t_i, t_j, x_i, x_j, query.contour)
     if query.family == "pearcey-conjugated":
         i = _conjugated_index(query.params, t_i)
         j = _conjugated_index(query.params, t_j)
-        return conjugated_block_grid(query.params, i, j, x_i, x_j, contour)
+        return conjugated_block_grid(query.params, i, j, x_i, x_j, query.contour)
     return np.asarray(query.kernel(t_i, t_j, x_i, x_j), dtype=float)
 
 
 def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j) -> np.ndarray:
-    contour = query.contour
-    if (
-        query.family == "pearcey"
-        and contour is not None
-        and contour.recenter is not None
-    ):
-        # the query's recentring record is a template: each block gets the
-        # record for its own time pair (same z and ray angles)
-        rec = contour.recenter
-        contour = replace(
-            contour,
-            recenter=replace(
-                rec,
-                t_i=t_from_tau(t_i, rec.z),
-                t_j=t_from_tau(t_j, rec.z),
-            ),
-        )
     if _BLOCK_CACHE is None or query.family == "custom":
-        return _block_value(query, t_i, t_j, x_i, x_j, contour)
-    record = f"{contour!r}|{query.params!r}"
+        return _block_value(query, t_i, t_j, x_i, x_j)
+    record = f"{query.contour!r}|{query.params!r}"
     key = cache_mod.block_key(query.family, t_i, t_j, record, x_i, x_j)
     hit = _BLOCK_CACHE.lookup(key)
     if hit is not None:
         return hit
-    grid = _block_value(query, t_i, t_j, x_i, x_j, contour)
+    grid = _block_value(query, t_i, t_j, x_i, x_j)
     _BLOCK_CACHE.store(key, grid)
     return grid
 

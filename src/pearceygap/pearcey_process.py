@@ -1,7 +1,9 @@
 """Pearcey kernel via double contour integrals, its Gaussian correction term,
 and the conjugated/recentred evaluation used for large times.
 
-Two evaluation modes share the module:
+Two contour modes share one quadrature path: Gauss rules on signed rays, the
+Cauchy matrix wu / (V - U) * wv built in place, the exponent and envelope
+checks, and fu^T M fv, at a fixed node count or adaptively doubled.
 
 * **direct** -- tensor-product Gauss quadrature over the X ray system (four
   rays anchored at +/-1/2, right pair traversed downward, left pair upward)
@@ -16,12 +18,14 @@ Two evaluation modes share the module:
 
 * **recentred** -- change of variables U = A_i (1 + 3 u z^4),
   V = A_j (1 + 3 v z^4) placing O(1)-length contours through the saddle
-  A_i = (1 + 3 t_i z^4)/(3 z^3).  The recentred exponent is an exact quartic
-  polynomial in u whose coefficients suffer z^{-12}-sized cancellations, so
-  they are prepared once per (z, t) in 50-digit arithmetic and cast to float;
-  node evaluation stays vectorized float64.  The left X-pair's contribution
-  is exponentially small (e^{-3 tau^2/4}-sized) and is dropped; the mode
-  therefore requires tau >= 5.
+  A_i = (1 + 3 t_i z^4)/(3 z^3).  The recentring record holds only z and the
+  ray angles; each block's Airy times follow from its own taus (or from the
+  ScalingParams of a conjugated block).  The recentred exponent is an exact
+  quartic polynomial in u whose coefficients suffer z^{-12}-sized
+  cancellations, so they are prepared once per (z, t) in 50-digit arithmetic
+  and cast to float; node evaluation stays vectorized float64.  The left
+  X-pair's contribution is exponentially small (e^{-3 tau^2/4}-sized) and is
+  dropped; the mode therefore requires tau >= 5.
 
 Orientations (the source figures only draw arrows): right X pair downward,
 left X pair upward, Y upward.  They are pinned by the realness, deformation
@@ -43,8 +47,8 @@ from .exceptions import (
     DomainError,
     StabilityError,
 )
-from .scaling import ScalingParams, tau_from_z, x_from_xi, xi_from_x
-from .specfun import gauss_rule
+from .scaling import ScalingParams, t_from_tau, x_from_xi
+from .specfun import ray_rule
 
 __all__ = [
     "PearceyContour",
@@ -72,8 +76,10 @@ _RECENTER_TAU_MIN = 5.0  # left X-pair drop is justified only past this
 
 @dataclass(frozen=True)
 class RecenterSpec:
-    """Saddle-recentring record: scale z and the two Airy times, plus the ray
-    angles of the induced (u, v) contours.
+    """Saddle-recentring record: scale z plus the ray angles of the induced
+    (u, v) contours.  It holds no times: each block takes its Airy times from
+    its own taus, t = t_from_tau(tau, z), so one record serves every block of
+    a query.
 
     u_angle is measured off the positive real axis, v_angle off the negative
     one; both must sit in the Airy band (pi/6, pi/2) *and* leave the residual
@@ -82,8 +88,6 @@ class RecenterSpec:
     """
 
     z: float
-    t_i: float
-    t_j: float
     u_angle: float = math.pi / 3.0
     v_angle: float = 7.0 * math.pi / 16.0
 
@@ -111,7 +115,9 @@ class PearceyContour:
     block's exponent envelope (its time and largest |coordinate|); a fixed
     radius, e.g. ray_radius_bound over all blocks of a study, truncates every
     ray there and lets the blocks share one ray system.  nodes_per_ray=0
-    enables adaptive doubling."""
+    enables adaptive doubling, in either mode.  recenter (z and angles only)
+    switches to recentred contours; the X/Y fields and radius are then
+    unused."""
 
     sigma1: float = math.pi / 4.0
     sigma1p: float = math.pi / 4.0
@@ -165,30 +171,20 @@ class ConjugationFactors:
     def h(self, x, t):
         return (self.u * x / 4.0) * (x + 6.0 * t * t)
 
-    def log_s(self, x, t):
-        """Log of the diagonal conjugation factor for coordinate x, time t."""
-        return self.phi(x, t) - self.h(x, t)
-
 
 # ---------------------------------------------------------------------------
-# ray plumbing
+# the shared quadrature path
 
 
-def _ray_radius(c4: float, g2: float, g1: float) -> float:
-    """Largest positive root of (c4/4) r^4 - g2 r^2 - g1 r - budget = 0."""
-    c4 = max(c4, 0.02)
-    roots = np.roots([0.25 * c4, 0.0, -g2, -g1, -(_LOG_EPS + 5.0)])
+def _ray_radius(coeffs, margin: float) -> float:
+    """margin times the largest positive root of the polynomial with leading
+    coefficients ``coeffs`` and constant term -budget."""
+    roots = np.roots([*coeffs, -(_LOG_EPS + 5.0)])
     real = roots[np.abs(roots.imag) < 1e-9].real
     pos = real[real > 0.0]
     if pos.size == 0:
         raise ContourError("no admissible truncation radius for ray")
-    return float(np.max(pos)) * 1.05
-
-
-def _ray_nodes(vertex: complex, angle: float, radius: float, n: int):
-    rule = gauss_rule(n, 0.0, radius)
-    d = complex(math.cos(angle), math.sin(angle))
-    return vertex + rule.nodes * d, rule.weights * d
+    return float(np.max(pos)) * margin
 
 
 def _signed_rays(ray_list, n):
@@ -197,12 +193,97 @@ def _signed_rays(ray_list, n):
     nodes, weights, spans = [], [], []
     start = 0
     for vertex, angle, sign, radius in ray_list:
-        nd, wt = _ray_nodes(vertex, angle, radius, n)
+        nd, wt = ray_rule(vertex, angle, radius, n)
         nodes.append(nd)
         weights.append(sign * wt)
         spans.append((start, start + n))
         start += n
     return np.concatenate(nodes), np.concatenate(weights), spans
+
+
+def _cauchy(big_u, wu, uspan, big_v, wv) -> np.ndarray:
+    """The Cauchy matrix wu / (V - U) * wv at the pole coordinates U, V of the
+    nodes.  It is built in place and the collision check runs one u ray at a
+    time, so the build makes no temporary of the matrix's size."""
+    m = np.empty((big_u.size, big_v.size), dtype=complex)
+    np.subtract(big_v[None, :], big_u[:, None], out=m)
+    if min(float(np.min(np.abs(m[a:b]))) for a, b in uspan) < 1e-12:
+        raise ContourError("u and v contours collide (|V - U| < 1e-12 at nodes)")
+    np.divide(wu[:, None], m, out=m)
+    m *= wv[None, :]
+    return m
+
+
+def _check_exponent(re_expo: np.ndarray, tag: str) -> None:
+    peak = float(np.max(re_expo))
+    if peak > _EXP_LIMIT:
+        raise StabilityError(
+            f"{tag}-side exponent reaches {peak:.0f} (> {_EXP_LIMIT:.0f}); "
+            "value not representable in double precision - use the "
+            "conjugated family"
+        )
+
+
+def _check_envelope(re_expo: np.ndarray, spans, tag: str) -> None:
+    """Every ray segment must drop by _ENDPOINT_DROP from its running max."""
+    for a, b in spans:
+        seg = re_expo[a:b]
+        drop = float(np.min(np.max(seg, axis=0) - seg[-1, :]))
+        if drop < _ENDPOINT_DROP:
+            raise AccuracyError(
+                f"{tag}-ray envelope not decayed at truncation (drop {drop:.1f} "
+                f"< {_ENDPOINT_DROP:.1f}); a wider radius or recentred contours "
+                "advised"
+            )
+
+
+def _contract(eu, uspan, ev, vspan, m) -> np.ndarray:
+    """fu^T M fv with fu = exp(eu), fv = exp(ev) (rows: nodes, columns:
+    points), after both exponent checks and then both envelope checks."""
+    _check_exponent(eu.real, "u")
+    _check_exponent(ev.real, "v")
+    _check_envelope(eu.real, uspan, "u")
+    _check_envelope(ev.real, vspan, "v")
+    # both exponentials before the products: an exp between the two matmuls
+    # measured 2x slower per block (2-core machine, threaded BLAS)
+    fu = np.exp(eu)
+    fv = np.exp(ev)
+    return fu.T @ m @ fv
+
+
+def _quadrature(contour: PearceyContour, grid_at) -> np.ndarray:
+    """The real part of grid_at(n) at the contour's node count or, for
+    nodes_per_ray=0, doubled from _MIN_NODES until two levels agree to
+    _RTOL_REFINE relative."""
+    if contour.nodes_per_ray:
+        return _to_real(grid_at(contour.nodes_per_ray))
+    n = _MIN_NODES
+    prev = None
+    while n <= _MAX_NODES:
+        cur = grid_at(n)
+        if prev is not None:
+            scale = max(float(np.max(np.abs(cur))), 1e-300)
+            if float(np.max(np.abs(cur - prev))) <= _RTOL_REFINE * scale:
+                return _to_real(cur)
+        prev = cur
+        n *= 2
+    raise AccuracyError(
+        f"ray quadrature did not converge by {_MAX_NODES} nodes per ray"
+    )
+
+
+def _to_real(grid: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+    scale = float(np.max(np.abs(grid.real)))
+    resid = float(np.max(np.abs(grid.imag)))
+    if resid > rtol * max(scale, 1e-300):
+        raise AccuracyError(
+            f"kernel grid has imaginary residue {resid:.3e} vs scale {scale:.3e}"
+        )
+    return np.ascontiguousarray(grid.real)
+
+
+# ---------------------------------------------------------------------------
+# direct mode
 
 
 def _x_rays(contour: PearceyContour, tau_i: float, coord_max: float):
@@ -213,7 +294,7 @@ def _x_rays(contour: PearceyContour, tau_i: float, coord_max: float):
             return contour.radius
         c4 = -math.cos(4.0 * angle)  # exp(+U^4/4) decays where cos(4a) < 0
         g2 = 0.5 * abs(tau_i) * max(0.0, -math.cos(2.0 * angle))
-        return _ray_radius(c4, g2, coord_max)
+        return _ray_radius([0.25 * max(c4, 0.02), 0.0, -g2, -coord_max], 1.05)
 
     s1, s1p = contour.sigma1, contour.sigma1p
     s2, s2p = math.pi - contour.sigma2, -(math.pi - contour.sigma2p)
@@ -233,7 +314,7 @@ def _y_rays(contour: PearceyContour, tau_j: float, coord_max: float):
             return contour.radius
         c4 = math.cos(4.0 * angle)  # exp(-V^4/4) decays where cos(4a) > 0
         g2 = 0.5 * abs(tau_j) * max(0.0, math.cos(2.0 * angle))
-        return _ray_radius(c4, g2, coord_max)
+        return _ray_radius([0.25 * max(c4, 0.02), 0.0, -g2, -coord_max], 1.05)
 
     up, dn = contour.tau_ang, -contour.tau_angp
     return [
@@ -252,101 +333,26 @@ def ray_radius_bound(tau_max: float, coord_max: float) -> float:
     return max(ray[3] for ray in rays)
 
 
-def _check_envelope(re_expo: np.ndarray, spans, tag: str) -> None:
-    """Every ray segment must drop by _ENDPOINT_DROP from its running max."""
-    for a, b in spans:
-        seg = re_expo[a:b]
-        drop = float(np.min(np.max(seg, axis=0) - seg[-1, :]))
-        if drop < _ENDPOINT_DROP:
-            raise AccuracyError(
-                f"{tag}-ray envelope not decayed at truncation (drop {drop:.1f} "
-                f"< {_ENDPOINT_DROP:.1f}); recentred contours advised"
-            )
-
-
-def _check_exponent(re_expo: np.ndarray, tag: str) -> None:
-    peak = float(np.max(re_expo))
-    if peak > _EXP_LIMIT:
-        raise StabilityError(
-            f"{tag}-side exponent reaches {peak:.0f} (> {_EXP_LIMIT:.0f}); "
-            "value not representable in double precision - use the "
-            "conjugated family"
-        )
-
-
-def _to_real(grid: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    scale = float(np.max(np.abs(grid.real)))
-    resid = float(np.max(np.abs(grid.imag)))
-    if resid > rtol * max(scale, 1e-300):
-        raise AccuracyError(
-            f"kernel grid has imaginary residue {resid:.3e} vs scale {scale:.3e}"
-        )
-    return np.ascontiguousarray(grid.real)
-
-
-# ---------------------------------------------------------------------------
-# direct mode
-
-
 @lru_cache(maxsize=1)
 def _ray_system(xray: tuple, yray: tuple, n: int):
-    """Nodes and segment spans of both ray systems plus the Cauchy matrix
-    wu / (v - u) * wv.  It depends only on the ray geometry, so blocks under a
-    fixed-radius contour (one per PDE study) share one build.  The matrix is
-    built in place and the collision check runs one X ray at a time, so the
-    build makes no temporary of the matrix's size."""
+    """Nodes and segment spans of both ray systems plus their Cauchy matrix.
+    It depends only on the ray geometry, so blocks under a fixed-radius
+    contour (one per PDE study) share one build."""
     u, wu, uspan = _signed_rays(xray, n)
     v, wv, vspan = _signed_rays(yray, n)
-    m = np.empty((u.size, v.size), dtype=complex)
-    np.subtract(v[None, :], u[:, None], out=m)
-    if min(float(np.min(np.abs(m[a:b]))) for a, b in uspan) < 1e-12:
-        raise ContourError("X and Y contours collide (|V - U| < 1e-12 at nodes)")
-    np.divide(wu[:, None], m, out=m)
-    m *= wv[None, :]
+    m = _cauchy(u, wu, uspan, v, wv)
     for arr in (u, v, m):
         arr.flags.writeable = False  # shared by every caller of the cache
     return u, uspan, v, vspan, m
 
 
-def _direct_grid_once(tau_i, tau_j, xis, etas, contour, n):
+def _direct_grid(tau_i, tau_j, xis, etas, contour, n):
     xray = _x_rays(contour, tau_i, float(np.max(np.abs(xis))))
     yray = _y_rays(contour, tau_j, float(np.max(np.abs(etas))))
     u, uspan, v, vspan, m = _ray_system(tuple(xray), tuple(yray), n)
-
     eu = (u[:, None] ** 4 / 4.0 - 0.5 * tau_i * u[:, None] ** 2) + u[:, None] * xis[None, :]
     ev = (-(v[:, None] ** 4) / 4.0 + 0.5 * tau_j * v[:, None] ** 2) - v[:, None] * etas[None, :]
-    _check_exponent(eu.real, "U")
-    _check_exponent(ev.real, "V")
-    _check_envelope(eu.real, uspan, "X")
-    _check_envelope(ev.real, vspan, "Y")
-    # both exponentials before the products: an exp between the two matmuls
-    # measured 2x slower per block (2-core machine, threaded BLAS)
-    fu = np.exp(eu)
-    fv = np.exp(ev)
-    return -(fu.T @ m @ fv) / (4.0 * math.pi**2)
-
-
-def _refine(eval_once):
-    """Adaptive node doubling until two levels agree to 1e-9 relative."""
-    n = _MIN_NODES
-    prev = None
-    while n <= _MAX_NODES:
-        cur = eval_once(n)
-        if prev is not None:
-            scale = max(float(np.max(np.abs(cur))), 1e-300)
-            if float(np.max(np.abs(cur - prev))) <= _RTOL_REFINE * scale:
-                return cur
-        prev = cur
-        n *= 2
-    raise AccuracyError(
-        f"ray quadrature did not converge by {_MAX_NODES} nodes per ray"
-    )
-
-
-def _direct_grid(tau_i, tau_j, xis, etas, contour):
-    if contour.nodes_per_ray:
-        return _direct_grid_once(tau_i, tau_j, xis, etas, contour, contour.nodes_per_ray)
-    return _refine(lambda n: _direct_grid_once(tau_i, tau_j, xis, etas, contour, n))
+    return -_contract(eu, uspan, ev, vspan, m) / (4.0 * math.pi**2)
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +419,16 @@ def _gauss_scalars(z: float, t_i: float, t_j: float):
     return {k: float(v) for k, v in out.items()}
 
 
-def _recentred_rays(spec: RecenterSpec, cs_u, cs_v, xmax: float, ymax: float):
-    """Signed (u, v) ray systems through the separated vertices."""
-    dt = spec.t_j - spec.t_i
+def _recentred_rays(spec: RecenterSpec, dt: float, cs_u, cs_v, xmax: float, ymax: float):
+    """Signed (u, v) ray systems through the separated vertices, for the
+    Airy-time difference dt = t_j - t_i."""
     u0, v0 = 0.4 + max(0.0, dt), -0.4
 
     def radius(angle, cubic, lin):
         c3 = abs(cubic) * abs(math.cos(3.0 * angle))
         if c3 < 1e-3:
             raise ContourError("recentred ray angle too close to a cubic-neutral direction")
-        roots = np.roots([c3 / 3.0, 0.0, -lin, -(_LOG_EPS + 5.0)])
-        real = roots[np.abs(roots.imag) < 1e-9].real
-        return float(np.max(real[real > 0.0])) * 1.1
+        return _ray_radius([c3 / 3.0, 0.0, -lin], 1.1)
 
     ru = radius(spec.u_angle, cs_u["p3"], abs(cs_u["q1"]) * xmax + abs(cs_u["p1"]))
     rv = radius(math.pi - spec.v_angle, cs_v["p3"], abs(cs_v["q1"]) * ymax + abs(cs_v["p1"]))
@@ -443,62 +447,41 @@ def _quartic(cs, w):
     return cs["p0"] + w * (cs["p1"] + w * (cs["p2"] + w * (cs["p3"] + w * cs["p4"])))
 
 
-def _recentred_grid_once(spec, xs, ys, n, conjugated, gate_included=False):
-    """Recentred K-tilde grid in Airy coordinates.
+def _recentred_grid(spec, t_i, t_j, xs, ys, conjugated, n):
+    """Recentred K-tilde grid in Airy coordinates at Airy times (t_i, t_j).
 
     conjugated=True returns the S-conjugated, Jacobian-weighted entries
     directly comparable to airy blocks; conjugated=False undoes the
     conjugation (the raw Pearcey kernel value in (xi, eta) coordinates, with
     no sqrt(dxi deta) weight)."""
-    cs_u = _side_coeffs(spec.z, spec.t_i)
-    cs_v = _side_coeffs(spec.z, spec.t_j)
+    cs_u = _side_coeffs(spec.z, t_i)
+    cs_v = _side_coeffs(spec.z, t_j)
     if min(cs_u["tau"], cs_v["tau"]) < _RECENTER_TAU_MIN:
         raise ContourError(
             f"recentring requires tau >= {_RECENTER_TAU_MIN} (left X-pair drop)"
         )
     xmax = float(np.max(np.abs(xs)))
     ymax = float(np.max(np.abs(ys)))
-    u_rays, v_rays = _recentred_rays(spec, cs_u, cs_v, xmax, ymax)
+    u_rays, v_rays = _recentred_rays(spec, t_j - t_i, cs_u, cs_v, xmax, ymax)
     u, wu, uspan = _signed_rays(u_rays, n)
     v, wv, vspan = _signed_rays(v_rays, n)
+    # V - U in original variables, kept in the well-scaled z*O(1) form
+    m = _cauchy(cs_u["B"] * u, wu, uspan, spec.z * (t_j - t_i) + cs_v["B"] * v, wv)
 
     conj = ConjugationFactors(u=spec.z**4)
     # exponent matrices: columns are x (resp. y) points
     eu = -(_quartic(cs_u, u)[:, None] + (cs_u["q0"] + cs_u["q1"] * u)[:, None] * xs[None, :])
     ev = +(_quartic(cs_v, v)[:, None] + (cs_v["q0"] + cs_v["q1"] * v)[:, None] * ys[None, :])
     if conjugated:
-        eu = eu - conj.h(xs, spec.t_i)[None, :]
-        ev = ev + conj.h(ys, spec.t_j)[None, :]
+        eu = eu - conj.h(xs, t_i)[None, :]
+        ev = ev + conj.h(ys, t_j)[None, :]
     else:
-        eu = eu - conj.phi(xs, spec.t_i)[None, :]
-        ev = ev + conj.phi(ys, spec.t_j)[None, :]
-    _check_exponent(eu.real, "u")
-    _check_exponent(ev.real, "v")
-    _check_envelope(eu.real, uspan, "u")
-    _check_envelope(ev.real, vspan, "v")
-    fu = np.exp(eu)
-    fv = np.exp(ev)
-
-    # V - U in original variables, kept in the well-scaled z*O(1) form
-    denom = (
-        spec.z * (spec.t_j - spec.t_i)
-        + cs_v["B"] * v[None, :]
-        - cs_u["B"] * u[:, None]
-    )
-    if float(np.min(np.abs(denom))) < 1e-12:
-        raise ContourError("recentred u/v contours collide with the pole")
-    m = (wu[:, None] / denom) * wv[None, :]
+        eu = eu - conj.phi(xs, t_i)[None, :]
+        ev = ev + conj.phi(ys, t_j)[None, :]
     pref = -cs_u["B"] * cs_v["B"] / (4.0 * math.pi**2)
     if conjugated:
         pref *= (3.0 * cs_u["tau"]) ** (1.0 / 12.0) * (3.0 * cs_v["tau"]) ** (1.0 / 12.0)
-    return pref * (fu.T @ m @ fv)
-
-
-def _recentred_grid(spec, xs, ys, contour, conjugated):
-    n = contour.nodes_per_ray if contour is not None and contour.nodes_per_ray else 0
-    if n:
-        return _recentred_grid_once(spec, xs, ys, n, conjugated)
-    return _refine(lambda k: _recentred_grid_once(spec, xs, ys, k, conjugated))
+    return pref * _contract(eu, uspan, ev, vspan, m)
 
 
 # ---------------------------------------------------------------------------
@@ -521,21 +504,17 @@ def _tilde_grid(tau_i, tau_j, xis, etas, contour):
     contour = contour if contour is not None else PearceyContour()
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    if contour.recenter is not None:
-        spec = contour.recenter
-        for tau, t in ((tau_i, spec.t_i), (tau_j, spec.t_j)):
-            ref = tau_from_z(spec.z, t)
-            if abs(tau - ref) > 1e-6 * abs(ref):
-                raise DomainError(
-                    f"recentring record inconsistent: tau={tau} vs blow-up {ref}"
-                )
-        xs = x_from_xi(xis, tau_i)
-        ys = x_from_xi(etas, tau_j)
-        grid = _recentred_grid(spec, xs, ys, contour, conjugated=False)
-        # columns were x-ordered; map back to the xi ordering (the map is
-        # order-reversing, but we evaluated at exactly the requested points)
-        return _to_real(grid)
-    return _to_real(_direct_grid(tau_i, tau_j, xis, etas, contour))
+    spec = contour.recenter
+    if spec is None:
+        return _quadrature(
+            contour, lambda n: _direct_grid(tau_i, tau_j, xis, etas, contour, n)
+        )
+    t_i, t_j = t_from_tau(tau_i, spec.z), t_from_tau(tau_j, spec.z)
+    xs = x_from_xi(xis, tau_i)
+    ys = x_from_xi(etas, tau_j)
+    return _quadrature(
+        contour, lambda n: _recentred_grid(spec, t_i, t_j, xs, ys, False, n)
+    )
 
 
 def pearcey_tilde(tau_i: float, tau_j: float, xi: float, eta: float,
@@ -570,18 +549,17 @@ def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
 def conjugated_tilde_grid(params: ScalingParams, i: int, j: int, xs, ys,
                           contour: PearceyContour | None = None) -> np.ndarray:
     """Conjugated, Jacobian-weighted K-tilde grid in Airy coordinates for the
-    (i, j) time pair of ``params`` (i, j in {1, 2})."""
+    (i, j) time pair of ``params`` (i, j in {1, 2}); the contour's recentring
+    angles are used at params.z."""
     t = {1: params.t1, 2: params.t2}
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    spec_angles = {}
-    if contour is not None and contour.recenter is not None:
-        spec_angles = dict(
-            u_angle=contour.recenter.u_angle, v_angle=contour.recenter.v_angle
-        )
-    spec = RecenterSpec(z=params.z, t_i=t[i], t_j=t[j], **spec_angles)
-    grid = _recentred_grid(spec, xs, ys, contour if contour is not None else PearceyContour(), True)
-    return _to_real(grid)
+    contour = contour if contour is not None else PearceyContour()
+    rec = contour.recenter or RecenterSpec(z=params.z)
+    spec = RecenterSpec(z=params.z, u_angle=rec.u_angle, v_angle=rec.v_angle)
+    return _quadrature(
+        contour, lambda n: _recentred_grid(spec, t[i], t[j], xs, ys, True, n)
+    )
 
 
 def conjugated_gauss_grid(params: ScalingParams, i: int, j: int, xs, ys) -> np.ndarray:

@@ -20,12 +20,10 @@ from .exceptions import DomainError
 __all__ = [
     "ScalingParams",
     "tau_from_z",
-    "z_from_tau",
     "xi_from_x",
     "x_from_xi",
     "match_tau2",
     "map_windows",
-    "unmap_windows",
     "u_from_t",
     "t_from_u",
     "t_from_tau",
@@ -44,24 +42,6 @@ def t_from_tau(tau: float, z: float) -> float:
     if not 0.0 < z < 1.0:
         raise DomainError(f"scale parameter must be in (0, 1), got {z}")
     return (3.0 * z**6 * tau - 1.0) / (6.0 * z**4)
-
-
-def z_from_tau(tau: float, t_i: float = 0.0) -> float:
-    """Positive root z of tau_from_z(z, t_i) = tau.
-
-    tau_from_z is strictly decreasing in z while 1 + 2 t_i z^4 > 0, which
-    covers every study regime (|t| <= 2, z < 0.7); the bracket is clipped to
-    that monotone range.
-    """
-    if tau <= 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    z_hi = 0.7
-    if t_i < 0.0:
-        z_hi = min(z_hi, 0.95 * (-1.0 / (2.0 * t_i)) ** 0.25)
-    lo, hi = 1e-3, z_hi
-    if tau_from_z(hi, t_i) > tau or tau_from_z(lo, t_i) < tau:
-        raise DomainError(f"tau={tau} not bracketed by z in ({lo}, {hi}) at t={t_i}")
-    return float(brentq(lambda z: tau_from_z(z, t_i) - tau, lo, hi, xtol=1e-15, rtol=8.9e-16))
 
 
 def xi_from_x(tau: float, x):
@@ -136,19 +116,6 @@ def map_windows(airy_windows, tau1: float, tau2: float | None = None):
     if len(airy_windows) > 2:
         raise DomainError("window mapping is defined for at most two time slices")
     return [_map_one(w, taus[i]) for i, w in enumerate(airy_windows)]
-
-
-def unmap_windows(pearcey_windows, tau1: float, tau2: float | None = None):
-    """Inverse of map_windows (ascending-normalized)."""
-    taus = [tau1, tau2]
-    out = []
-    for i, w in enumerate(pearcey_windows):
-        if w is None:
-            out.append(None)
-            continue
-        lo, hi = sorted((x_from_xi(w[0], taus[i]), x_from_xi(w[1], taus[i])))
-        out.append((lo, hi))
-    return out
 
 
 @dataclass(frozen=True)
@@ -228,21 +195,3 @@ class ScalingParams:
             raise DomainError(f"tau must be positive, got {tau}")
         z = (3.0 * tau) ** (-1.0 / 6.0)
         return cls(z=z, t1=0.0, t2=0.0, s=0.0, t=0.0, tau1=tau, tau2=tau, u1=0.0, u2=0.0)
-
-    def validate(self) -> None:
-        """Check the declared consistency slack between the stored taus and
-        the blow-up relation (relative z^8, far above rounding, far below
-        any study signal)."""
-        if not 0.0 < self.z < 1.0:
-            raise DomainError(f"scale parameter out of range: {self.z}")
-        slack = max(self.z**8, 1e-12)
-        for tau_i, t_i in ((self.tau1, self.t1), (self.tau2, self.t2)):
-            ref = tau_from_z(self.z, t_i)
-            if abs(tau_i - ref) > slack * abs(ref):
-                raise DomainError(
-                    f"tau={tau_i} inconsistent with blow-up value {ref} at z={self.z}"
-                )
-        if abs(self.t1 + self.t2 - 2.0 * self.t) > 1e-12 or abs(
-            self.t1 - self.t2 - 2.0 * self.s
-        ) > 1e-12:
-            raise DomainError("mean/half-difference bookkeeping violated")

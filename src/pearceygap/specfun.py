@@ -1,7 +1,9 @@
-"""Airy function via ``scipy.special.airy``, its derivatives, Gauss-Legendre rules."""
+"""Airy function via ``scipy.special.airy``, its derivatives, Gauss-Legendre
+rules on intervals and on rays."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -11,7 +13,7 @@ from scipy import special
 
 from .exceptions import DomainError
 
-__all__ = ["AiryValue", "QuadratureRule", "airy", "airy_deriv", "gauss_rule"]
+__all__ = ["AiryValue", "QuadratureRule", "airy", "airy_deriv", "gauss_rule", "ray_rule"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,15 @@ def gauss_rule(m: int, a: float, b: float) -> QuadratureRule:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return QuadratureRule(nodes=mid + half * x, weights=half * w, domain=(a, b))
+
+
+def ray_rule(vertex: complex, angle: float, radius: float, n: int):
+    """Nodes and weights (complex line element included) of an ``n``-node
+    Gauss-Legendre rule on the outgoing ray from ``vertex`` at ``angle``,
+    truncated at ``radius``."""
+    rule = gauss_rule(n, 0.0, radius)
+    d = complex(math.cos(angle), math.sin(angle))
+    return vertex + rule.nodes * d, rule.weights * d
 
 
 def airy(x) -> AiryValue:

@@ -189,7 +189,7 @@ def test_criterion_8_invariance_spot_checks():
     p2 = ScalingParams.from_z(0.45, 0.0, 0.5)
     w1x, w2x = (0.0, 0.7), (-0.2, 0.5)
     wxi2 = map_windows([w2x, w1x], p2.tau2, p2.tau1)
-    rc = PearceyContour(recenter=RecenterSpec(z=p2.z, t_i=p2.t2, t_j=p2.t1))
+    rc = PearceyContour(recenter=RecenterSpec(z=p2.z))
     direct2 = GapQuery(family="pearcey", times=(p2.tau2, p2.tau1),
                        windows=tuple(wxi2), m=30, contour=rc)
     conj2 = GapQuery(family="pearcey-conjugated", times=(p2.t2, p2.t1),

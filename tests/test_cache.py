@@ -1,10 +1,13 @@
 """Kernel block cache: content addressing, payload integrity, advisory lock."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pearceygap
 from pearceygap.cache import CacheLock, KernelCache, block_key, default_root
 from pearceygap.exceptions import ConcurrencyError
 from pearceygap.fredholm import GapQuery, log_gap_probability, set_block_cache
@@ -95,14 +98,16 @@ def test_lock_conflict_and_release(tmp_path):
 
 
 def test_stale_lock_is_reclaimed(tmp_path):
+    # a holder process that took the lock and exited without releasing it
     root = str(tmp_path)
-    os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, "lock.pid"), "w") as fh:
-        fh.write("99999999")  # beyond pid_max on any mainstream kernel
-    with CacheLock(root) as lock:
-        assert lock._held
-    with open(os.path.join(root, "lock.pid"), "w") as fh:
-        fh.write("not-a-pid")
+    holder = (
+        "import os, sys; from pearceygap.cache import CacheLock; "
+        "CacheLock(sys.argv[1]).acquire(); os._exit(0)"
+    )
+    src = os.path.dirname(os.path.dirname(pearceygap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", holder, root], check=True, env=env)
+    assert os.path.exists(os.path.join(root, "lock"))
     with CacheLock(root):
         pass
 

@@ -150,6 +150,9 @@ def test_inconclusive_study_exits_2(tmp_path, monkeypatch):
         ["gap", "--bogus"],  # usage errors are configuration errors, not exit 2
         ["gap", "--nodes", "abc"],
         ["identities", "--x-grid=", "--no-cache"],  # empty grid
+        ["theorem", "--tau1=", "--no-cache"],  # no points to fit
+        ["theorem", "--windows", "none,-1:6", "--tau1", "30,60", "--no-cache"],
+        ["pde", "--nodes-per-ray", "2"],
     ],
 )
 def test_configuration_errors_exit_3(argv, tmp_path, monkeypatch, capsys):

@@ -113,7 +113,7 @@ def test_conjugation_invariance_large_tau():
     p = ScalingParams.from_z(0.45, 0.0, 0.5)
     w1x, w2x = (0.0, 0.7), (-0.2, 0.5)
     wxi = map_windows([w2x, w1x], p.tau2, p.tau1)
-    rc = PearceyContour(recenter=RecenterSpec(z=p.z, t_i=p.t2, t_j=p.t1))
+    rc = PearceyContour(recenter=RecenterSpec(z=p.z))
     qd = GapQuery(
         family="pearcey", times=(p.tau2, p.tau1), windows=tuple(wxi), m=30, contour=rc
     )
