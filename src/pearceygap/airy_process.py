@@ -4,12 +4,14 @@ time-ordered block entries assembled from them.
 The extended kernel has two interchangeable representations:
 
 * a lambda-integral ``int_0^inf e^{-lam (t_i - t_j)} Ai(x+lam) Ai(y+lam) dlam``
-  (the production path, evaluated by Gauss quadrature on (0, tail_cut)), and
+  (the production path, evaluated by Gauss quadrature on (0, L)), and
 * a double contour integral over two ray pairs (kept as an independent oracle;
   see :func:`extended_airy_contour`).
 
 Block entries subtract a heat-kernel term when the first time is strictly
-smaller than the second.
+smaller than the second.  Each routine is addressed by its two times and its
+points, (t_i, t_j, xs, ys); extended_airy, airy_block and the near-diagonal
+branch of airy_kernel each read one entry of their grid routine.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AccuracyError, ContourError, DomainError
-from .specfun import QuadratureRule, airy, gauss_rule, ray_rule
+from .specfun import airy, gauss_rule, ray_rule
 
 __all__ = [
-    "AiryKernelSpec",
     "AiryContour",
     "airy_kernel",
     "extended_airy",
@@ -36,66 +37,38 @@ __all__ = [
 
 _SPLIT = 1e-3  # |x - y| below which the lambda-integral replaces the quotient
 _TAIL_RTOL = 1e-14
+_LAMBDA_NODES = 200
 
 
-@dataclass(frozen=True)
-class AiryKernelSpec:
-    """Times plus the lambda-quadrature rule for one extended-kernel entry."""
-
-    t_i: float
-    t_j: float
-    lambda_rule: QuadratureRule
-    tail_cut: float
-
-    @classmethod
-    def build(cls, t_i: float, t_j: float, x_floor: float = -10.0, n: int = 200):
-        """Rule on (0, L) with L = max(30, 10 - x_floor); Airy decay beats the
-        e^{|t_i-t_j| lam} weight by a wide margin for the |t| <= 2 regime."""
-        if not (np.isfinite(t_i) and np.isfinite(t_j)):
-            raise DomainError("times must be finite")
-        tail = max(30.0, 10.0 - float(x_floor))
-        return cls(
-            t_i=float(t_i),
-            t_j=float(t_j),
-            lambda_rule=gauss_rule(n, 0.0, tail),
-            tail_cut=tail,
-        )
-
-
-def _check_tail(spec: AiryKernelSpec, x: float, y: float, peak: float) -> None:
-    dt = spec.t_i - spec.t_j
-    lam = spec.tail_cut
-    end = airy(x + lam).ai * airy(y + lam).ai * math.exp(-dt * lam)
-    if peak > 0.0 and abs(end) > _TAIL_RTOL * peak:
-        raise AccuracyError(
-            f"lambda-integrand not decayed at tail_cut={lam}: endpoint/max = "
-            f"{abs(end) / peak:.3e} (needs <= {_TAIL_RTOL})"
-        )
-
-
-def extended_airy(spec: AiryKernelSpec, x: float, y: float) -> float:
-    """K-tilde entry: weighted lambda-integral of shifted Airy products."""
-    lam = spec.lambda_rule.nodes
-    w = spec.lambda_rule.weights
-    dt = spec.t_i - spec.t_j
-    vals = airy(x + lam).ai * airy(y + lam).ai * np.exp(-dt * lam)
-    peak = float(np.max(np.abs(vals)))
-    _check_tail(spec, x, y, peak)
-    return float(np.sum(w * vals))
-
-
-def extended_airy_grid(spec: AiryKernelSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Matrix of K-tilde entries over xs x ys (one lambda rule, three matmuls)."""
+def extended_airy_grid(t_i: float, t_j: float, xs, ys) -> np.ndarray:
+    """Matrix of K-tilde entries over xs x ys: the lambda-integral by one
+    Gauss rule of 200 nodes on (0, L), L = max(30, 10 - min(xs, ys)), where
+    Airy decay beats the e^{|t_i-t_j| lam} weight by a wide margin for the
+    |t| <= 2 regime; three matmuls."""
+    if not (np.isfinite(t_i) and np.isfinite(t_j)):
+        raise DomainError("times must be finite")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    lam = spec.lambda_rule.nodes
-    w = spec.lambda_rule.weights
-    dt = spec.t_i - spec.t_j
+    x_min, y_min = float(np.min(xs)), float(np.min(ys))
+    tail = max(30.0, 10.0 - min(x_min, y_min))
+    rule = gauss_rule(_LAMBDA_NODES, 0.0, tail)
+    lam, w = rule.nodes, rule.weights
+    dt = t_i - t_j
     ax = airy(xs[:, None] + lam[None, :]).ai
     ay = airy(ys[:, None] + lam[None, :]).ai
-    _check_tail(spec, float(np.min(xs)), float(np.min(ys)),
-                float(np.max(np.abs(ax)) * np.max(np.abs(ay))))
+    peak = float(np.max(np.abs(ax)) * np.max(np.abs(ay)))
+    end = airy(x_min + tail).ai * airy(y_min + tail).ai * math.exp(-dt * tail)
+    if peak > 0.0 and abs(end) > _TAIL_RTOL * peak:
+        raise AccuracyError(
+            f"lambda-integrand not decayed at tail_cut={tail}: endpoint/max = "
+            f"{abs(end) / peak:.3e} (needs <= {_TAIL_RTOL})"
+        )
     return (ax * (w * np.exp(-dt * lam))[None, :]) @ ay.T
+
+
+def extended_airy(t_i: float, t_j: float, x: float, y: float) -> float:
+    """One extended_airy_grid entry."""
+    return float(extended_airy_grid(t_i, t_j, x, y)[0, 0])
 
 
 def airy_kernel(x: float, y: float) -> float:
@@ -109,8 +82,7 @@ def airy_kernel(x: float, y: float) -> float:
         vx = airy(x)
         vy = airy(y)
         return (vx.ai * vy.aip - vy.ai * vx.aip) / (x - y)
-    spec = AiryKernelSpec.build(0.0, 0.0, x_floor=min(x, y))
-    return extended_airy(spec, x, y)
+    return extended_airy(0.0, 0.0, x, y)
 
 
 def airy_heat_term(t: float, x, y):
@@ -127,25 +99,20 @@ def airy_heat_term(t: float, x, y):
     return float(val) if val.ndim == 0 else val
 
 
-def airy_block(t_i: float, t_j: float, x: float, y: float) -> float:
-    """Full extended-kernel entry with the time-ordering gate."""
-    spec = AiryKernelSpec.build(t_i, t_j, x_floor=min(x, y, -10.0))
-    val = extended_airy(spec, x, y)
-    if t_i < t_j:
-        val -= airy_heat_term(t_j - t_i, x, y)
-    return val
-
-
-def airy_block_grid(t_i: float, t_j: float, xs, ys, n: int = 200) -> np.ndarray:
-    """Grid of airy_block entries (used by the Fredholm assembler)."""
+def airy_block_grid(t_i: float, t_j: float, xs, ys) -> np.ndarray:
+    """The extended Airy kernel block over xs x ys: K-tilde minus the heat
+    term when t_i < t_j (the Fredholm assembly path)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    floor = min(float(np.min(xs)), float(np.min(ys)), -10.0)
-    spec = AiryKernelSpec.build(t_i, t_j, x_floor=floor, n=n)
-    out = extended_airy_grid(spec, xs, ys)
+    out = extended_airy_grid(t_i, t_j, xs, ys)
     if t_i < t_j:
         out = out - airy_heat_term(t_j - t_i, xs[:, None], ys[None, :])
     return out
+
+
+def airy_block(t_i: float, t_j: float, x: float, y: float) -> float:
+    """One airy_block_grid entry."""
+    return float(airy_block_grid(t_i, t_j, x, y)[0, 0])
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,12 @@ class StudyReport:
 # differential identities
 
 
-def _product_integrals(x, y, decay, lam_power, orders, cut=32.0, n=420):
+_ID_NODES, _ID_CUT = 420, 32.0  # Gauss rule on (0, _ID_CUT) for the identities
+
+
+def _product_integrals(x, y, decay, lam_power, orders):
     """D^{jk} = int_0^inf lam^p e^{-decay*lam} Ai^(j)(x+lam) Ai^(k)(y+lam)."""
-    rule = gauss_rule(n, 0.0, cut)
+    rule = gauss_rule(_ID_NODES, 0.0, _ID_CUT)
     ax = airy_derivs_upto(x + rule.nodes, 4)
     ay = airy_derivs_upto(y + rule.nodes, 4)
     w = rule.weights * np.exp(-decay * rule.nodes)
@@ -191,14 +194,13 @@ _DEFAULT_POINTS = ((-0.4, 0.7), (0.2, 0.2), (1.0, -0.6), (-1.0, 1.5))
 def _kernel_residual(params: ScalingParams, points, contour=None) -> float:
     """Max |conjugated Pearcey - extended Airy| over both time orders and
     all four blocks at the given evaluation points."""
-    t = {1: params.t1, 2: params.t2}
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
     worst = 0.0
-    for i in (1, 2):
-        for j in (1, 2):
-            conj = conjugated_block_grid(params, i, j, xs, ys, contour)
-            ref = airy_block_grid(t[i], t[j], xs, ys)
+    for t_i in (params.t1, params.t2):
+        for t_j in (params.t1, params.t2):
+            conj = conjugated_block_grid(params.z, t_i, t_j, xs, ys, contour)
+            ref = airy_block_grid(t_i, t_j, xs, ys)
             worst = max(worst, float(np.max(np.abs(np.diag(conj - ref)))))
     return worst
 

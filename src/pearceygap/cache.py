@@ -1,9 +1,10 @@
 """Content-addressed cache for assembled kernel blocks, plus the advisory
-per-root process lock.
+per-root process lock, which a cache takes when it first touches its root.
 
-Entries are keyed by a SHA-256 over (family, block times, contour/parameter
-record, node coordinates), so identical kernel blocks are recognized across
-runs and across the many stencil shifts of the PDE study that share times.
+Entries are keyed by a SHA-256 over (family, block times, a record of the
+family's fixed data such as the contour, node coordinates), so identical
+kernel blocks are recognized across runs and across the many stencil shifts
+of the PDE study that share times.
 Every payload carries its own checksum; a mismatch (torn write, bit rot) is
 treated as a miss and recomputed, never silently reused.
 """
@@ -62,16 +63,28 @@ def _payload_digest(grid: np.ndarray) -> str:
 
 
 class KernelCache:
-    """Directory of <key>.npz files, each holding one grid and its checksum."""
+    """Directory of <key>.npz files, each holding one grid and its checksum.
+
+    The root is created and locked (CacheLock) at the first lookup or store,
+    so a run that reads no block leaves no trace; close() releases the lock.
+    """
 
     def __init__(self, root: str):
         self.root = root
-        os.makedirs(root, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        self._lock = None
 
     def _path(self, key: str) -> str:
+        """Path of key's entry; the first call creates and locks the root."""
+        if self._lock is None:
+            self._lock = CacheLock(self.root).acquire()
         return os.path.join(self.root, key + ".npz")
+
+    def close(self) -> None:
+        if self._lock is not None:
+            self._lock.release()
+            self._lock = None
 
     def lookup(self, key: str) -> np.ndarray | None:
         path = self._path(key)
@@ -93,11 +106,12 @@ class KernelCache:
         return grid
 
     def store(self, key: str, grid: np.ndarray) -> None:
+        path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".part")
         try:
             with os.fdopen(fd, "wb") as fh:
                 np.savez(fh, grid=grid, digest=_payload_digest(grid))
-            os.replace(tmp, self._path(key))
+            os.replace(tmp, path)
         except BaseException:
             try:
                 os.remove(tmp)
@@ -120,7 +134,7 @@ class CacheLock:
 
     def acquire(self) -> "CacheLock":
         os.makedirs(self.root, exist_ok=True)
-        fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+        fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as exc:

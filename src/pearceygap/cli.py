@@ -32,7 +32,7 @@ from .analysis import (
     proposition_slope,
     theorem_ratio_study,
 )
-from .cache import CacheLock, KernelCache, default_root
+from .cache import KernelCache, default_root
 from .exceptions import ConcurrencyError, DomainError, PearceyGapError
 from .fredholm import GapQuery, log_gap_probability, set_block_cache
 from .painleve import hastings_mcleod, tracy_widom_f2
@@ -366,19 +366,15 @@ def run(config: StudyConfig) -> tuple[StudyReport, int]:
     for f in fields(config):
         _check_choice(f, getattr(config, f.name))
     started = time.time()
-    lock = None
-    cache = None
+    # the cache creates and locks its root at the study's first block lookup
+    cache = KernelCache(default_root(config.cache_dir or None)) if config.cache_enabled else None
+    set_block_cache(cache)
     try:
-        if config.cache_enabled:
-            root = default_root(config.cache_dir or None)
-            lock = CacheLock(root).acquire()
-            cache = KernelCache(root)
-            set_block_cache(cache)
         report = _dispatch(config)
     finally:
         set_block_cache(None)
-        if lock is not None:
-            lock.release()
+        if cache is not None:
+            cache.close()
     report.metadata = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": time.time() - started,

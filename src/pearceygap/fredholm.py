@@ -48,9 +48,9 @@ class GapQuery:
     windows[k] is the open interval observed at times[k], or None when that
     time observes nothing (an empty window contributes probability factor 1).
     m is the per-window node count of the reported value; the certificate
-    recomputes at 2m.  The pearcey-conjugated family needs params (whose
-    (t1, t2) must contain every queried time); custom needs kernel(i, j,
-    x_i, x_j) returning the block grid.
+    recomputes at 2m.  The pearcey-conjugated family needs params, of which
+    its blocks read only the scale z; custom needs kernel(t_i, t_j, x_i, x_j)
+    returning the block grid.
     """
 
     family: str
@@ -85,18 +85,8 @@ class GapQuery:
             windows.append((a, b))
         if self.m < 2:
             raise DomainError(f"need at least 2 nodes per window, got m={self.m}")
-        if self.family == "pearcey-conjugated":
-            if self.params is None:
-                raise DomainError("pearcey-conjugated queries need params")
-            for t in times:
-                if not any(
-                    abs(t - ref) <= 1e-12 * max(1.0, abs(ref))
-                    for ref in (self.params.t1, self.params.t2)
-                ):
-                    raise DomainError(
-                        f"time {t} is not one of params.t1/t2 "
-                        f"({self.params.t1}, {self.params.t2})"
-                    )
+        if self.family == "pearcey-conjugated" and self.params is None:
+            raise DomainError("pearcey-conjugated queries need params")
         if self.family == "custom" and self.kernel is None:
             raise DomainError("custom queries need a kernel callable")
         object.__setattr__(self, "times", times)
@@ -128,13 +118,14 @@ class BlockDiscretization:
         return sum(n.size for n in self.nodes)
 
 
-def _conjugated_index(params: ScalingParams, t: float) -> int:
-    if abs(t - params.t1) <= 1e-12 * max(1.0, abs(params.t1)):
-        return 1
-    return 2
-
-
 _BLOCK_CACHE = None
+
+# the fixed data each family's block routine reads besides its times and points
+_RECORDS = {
+    "airy": lambda q: "",
+    "pearcey": lambda q: repr(q.contour),
+    "pearcey-conjugated": lambda q: f"{q.contour!r}|z={q.params.z!r}",
+}
 
 
 def set_block_cache(cache) -> None:
@@ -153,16 +144,14 @@ def _block_value(query: GapQuery, t_i, t_j, x_i, x_j) -> np.ndarray:
     if query.family == "pearcey":
         return pearcey_block_grid(t_i, t_j, x_i, x_j, query.contour)
     if query.family == "pearcey-conjugated":
-        i = _conjugated_index(query.params, t_i)
-        j = _conjugated_index(query.params, t_j)
-        return conjugated_block_grid(query.params, i, j, x_i, x_j, query.contour)
+        return conjugated_block_grid(query.params.z, t_i, t_j, x_i, x_j, query.contour)
     return np.asarray(query.kernel(t_i, t_j, x_i, x_j), dtype=float)
 
 
 def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j) -> np.ndarray:
     if _BLOCK_CACHE is None or query.family == "custom":
         return _block_value(query, t_i, t_j, x_i, x_j)
-    record = f"{query.contour!r}|{query.params!r}"
+    record = _RECORDS[query.family](query)
     key = cache_mod.block_key(query.family, t_i, t_j, record, x_i, x_j)
     hit = _BLOCK_CACHE.lookup(key)
     if hit is not None:

@@ -19,13 +19,19 @@ checks, and fu^T M fv, at a fixed node count or adaptively doubled.
 * **recentred** -- change of variables U = A_i (1 + 3 u z^4),
   V = A_j (1 + 3 v z^4) placing O(1)-length contours through the saddle
   A_i = (1 + 3 t_i z^4)/(3 z^3).  The recentring record holds only z and the
-  ray angles; each block's Airy times follow from its own taus (or from the
-  ScalingParams of a conjugated block).  The recentred exponent is an exact
-  quartic polynomial in u whose coefficients suffer z^{-12}-sized
+  ray angles; each block's Airy times follow from its own taus, or are the
+  block's own address for a conjugated block.  The recentred exponent is an
+  exact quartic polynomial in u whose coefficients suffer z^{-12}-sized
   cancellations, so they are prepared once per (z, t) in 50-digit arithmetic
   and cast to float; node evaluation stays vectorized float64.  The left
   X-pair's contribution is exponentially small (e^{-3 tau^2/4}-sized) and is
   dropped; the mode therefore requires tau >= 5.
+
+Every block routine is addressed by its two times and its points plus the
+family's fixed data: pearcey_block_grid(tau_i, tau_j, xis, etas, contour) and
+conjugated_block_grid(z, t_i, t_j, xs, ys, contour), both gated on the first
+time being the smaller.  pearcey_tilde, pearcey_block and
+conjugated_pearcey_block read one entry of their grid routine.
 
 Orientations (the source figures only draw arrows): right X pair downward,
 left X pair upward, Y upward.  They are pinned by the realness, deformation
@@ -69,6 +75,7 @@ _LOG_EPS = math.log(1e14)  # envelope budget along every ray
 _ENDPOINT_DROP = math.log(1e12)  # required decay from peak to ray endpoint
 _EXP_LIMIT = 700.0  # beyond this a float64 exponential overflows
 _RTOL_REFINE = 1e-9
+_IMAG_RTOL = 1e-8  # largest imaginary residue of a kernel grid, relative
 _MIN_NODES = 64
 _MAX_NODES = 2048
 _RECENTER_TAU_MIN = 5.0  # left X-pair drop is justified only past this
@@ -272,10 +279,10 @@ def _quadrature(contour: PearceyContour, grid_at) -> np.ndarray:
     )
 
 
-def _to_real(grid: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+def _to_real(grid: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(grid.real)))
     resid = float(np.max(np.abs(grid.imag)))
-    if resid > rtol * max(scale, 1e-300):
+    if resid > _IMAG_RTOL * max(scale, 1e-300):
         raise AccuracyError(
             f"kernel grid has imaginary residue {resid:.3e} vs scale {scale:.3e}"
         )
@@ -360,21 +367,35 @@ def _direct_grid(tau_i, tau_j, xis, etas, contour, n):
 
 
 @lru_cache(maxsize=4096)
-def _side_coeffs(z: float, t: float):
-    """Quartic exponent coefficients of the recentred variable, plus the
-    side's scale factors.  Exact cancellations of size z^{-12} force the
-    high-precision pass; everything returned is a plain float."""
+def _side_scalars(z: float, t: float):
+    """50-digit (tau, (3 tau)^{1/6}, c = (2/27)(3 tau)^{3/2}, phi0, phi1) of
+    one (z, t) side: its Pearcey time, the space scale and shift of its Airy
+    coordinate, and the constant and linear conjugation exponents."""
     with mp.workdps(50):
         zm = mp.mpf(z)
         tm = mp.mpf(t)
-        z3, z4, z6 = zm**3, zm**4, zm**6
+        z4, z6 = zm**4, zm**6
         tau = (1 + 6 * tm * z4) / (3 * z6)
-        a_ = (1 + 3 * tm * z4) / (3 * z3)
-        b_ = zm * (1 + 3 * tm * z4)
-        c_ = mp.mpf(2) / 27 * (3 * tau) ** mp.mpf(1.5)
         s6 = (3 * tau) ** (mp.mpf(1) / 6)
+        c_ = mp.mpf(2) / 27 * (3 * tau) ** mp.mpf(1.5)
         phi0 = -1 / (4 * (3 * z4) ** 3) - tm / (9 * z4**2) - tm**2 / (3 * z4)
         phi1 = 1 / (3 * z4) + mp.mpf(4) / 3 * tm + z4 / 6 * tm**2
+    return tau, s6, c_, phi0, phi1
+
+
+@lru_cache(maxsize=4096)
+def _side_coeffs(z: float, t: float):
+    """Quartic exponent coefficients of the recentred variable, plus the
+    side's Pearcey time and scale factor B.  Exact cancellations of size
+    z^{-12} force the high-precision pass; everything returned is a plain
+    float."""
+    tau, s6, c_, phi0, phi1 = _side_scalars(z, t)
+    with mp.workdps(50):
+        zm = mp.mpf(z)
+        tm = mp.mpf(t)
+        z3, z4 = zm**3, zm**4
+        a_ = (1 + 3 * tm * z4) / (3 * z3)
+        b_ = zm * (1 + 3 * tm * z4)
         p0 = -(a_**4) / 4 + tau * a_**2 / 2 - a_ * c_ - phi0
         p1 = b_ * (-(a_**3) + tau * a_ - c_)
         p2 = -mp.mpf(3) / 2 * a_**2 * b_**2 + tau * b_**2 / 2
@@ -382,10 +403,7 @@ def _side_coeffs(z: float, t: float):
         p4 = -(b_**4) / 4
         q0 = a_ * s6 - phi1
         q1 = b_ * s6
-        out = dict(
-            tau=tau, A=a_, B=b_, c=c_, s6=s6, phi0=phi0, phi1=phi1,
-            p0=p0, p1=p1, p2=p2, p3=p3, p4=p4, q0=q0, q1=q1,
-        )
+        out = dict(tau=tau, B=b_, p0=p0, p1=p1, p2=p2, p3=p3, p4=p4, q0=q0, q1=q1)
     return {k: float(v) for k, v in out.items()}
 
 
@@ -393,25 +411,17 @@ def _side_coeffs(z: float, t: float):
 def _gauss_scalars(z: float, t_i: float, t_j: float):
     """Scalar pieces of the conjugated Gaussian term (log-space), prepared in
     high precision: the D^2/(2 dtau) vs phi0 cancellation is z^{-8}-sized."""
+    taui, a_, ci, phi0i, phi1i = _side_scalars(z, t_i)
+    tauj, b_, cj, phi0j, phi1j = _side_scalars(z, t_j)
     with mp.workdps(50):
-        zm, ti, tj = mp.mpf(z), mp.mpf(t_i), mp.mpf(t_j)
-        z4, z6 = zm**4, zm**6
-        taui = (1 + 6 * ti * z4) / (3 * z6)
-        tauj = (1 + 6 * tj * z4) / (3 * z6)
         dtau = tauj - taui
         if dtau <= 0:
             raise DomainError("conjugated Gaussian term needs tau_i < tau_j")
-        a_ = (3 * taui) ** (mp.mpf(1) / 6)
-        b_ = (3 * tauj) ** (mp.mpf(1) / 6)
-        ci = mp.mpf(2) / 27 * (3 * taui) ** mp.mpf(1.5)
-        cj = mp.mpf(2) / 27 * (3 * tauj) ** mp.mpf(1.5)
         d_ = ci - cj
         logj = (mp.log(3 * taui) + mp.log(3 * tauj)) / 12
-        phi0 = lambda t: -1 / (4 * (3 * z4) ** 3) - t / (9 * z4**2) - t**2 / (3 * z4)
-        phi1 = lambda t: 1 / (3 * z4) + mp.mpf(4) / 3 * t + z4 / 6 * t**2
-        s0 = logj - mp.log(2 * mp.pi * dtau) / 2 - d_**2 / (2 * dtau) + phi0(ti) - phi0(tj)
-        cx = d_ * a_ / dtau + phi1(ti)
-        cy = -d_ * b_ / dtau - phi1(tj)
+        s0 = logj - mp.log(2 * mp.pi * dtau) / 2 - d_**2 / (2 * dtau) + phi0i - phi0j
+        cx = d_ * a_ / dtau + phi1i
+        cy = -d_ * b_ / dtau - phi1j
         qxx = -(a_**2) / (2 * dtau)
         qyy = -(b_**2) / (2 * dtau)
         qxy = a_ * b_ / dtau
@@ -520,24 +530,13 @@ def _tilde_grid(tau_i, tau_j, xis, etas, contour):
 def pearcey_tilde(tau_i: float, tau_j: float, xi: float, eta: float,
                   contour: PearceyContour | None = None) -> float:
     """Double-contour part of the Pearcey kernel at one point."""
-    grid = _tilde_grid(
-        float(tau_i), float(tau_j), np.array([float(xi)]), np.array([float(eta)]), contour
-    )
-    return float(grid[0, 0])
-
-
-def pearcey_block(tau_i: float, tau_j: float, xi: float, eta: float,
-                  contour: PearceyContour | None = None) -> float:
-    """Full Pearcey kernel entry with the time-ordering gate."""
-    val = pearcey_tilde(tau_i, tau_j, xi, eta, contour)
-    if tau_i < tau_j:
-        val -= pearcey_gauss_term(tau_j - tau_i, xi, eta)
-    return val
+    return float(_tilde_grid(float(tau_i), float(tau_j), xi, eta, contour)[0, 0])
 
 
 def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
                        contour: PearceyContour | None = None) -> np.ndarray:
-    """Grid of full Pearcey kernel entries (Fredholm assembly path)."""
+    """The Pearcey kernel block over xis x etas: K-tilde minus the Gaussian
+    term when tau_i < tau_j (the Fredholm assembly path)."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     out = _tilde_grid(tau_i, tau_j, xis, etas, contour)
@@ -546,28 +545,32 @@ def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
     return out
 
 
-def conjugated_tilde_grid(params: ScalingParams, i: int, j: int, xs, ys,
+def pearcey_block(tau_i: float, tau_j: float, xi: float, eta: float,
+                  contour: PearceyContour | None = None) -> float:
+    """One pearcey_block_grid entry."""
+    return float(pearcey_block_grid(tau_i, tau_j, xi, eta, contour)[0, 0])
+
+
+def conjugated_tilde_grid(z: float, t_i: float, t_j: float, xs, ys,
                           contour: PearceyContour | None = None) -> np.ndarray:
-    """Conjugated, Jacobian-weighted K-tilde grid in Airy coordinates for the
-    (i, j) time pair of ``params`` (i, j in {1, 2}); the contour's recentring
-    angles are used at params.z."""
-    t = {1: params.t1, 2: params.t2}
+    """Conjugated, Jacobian-weighted K-tilde grid in Airy coordinates at Airy
+    times (t_i, t_j) and scale z, on recentred contours with the contour's
+    recentring angles (the defaults when it has none)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     contour = contour if contour is not None else PearceyContour()
-    rec = contour.recenter or RecenterSpec(z=params.z)
-    spec = RecenterSpec(z=params.z, u_angle=rec.u_angle, v_angle=rec.v_angle)
+    rec = contour.recenter or RecenterSpec(z=z)
+    spec = RecenterSpec(z=z, u_angle=rec.u_angle, v_angle=rec.v_angle)
     return _quadrature(
-        contour, lambda n: _recentred_grid(spec, t[i], t[j], xs, ys, True, n)
+        contour, lambda n: _recentred_grid(spec, t_i, t_j, xs, ys, True, n)
     )
 
 
-def conjugated_gauss_grid(params: ScalingParams, i: int, j: int, xs, ys) -> np.ndarray:
-    """Conjugated Gaussian term in Airy coordinates (log-space assembly)."""
-    t = {1: params.t1, 2: params.t2}
-    t_i, t_j = t[i], t[j]
-    sc = _gauss_scalars(params.z, t_i, t_j)
-    conj = ConjugationFactors(u=params.z**4)
+def conjugated_gauss_grid(z: float, t_i: float, t_j: float, xs, ys) -> np.ndarray:
+    """Conjugated Gaussian term in Airy coordinates at Airy times t_i < t_j
+    (log-space assembly)."""
+    sc = _gauss_scalars(z, t_i, t_j)
+    conj = ConjugationFactors(u=z**4)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     log_col = sc["cx"] * xs + sc["qxx"] * xs**2 - conj.h(xs, t_i)
@@ -578,21 +581,20 @@ def conjugated_gauss_grid(params: ScalingParams, i: int, j: int, xs, ys) -> np.n
     return np.exp(expo)
 
 
-def conjugated_block_grid(params: ScalingParams, i: int, j: int, xs, ys,
+def conjugated_block_grid(z: float, t_i: float, t_j: float, xs, ys,
                           contour: PearceyContour | None = None) -> np.ndarray:
-    """Full conjugated block entry grid (tilde minus gated Gaussian term)."""
-    out = conjugated_tilde_grid(params, i, j, xs, ys, contour)
-    taus = {1: params.tau1, 2: params.tau2}
-    if taus[i] < taus[j]:
-        out = out - conjugated_gauss_grid(params, i, j, xs, ys)
+    """The conjugated kernel block at Airy times (t_i, t_j) and scale z,
+    directly comparable to airy_block_grid(t_i, t_j, xs, ys): K-tilde minus
+    the Gaussian term when t_i < t_j (the Fredholm assembly path)."""
+    out = conjugated_tilde_grid(z, t_i, t_j, xs, ys, contour)
+    if t_i < t_j:
+        out = out - conjugated_gauss_grid(z, t_i, t_j, xs, ys)
     return out
 
 
 def conjugated_pearcey_block(params: ScalingParams, x: float, y: float,
                              contour: PearceyContour | None = None) -> float:
-    """One conjugated kernel entry for the (t1, t2) pair, directly comparable
-    to airy_block(t1, t2, x, y)."""
-    grid = conjugated_block_grid(
-        params, 1, 2, np.array([float(x)]), np.array([float(y)]), contour
-    )
+    """One conjugated_block_grid entry at params' (z, t1, t2), directly
+    comparable to airy_block(t1, t2, x, y)."""
+    grid = conjugated_block_grid(params.z, params.t1, params.t2, x, y, contour)
     return float(grid[0, 0])

@@ -9,8 +9,7 @@ fixed to zero.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -24,7 +23,6 @@ __all__ = [
     "x_from_xi",
     "match_tau2",
     "map_windows",
-    "u_from_t",
     "t_from_u",
     "t_from_tau",
 ]
@@ -77,16 +75,6 @@ def match_tau2(tau1: float, t1: float, t2: float) -> float:
     return tau1 + 2.0 * d * (c + d / c + 2.0 * t1 * t2 / (3.0 * tau1))
 
 
-def u_from_t(t_i: float, z: float) -> float:
-    """Invert t = u (1 + u z^4) on the branch with u -> t as z -> 0."""
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"scale parameter must be in (0, 1), got {z}")
-    disc = 1.0 + 4.0 * t_i * z**4
-    if disc <= 0.0:
-        raise DomainError(f"u-substitution not invertible at t={t_i}, z={z}")
-    return 2.0 * t_i / (1.0 + math.sqrt(disc))
-
-
 def t_from_u(u_i: float, z: float) -> float:
     """The re-substituted Airy time t = u (1 + u z^4)."""
     if not 0.0 < z < 1.0:
@@ -120,38 +108,21 @@ def map_windows(airy_windows, tau1: float, tau2: float | None = None):
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """One consistent set of scale/time parameters for kernel comparisons.
-
-    t1/t2 are the Airy times the conjugated kernel actually uses; u1/u2 are
-    the re-substituted times studies report; s and t are the half-difference
-    and mean of (t1, t2).
-    """
+    """One consistent set of scale/time parameters for kernel comparisons:
+    the scale z, the Airy times t1/t2 the conjugated kernel uses, and the
+    Pearcey times tau1/tau2 they blow up to."""
 
     z: float
     t1: float
     t2: float
-    s: float
-    t: float
     tau1: float
     tau2: float
-    u1: float = field(default=0.0)
-    u2: float = field(default=0.0)
 
     @classmethod
     def from_z(cls, z: float, t: float = 0.0, s: float = 0.0) -> "ScalingParams":
         """Exact z-parametrization: both taus from tau_from_z."""
         t1, t2 = t + s, t - s
-        return cls(
-            z=z,
-            t1=t1,
-            t2=t2,
-            s=s,
-            t=t,
-            tau1=tau_from_z(z, t1),
-            tau2=tau_from_z(z, t2),
-            u1=u_from_t(t1, z),
-            u2=u_from_t(t2, z),
-        )
+        return cls(z=z, t1=t1, t2=t2, tau1=tau_from_z(z, t1), tau2=tau_from_z(z, t2))
 
     @classmethod
     def for_theorem(cls, tau1: float, u1: float, u2: float) -> "ScalingParams":
@@ -176,17 +147,7 @@ class ScalingParams:
         t1 = t_from_u(u1, z)
         tau2 = match_tau2(tau1, u1, u2)
         t2 = t_from_tau(tau2, z)
-        return cls(
-            z=z,
-            t1=t1,
-            t2=t2,
-            s=0.5 * (t1 - t2),
-            t=0.5 * (t1 + t2),
-            tau1=tau1,
-            tau2=tau2,
-            u1=u1,
-            u2=u2,
-        )
+        return cls(z=z, t1=t1, t2=t2, tau1=tau1, tau2=tau2)
 
     @classmethod
     def for_single_time(cls, tau: float) -> "ScalingParams":
@@ -194,4 +155,4 @@ class ScalingParams:
         if tau <= 0.0:
             raise DomainError(f"tau must be positive, got {tau}")
         z = (3.0 * tau) ** (-1.0 / 6.0)
-        return cls(z=z, t1=0.0, t2=0.0, s=0.0, t=0.0, tau1=tau, tau2=tau, u1=0.0, u2=0.0)
+        return cls(z=z, t1=0.0, t2=0.0, tau1=tau, tau2=tau)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from pearceygap.airy_process import AiryKernelSpec, airy_kernel, extended_airy
+from pearceygap.airy_process import airy_kernel, extended_airy
 from pearceygap.analysis import (
     identity_grid_study,
     pde_residual,
@@ -59,13 +59,12 @@ def test_criterion_1_airy_ode_and_closed_forms():
 
 def test_criterion_2_kernel_representation_equivalence():
     pts = np.linspace(-4.0, 4.0, 20)
-    spec = AiryKernelSpec.build(0.0, 0.0, x_floor=-4.0)
     worst = 0.0
     for x in pts:
         for y in pts:
             if abs(x - y) < 1e-3:
                 continue  # the quotient form degenerates on the diagonal
-            worst = max(worst, abs(airy_kernel(x, y) - extended_airy(spec, x, y)))
+            worst = max(worst, abs(airy_kernel(x, y) - extended_airy(0.0, 0.0, x, y)))
     assert worst <= 1e-9
     print(f"[criterion 2] representation gap {worst:.2e} <= 1e-9 on 20x20 grid")
 

@@ -5,14 +5,11 @@ import pytest
 
 from pearceygap.airy_process import (
     AiryContour,
-    AiryKernelSpec,
     airy_block,
-    airy_block_grid,
     airy_heat_term,
     airy_kernel,
     extended_airy,
     extended_airy_contour,
-    extended_airy_grid,
 )
 from pearceygap.exceptions import ContourError, DomainError
 from pearceygap.specfun import airy, gauss_rule
@@ -29,20 +26,18 @@ def test_static_symmetry():
 
 
 def test_quotient_vs_lambda_integral_single_point():
-    spec = AiryKernelSpec.build(0.0, 0.0, x_floor=-1.0)
-    assert abs(airy_kernel(0.0, 1.0) - extended_airy(spec, 0.0, 1.0)) <= 1e-9
+    assert abs(airy_kernel(0.0, 1.0) - extended_airy(0.0, 0.0, 0.0, 1.0)) <= 1e-9
 
 
 def test_representation_equivalence_grid():
     # quotient form vs lambda-integral on a 20x20 grid over [-4, 4]^2
     pts = np.linspace(-4.0, 4.0, 20)
-    spec = AiryKernelSpec.build(0.0, 0.0, x_floor=-4.0)
     worst = 0.0
     for x in pts:
         for y in pts:
             if abs(x - y) < 1e-3:
                 continue
-            v = abs(airy_kernel(x, y) - extended_airy(spec, x, y))
+            v = abs(airy_kernel(x, y) - extended_airy(0.0, 0.0, x, y))
             worst = max(worst, v)
     assert worst <= 1e-9
 
@@ -51,8 +46,7 @@ def test_kernel_smooth_through_diagonal_split():
     # quotient and lambda-integral branches must agree near the handover
     for x in (-1.3, 0.2, 2.4):
         y = x + 1.1e-3  # quotient side of the split
-        spec = AiryKernelSpec.build(0.0, 0.0, x_floor=min(x, y))
-        assert abs(airy_kernel(x, y) - extended_airy(spec, x, y)) <= 1e-9
+        assert abs(airy_kernel(x, y) - extended_airy(0.0, 0.0, x, y)) <= 1e-9
 
 
 def test_diagonal_positivity():
@@ -65,35 +59,32 @@ def test_far_right_decay():
 
 
 def test_extended_equal_times_reduces_to_static():
-    spec = AiryKernelSpec.build(0.7, 0.7)
     for x, y in [(0.4, -0.2), (-1.0, 2.0)]:
-        assert abs(extended_airy(spec, x, y) - airy_kernel(x, y)) <= 1e-10
+        assert abs(extended_airy(0.7, 0.7, x, y) - airy_kernel(x, y)) <= 1e-10
 
 
 def test_extended_argument_symmetry():
-    spec = AiryKernelSpec.build(0.2, -0.2)
-    assert abs(extended_airy(spec, 0.5, -0.3) - extended_airy(spec, -0.3, 0.5)) <= 1e-14
+    a = extended_airy(0.2, -0.2, 0.5, -0.3)
+    assert abs(a - extended_airy(0.2, -0.2, -0.3, 0.5)) <= 1e-14
 
 
 def test_extended_time_negation_relabeling():
     # integrand relabeling: K(t_i, t_j, x, y) = K(-t_j, -t_i, y, x)
-    a = extended_airy(AiryKernelSpec.build(0.2, -0.3), 0.5, -0.3)
-    b = extended_airy(AiryKernelSpec.build(0.3, -0.2), -0.3, 0.5)
+    a = extended_airy(0.2, -0.3, 0.5, -0.3)
+    b = extended_airy(0.3, -0.2, -0.3, 0.5)
     assert abs(a - b) <= 1e-13
 
 
 def test_antisymmetric_pair_is_fully_symmetric():
     # for times (s, -s) the relabeling closes on itself
     s = 0.35
-    spec = AiryKernelSpec.build(s, -s)
-    assert abs(extended_airy(spec, 0.8, -0.1) - extended_airy(spec, -0.1, 0.8)) <= 1e-12
+    assert abs(extended_airy(s, -s, 0.8, -0.1) - extended_airy(s, -s, -0.1, 0.8)) <= 1e-12
 
 
 def test_gate_bookkeeping_against_two_sided_integral():
     # for t_i < t_j:  K_tilde - heat = -integral over (-inf, 0)
     t_i, t_j, x, y = -0.3, 0.3, 0.4, -0.6
-    spec = AiryKernelSpec.build(t_i, t_j)
-    lhs = extended_airy(spec, x, y) - airy_heat_term(t_j - t_i, x, y)
+    lhs = extended_airy(t_i, t_j, x, y) - airy_heat_term(t_j - t_i, x, y)
     rule = gauss_rule(1200, -70.0, 0.0)
     lam, w = rule.nodes, rule.weights
     vals = airy(x + lam).ai * airy(y + lam).ai * np.exp(-(t_i - t_j) * lam)
@@ -105,18 +96,16 @@ def test_extended_matches_double_contour_oracle():
     contour = AiryContour(
         theta1=math.pi / 3, theta1p=math.pi / 3, theta2=math.pi / 3, theta2p=math.pi / 3
     )
-    spec = AiryKernelSpec.build(0.2, -0.2)
     lhs = extended_airy_contour(0.2, -0.2, 0.5, -0.3, contour)
-    assert abs(lhs - extended_airy(spec, 0.5, -0.3)) <= 1e-7
+    assert abs(lhs - extended_airy(0.2, -0.2, 0.5, -0.3)) <= 1e-7
 
 
 def test_contour_oracle_handles_ascending_times():
     contour = AiryContour(
         theta1=math.pi / 3, theta1p=math.pi / 3, theta2=math.pi / 3, theta2p=math.pi / 3
     )
-    spec = AiryKernelSpec.build(-0.2, 0.2)
     lhs = extended_airy_contour(-0.2, 0.2, 0.5, -0.3, contour)
-    assert abs(lhs - extended_airy(spec, 0.5, -0.3)) <= 1e-7
+    assert abs(lhs - extended_airy(-0.2, 0.2, 0.5, -0.3)) <= 1e-7
 
 
 def test_contour_deformation_invariance():
@@ -164,34 +153,11 @@ def test_heat_term_solves_heat_flow_identity():
 
 def test_block_gate_fires_only_for_ascending_times():
     x, y = 0.1, 0.2
-    spec_desc = AiryKernelSpec.build(0.3, -0.3)
     assert airy_block(0.3, -0.3, x, y) == pytest.approx(
-        extended_airy(spec_desc, x, y), abs=1e-14
+        extended_airy(0.3, -0.3, x, y), abs=1e-14
     )
-    spec_eq = AiryKernelSpec.build(0.3, 0.3)
     assert airy_block(0.3, 0.3, x, y) == pytest.approx(
-        extended_airy(spec_eq, x, y), abs=1e-14
+        extended_airy(0.3, 0.3, x, y), abs=1e-14
     )
-    spec_asc = AiryKernelSpec.build(-0.3, 0.3)
-    want = extended_airy(spec_asc, x, y) - airy_heat_term(0.6, x, y)
+    want = extended_airy(-0.3, 0.3, x, y) - airy_heat_term(0.6, x, y)
     assert airy_block(-0.3, 0.3, x, y) == pytest.approx(want, abs=1e-14)
-
-
-def test_block_grid_matches_scalar_entries():
-    xs = np.array([-1.0, 0.3, 2.0])
-    ys = np.array([-0.5, 1.1])
-    for t_i, t_j in [(-0.3, 0.3), (0.3, -0.3), (0.0, 0.0)]:
-        grid = airy_block_grid(t_i, t_j, xs, ys)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                assert abs(grid[i, j] - airy_block(t_i, t_j, float(x), float(y))) <= 1e-12
-
-
-def test_extended_grid_matches_scalar():
-    spec = AiryKernelSpec.build(0.1, -0.2, x_floor=-2.0)
-    xs = np.array([-2.0, 0.0, 1.5])
-    ys = np.array([-1.0, 0.7])
-    grid = extended_airy_grid(spec, xs, ys)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            assert abs(grid[i, j] - extended_airy(spec, float(x), float(y))) <= 1e-13

@@ -1,6 +1,7 @@
 """Kernel block cache: content addressing, payload integrity, advisory lock."""
 
 import os
+import stat
 import subprocess
 import sys
 
@@ -55,6 +56,7 @@ def test_store_lookup_roundtrip(tmp_path):
     assert out is not None
     assert np.array_equal(out, grid)
     assert (cache.misses, cache.hits) == (1, 1)
+    cache.close()
 
 
 def test_truncated_entry_is_a_miss(tmp_path):
@@ -67,6 +69,7 @@ def test_truncated_entry_is_a_miss(tmp_path):
     assert cache.lookup(key) is None
     cache.store(key, np.ones((5, 5)))
     assert np.array_equal(cache.lookup(key), np.ones((5, 5)))
+    cache.close()
 
 
 def test_checksum_mismatch_deletes_entry(tmp_path):
@@ -76,8 +79,7 @@ def test_checksum_mismatch_deletes_entry(tmp_path):
     cache.store(key, grid)
     path = os.path.join(str(tmp_path), key + ".npz")
     # graft a valid npz with a different payload under the stored digest's name
-    other = KernelCache(str(tmp_path))
-    other.store("d" * 64, grid + 1.0)
+    cache.store("d" * 64, grid + 1.0)
     os.replace(os.path.join(str(tmp_path), "d" * 64 + ".npz"), path)
     # the digest inside matches its own payload, so tamper with raw bytes too
     with open(path, "r+b") as fh:
@@ -85,6 +87,24 @@ def test_checksum_mismatch_deletes_entry(tmp_path):
         fh.write(b"\x00" * 8)
     assert cache.lookup(key) is None
     assert not os.path.exists(path) or cache.lookup(key) is None
+    cache.close()
+
+
+def test_cache_locks_its_root_at_first_use(tmp_path):
+    root = str(tmp_path / "cache")
+    cache = KernelCache(root)
+    assert not os.path.exists(root)  # opening alone leaves no trace
+    assert cache.lookup("e" * 64) is None
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = stat.S_IMODE(os.stat(os.path.join(root, "lock")).st_mode)
+    assert mode == 0o644 & ~umask
+    with pytest.raises(ConcurrencyError):
+        CacheLock(root).acquire()
+    cache.close()
+    with CacheLock(root):
+        pass
+    assert os.path.exists(os.path.join(root, "lock"))  # the file stays
 
 
 def test_lock_conflict_and_release(tmp_path):
@@ -124,6 +144,7 @@ def test_warm_cache_reproduces_cold_value(tmp_path):
         second = log_gap_probability(query)
     finally:
         set_block_cache(None)
+        cache.close()
     assert first == cold
     assert second == first
     assert cache.hits > hits_before
@@ -145,6 +166,7 @@ def test_warm_cache_two_time_pearcey(tmp_path):
         second = log_gap_probability(query)
     finally:
         set_block_cache(None)
+        cache.close()
     assert first == cold
     assert second == first
     assert cache.hits >= 4  # 2x2 block structure replayed from cache

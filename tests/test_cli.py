@@ -179,6 +179,21 @@ def test_run_rejects_values_outside_field_choices(change, key, tmp_path, monkeyp
     assert os.listdir(tmp_path) == []  # rejected before the cache or any report
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["pde", "--nodes-per-ray", "2"], 3),  # rejected before any block
+        (["oracle-painleve", "--s-min", "-2", "--s-max", "2", "--step", "1"], 0),
+        (["identities", "--x-grid", "0.5", "--y-grid", "0.5", "--s-grid", "0.3"], 0),
+    ],
+)
+def test_runs_that_read_no_block_leave_no_cache(argv, expected, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PEARCEYGAP_CACHE", raising=False)
+    assert main(argv) == expected
+    assert not (tmp_path / ".pearceygap-cache").exists()
+
+
 def test_locked_cache_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     root = str(tmp_path / "cache")

@@ -217,17 +217,6 @@ def test_query_validation(kwargs):
         GapQuery(**kwargs)
 
 
-def test_conjugated_rejects_time_not_in_params():
-    p = ScalingParams.from_z(0.3, 0.0, 0.5)
-    with pytest.raises(DomainError):
-        GapQuery(
-            family="pearcey-conjugated",
-            times=(0.123,),
-            windows=((0.0, 1.0),),
-            params=p,
-        )
-
-
 def test_block_discretization_skips_empty_windows():
     q = GapQuery(
         family="airy", times=(-0.5, 0.5), windows=(None, (0.0, 2.0)), m=12

@@ -154,15 +154,6 @@ def test_block_gate_orders():
     ) <= 1e-14
 
 
-def test_block_grid_matches_scalar():
-    xis = np.array([-0.5, 0.6])
-    etas = np.array([0.1, 0.9, -1.2])
-    grid = pearcey_block_grid(1.0, 2.0, xis, etas)
-    for i, xi in enumerate(xis):
-        for j, eta in enumerate(etas):
-            assert abs(grid[i, j] - pearcey_block(1.0, 2.0, xi, eta)) <= 1e-12
-
-
 def _recentred_contour(z):
     return PearceyContour(recenter=RecenterSpec(z=z))
 
@@ -263,7 +254,7 @@ def test_pinned_kernel_values():
     ])
     p = ScalingParams.for_theorem(30.0, -0.5, 0.5)
     xa = np.array([-1.0, 2.5, 6.0])
-    conj = conjugated_block_grid(p, 1, 2, xa, xa)
+    conj = conjugated_block_grid(p.z, p.t1, p.t2, xa, xa)
     conj_ref = np.array([
         [-0.16118940531603398, -0.00025843142207109156, 2.6148182237094537e-06],
         [-0.00025712118923993613, -0.025115019339895028, -0.0002053031590030236],
@@ -306,7 +297,7 @@ def test_conjugated_gauss_matches_heat_term_rate():
     ys = np.array([0.7, 0.2, -0.6])
     for z in (0.3, 0.2):
         p = ScalingParams.from_z(z, 0.0, 0.5)
-        g = conjugated_gauss_grid(p, 2, 1, xs, ys)
+        g = conjugated_gauss_grid(p.z, p.t2, p.t1, xs, ys)
         h = airy_heat_term(p.t1 - p.t2, xs[:, None], ys[None, :])
         assert np.max(np.abs(g - h)) <= 0.7 * z**8
 
@@ -316,7 +307,7 @@ def test_conjugated_single_time_approaches_airy_kernel():
     ref = np.array([[airy_kernel(x, y) for y in xs] for x in xs])
     for tau, tol in ((200.0, 2e-4), (800.0, 5e-5)):
         p = ScalingParams.for_single_time(tau)
-        grid = conjugated_tilde_grid(p, 1, 1, xs, xs)
+        grid = conjugated_tilde_grid(p.z, p.t1, p.t1, xs, xs)
         assert np.max(np.abs(grid - ref)) <= tol
 
 
@@ -324,11 +315,12 @@ def test_conjugated_gate_matches_block_composition():
     p = ScalingParams.from_z(0.3, 0.0, 0.5)
     xs = np.array([-0.2, 0.5])
     ys = np.array([0.1, 0.8])
-    fwd = conjugated_block_grid(p, 2, 1, xs, ys)
-    parts = conjugated_tilde_grid(p, 2, 1, xs, ys) - conjugated_gauss_grid(p, 2, 1, xs, ys)
+    fwd = conjugated_block_grid(p.z, p.t2, p.t1, xs, ys)
+    parts = (conjugated_tilde_grid(p.z, p.t2, p.t1, xs, ys)
+             - conjugated_gauss_grid(p.z, p.t2, p.t1, xs, ys))
     assert np.max(np.abs(fwd - parts)) == 0.0
-    rev = conjugated_block_grid(p, 1, 2, xs, ys)
-    assert np.max(np.abs(rev - conjugated_tilde_grid(p, 1, 2, xs, ys))) == 0.0
+    rev = conjugated_block_grid(p.z, p.t1, p.t2, xs, ys)
+    assert np.max(np.abs(rev - conjugated_tilde_grid(p.z, p.t1, p.t2, xs, ys))) == 0.0
 
 
 def test_conjugation_factors_forms():
