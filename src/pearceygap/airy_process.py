@@ -8,6 +8,11 @@ The extended kernel has two interchangeable representations:
 * a double contour integral over two ray pairs (kept as an independent oracle;
   see :func:`extended_airy_contour`).
 
+On the lambda rule (lam, w) of (0, L) a block is a product of two sides,
+K-tilde(t_i, t_j) = A_i diag(w e^{-(t_i - t_j) lam}) A_j^T with A = Ai(x + lam).
+A side is keyed by its points and L in the caller's ``sides`` dict (one per
+Fredholm determinant), so Ai is evaluated once per window, not twice per block.
+
 Block entries subtract a heat-kernel term when the first time is strictly
 smaller than the second.  Each routine is addressed by its two times and its
 points, (t_i, t_j, xs, ys); extended_airy, airy_block and the near-diagonal
@@ -40,24 +45,34 @@ _TAIL_RTOL = 1e-14
 _LAMBDA_NODES = 200
 
 
-def extended_airy_grid(t_i: float, t_j: float, xs, ys) -> np.ndarray:
+def _airy_side(sides: dict, pts: np.ndarray, lam: np.ndarray, tail: float):
+    """Ai(pts + lam) with its peak |Ai| and its endpoint Ai(min pts + tail),
+    built once per (points, tail) in sides."""
+    key = (pts.tobytes(), tail)
+    if key not in sides:
+        a = airy(pts[:, None] + lam[None, :]).ai
+        sides[key] = (a, float(np.max(np.abs(a))), airy(float(np.min(pts)) + tail).ai)
+    return sides[key]
+
+
+def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray:
     """Matrix of K-tilde entries over xs x ys: the lambda-integral by one
     Gauss rule of 200 nodes on (0, L), L = max(30, 10 - min(xs, ys)), where
     Airy decay beats the e^{|t_i-t_j| lam} weight by a wide margin for the
-    |t| <= 2 regime; three matmuls."""
+    |t| <= 2 regime; the time-weighted product of the two sides."""
     if not (np.isfinite(t_i) and np.isfinite(t_j)):
         raise DomainError("times must be finite")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    x_min, y_min = float(np.min(xs)), float(np.min(ys))
-    tail = max(30.0, 10.0 - min(x_min, y_min))
+    sides = {} if sides is None else sides
+    tail = max(30.0, 10.0 - min(float(np.min(xs)), float(np.min(ys))))
     rule = gauss_rule(_LAMBDA_NODES, 0.0, tail)
     lam, w = rule.nodes, rule.weights
     dt = t_i - t_j
-    ax = airy(xs[:, None] + lam[None, :]).ai
-    ay = airy(ys[:, None] + lam[None, :]).ai
-    peak = float(np.max(np.abs(ax)) * np.max(np.abs(ay)))
-    end = airy(x_min + tail).ai * airy(y_min + tail).ai * math.exp(-dt * tail)
+    ax, x_peak, x_end = _airy_side(sides, xs, lam, tail)
+    ay, y_peak, y_end = _airy_side(sides, ys, lam, tail)
+    peak = x_peak * y_peak
+    end = x_end * y_end * math.exp(-dt * tail)
     if peak > 0.0 and abs(end) > _TAIL_RTOL * peak:
         raise AccuracyError(
             f"lambda-integrand not decayed at tail_cut={tail}: endpoint/max = "
@@ -99,12 +114,12 @@ def airy_heat_term(t: float, x, y):
     return float(val) if val.ndim == 0 else val
 
 
-def airy_block_grid(t_i: float, t_j: float, xs, ys) -> np.ndarray:
+def airy_block_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray:
     """The extended Airy kernel block over xs x ys: K-tilde minus the heat
-    term when t_i < t_j (the Fredholm assembly path)."""
+    term when t_i < t_j (the Fredholm assembly path shares ``sides``)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    out = extended_airy_grid(t_i, t_j, xs, ys)
+    out = extended_airy_grid(t_i, t_j, xs, ys, sides)
     if t_i < t_j:
         out = out - airy_heat_term(t_j - t_i, xs[:, None], ys[None, :])
     return out

@@ -9,12 +9,17 @@ with Gauss-Legendre nodes/weights per interval, and the gap probability is
 det(I - W).  A refinement certificate (m vs 2m nodes) guards every reported
 value; the m -> infinity limit converges geometrically for these analytic
 kernels, so agreement of two dyadic levels is a meaningful error bound.
+
+Airy and direct Pearcey blocks are products of two sides, one per (time,
+window); each determinant gives its blocks one ``sides`` dict, so a side is
+built once, when a block needing it misses the block cache.  A pearcey query
+with a free contour radius gets one radius for all its blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -24,6 +29,7 @@ from . import cache as cache_mod
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, ValidityError
 from .pearcey_process import PearceyContour, conjugated_block_grid, pearcey_block_grid
+from .pearcey_process import ray_radius_bound
 from .scaling import ScalingParams
 from .specfun import gauss_rule
 
@@ -138,36 +144,49 @@ def set_block_cache(cache) -> None:
     _BLOCK_CACHE = cache
 
 
-def _block_value(query: GapQuery, t_i, t_j, x_i, x_j) -> np.ndarray:
+def _block_value(query: GapQuery, t_i, t_j, x_i, x_j, sides) -> np.ndarray:
     if query.family == "airy":
-        return airy_block_grid(t_i, t_j, x_i, x_j)
+        return airy_block_grid(t_i, t_j, x_i, x_j, sides)
     if query.family == "pearcey":
-        return pearcey_block_grid(t_i, t_j, x_i, x_j, query.contour)
+        return pearcey_block_grid(t_i, t_j, x_i, x_j, query.contour, sides)
     if query.family == "pearcey-conjugated":
         return conjugated_block_grid(query.params.z, t_i, t_j, x_i, x_j, query.contour)
     return np.asarray(query.kernel(t_i, t_j, x_i, x_j), dtype=float)
 
 
-def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j) -> np.ndarray:
+def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j, sides) -> np.ndarray:
     if _BLOCK_CACHE is None or query.family == "custom":
-        return _block_value(query, t_i, t_j, x_i, x_j)
+        return _block_value(query, t_i, t_j, x_i, x_j, sides)
     record = _RECORDS[query.family](query)
     key = cache_mod.block_key(query.family, t_i, t_j, record, x_i, x_j)
     hit = _BLOCK_CACHE.lookup(key)
     if hit is not None:
         return hit
-    grid = _block_value(query, t_i, t_j, x_i, x_j)
+    grid = _block_value(query, t_i, t_j, x_i, x_j, sides)
     _BLOCK_CACHE.store(key, grid)
     return grid
 
 
+def _fixed_radius(query: GapQuery, disc: BlockDiscretization) -> GapQuery:
+    """A direct pearcey query with radius=None, its contour's radius fixed at
+    ray_radius_bound over the largest |tau| and |node| of disc."""
+    contour = query.contour or PearceyContour()
+    if query.family != "pearcey" or contour.radius is not None or contour.recenter is not None:
+        return query
+    coord_max = max(float(np.max(np.abs(x))) for x in disc.nodes)
+    radius = ray_radius_bound(max(abs(t) for t in disc.times), coord_max, contour)
+    return replace(query, contour=replace(contour, radius=radius))
+
+
 def _assemble(query: GapQuery, disc: BlockDiscretization) -> np.ndarray:
+    query = _fixed_radius(query, disc)
+    sides: dict = {}
     sq = [np.sqrt(w) for w in disc.weights]
     rows = []
     for i, t_i in enumerate(disc.times):
         row = []
         for j, t_j in enumerate(disc.times):
-            K = _block(query, t_i, t_j, disc.nodes[i], disc.nodes[j])
+            K = _block(query, t_i, t_j, disc.nodes[i], disc.nodes[j], sides)
             row.append(sq[i][:, None] * K * sq[j][None, :])
         rows.append(row)
     return np.block(rows)

@@ -13,8 +13,10 @@ checks, and fu^T M fv, at a fixed node count or adaptively doubled.
   coordinate terms of the exponent by the envelope budget; that radius grows
   with the block's time and largest |coordinate|, unless the contour fixes one
   radius for all rays.  A fixed radius (ray_radius_bound over a whole study's
-  reach) gives every block the same ray nodes, so their Cauchy matrix is built
-  once.
+  or query's reach) gives every block the same ray nodes, so their Cauchy
+  matrix is built once.  A block is a product of two sides, K-tilde_ij = G_i F_j
+  with G_i = exp(eu_i)^T M and F_j = exp(ev_j); each side, checked, is built
+  once per key in the caller's ``sides`` dict (one per Fredholm determinant).
 
 * **recentred** -- change of variables U = A_i (1 + 3 u z^4),
   V = A_j (1 + 3 v z^4) placing O(1)-length contours through the saddle
@@ -221,7 +223,11 @@ def _cauchy(big_u, wu, uspan, big_v, wv) -> np.ndarray:
     return m
 
 
-def _check_exponent(re_expo: np.ndarray, tag: str) -> None:
+def _exp_side(expo: np.ndarray, spans, tag: str) -> np.ndarray:
+    """exp(expo) (rows: nodes, columns: points) after the exponent check and
+    then the envelope check: every ray segment must drop by _ENDPOINT_DROP
+    from its running max."""
+    re_expo = expo.real
     peak = float(np.max(re_expo))
     if peak > _EXP_LIMIT:
         raise StabilityError(
@@ -229,10 +235,6 @@ def _check_exponent(re_expo: np.ndarray, tag: str) -> None:
             "value not representable in double precision - use the "
             "conjugated family"
         )
-
-
-def _check_envelope(re_expo: np.ndarray, spans, tag: str) -> None:
-    """Every ray segment must drop by _ENDPOINT_DROP from its running max."""
     for a, b in spans:
         seg = re_expo[a:b]
         drop = float(np.min(np.max(seg, axis=0) - seg[-1, :]))
@@ -242,20 +244,7 @@ def _check_envelope(re_expo: np.ndarray, spans, tag: str) -> None:
                 f"< {_ENDPOINT_DROP:.1f}); a wider radius or recentred contours "
                 "advised"
             )
-
-
-def _contract(eu, uspan, ev, vspan, m) -> np.ndarray:
-    """fu^T M fv with fu = exp(eu), fv = exp(ev) (rows: nodes, columns:
-    points), after both exponent checks and then both envelope checks."""
-    _check_exponent(eu.real, "u")
-    _check_exponent(ev.real, "v")
-    _check_envelope(eu.real, uspan, "u")
-    _check_envelope(ev.real, vspan, "v")
-    # both exponentials before the products: an exp between the two matmuls
-    # measured 2x slower per block (2-core machine, threaded BLAS)
-    fu = np.exp(eu)
-    fv = np.exp(ev)
-    return fu.T @ m @ fv
+    return np.exp(expo)
 
 
 def _quadrature(contour: PearceyContour, grid_at) -> np.ndarray:
@@ -330,36 +319,45 @@ def _y_rays(contour: PearceyContour, tau_j: float, coord_max: float):
     ]
 
 
-def ray_radius_bound(tau_max: float, coord_max: float) -> float:
-    """Largest truncation radius the radius=None rule picks over the six
-    default-angle X/Y rays for times |tau| <= tau_max and coordinates
-    |xi| <= coord_max.  The rule grows with both bounds, so a contour with this
-    fixed radius truncates every such block at or beyond its own radii."""
-    free = PearceyContour()
-    rays = _x_rays(free, tau_max, coord_max) + _y_rays(free, tau_max, coord_max)
+def ray_radius_bound(tau_max: float, coord_max: float,
+                     contour: PearceyContour = PearceyContour()) -> float:
+    """Largest truncation radius the radius=None rule picks over the six X/Y
+    rays at the angles of a radius=None contour, for times |tau| <= tau_max
+    and coordinates |xi| <= coord_max.  The rule grows with both bounds, so
+    this fixed radius truncates every such block at or beyond its own radii."""
+    rays = _x_rays(contour, tau_max, coord_max) + _y_rays(contour, tau_max, coord_max)
     return max(ray[3] for ray in rays)
 
 
 @lru_cache(maxsize=1)
 def _ray_system(xray: tuple, yray: tuple, n: int):
-    """Nodes and segment spans of both ray systems plus their Cauchy matrix.
+    """X nodes and segment spans plus the Cauchy matrix of both ray systems.
     It depends only on the ray geometry, so blocks under a fixed-radius
-    contour (one per PDE study) share one build."""
+    contour (one per PDE study or library query) share one build."""
     u, wu, uspan = _signed_rays(xray, n)
     v, wv, vspan = _signed_rays(yray, n)
     m = _cauchy(u, wu, uspan, v, wv)
-    for arr in (u, v, m):
+    for arr in (u, m):
         arr.flags.writeable = False  # shared by every caller of the cache
-    return u, uspan, v, vspan, m
+    return u, uspan, m
 
 
-def _direct_grid(tau_i, tau_j, xis, etas, contour, n):
-    xray = _x_rays(contour, tau_i, float(np.max(np.abs(xis))))
-    yray = _y_rays(contour, tau_j, float(np.max(np.abs(etas))))
-    u, uspan, v, vspan, m = _ray_system(tuple(xray), tuple(yray), n)
-    eu = (u[:, None] ** 4 / 4.0 - 0.5 * tau_i * u[:, None] ** 2) + u[:, None] * xis[None, :]
-    ev = (-(v[:, None] ** 4) / 4.0 + 0.5 * tau_j * v[:, None] ** 2) - v[:, None] * etas[None, :]
-    return -_contract(eu, uspan, ev, vspan, m) / (4.0 * math.pi**2)
+def _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides):
+    """-G F / (4 pi^2) from the u-side G = exp(eu)^T M of (tau_i, xis) and the
+    v-side F = exp(ev) of (tau_j, etas), each built once per key in sides."""
+    xray = tuple(_x_rays(contour, tau_i, float(np.max(np.abs(xis)))))
+    yray = tuple(_y_rays(contour, tau_j, float(np.max(np.abs(etas)))))
+    ukey = ("u", tau_i, xis.tobytes(), xray, yray, n)
+    if ukey not in sides:
+        u, uspan, m = _ray_system(xray, yray, n)
+        eu = (u[:, None] ** 4 / 4.0 - 0.5 * tau_i * u[:, None] ** 2) + u[:, None] * xis[None, :]
+        sides[ukey] = _exp_side(eu, uspan, "u").T @ m
+    vkey = ("v", tau_j, etas.tobytes(), yray, n)
+    if vkey not in sides:
+        v, _, vspan = _signed_rays(yray, n)
+        ev = (-(v[:, None] ** 4) / 4.0 + 0.5 * tau_j * v[:, None] ** 2) - v[:, None] * etas[None, :]
+        sides[vkey] = _exp_side(ev, vspan, "v")
+    return -(sides[ukey] @ sides[vkey]) / (4.0 * math.pi**2)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +489,7 @@ def _recentred_grid(spec, t_i, t_j, xs, ys, conjugated, n):
     pref = -cs_u["B"] * cs_v["B"] / (4.0 * math.pi**2)
     if conjugated:
         pref *= (3.0 * cs_u["tau"]) ** (1.0 / 12.0) * (3.0 * cs_v["tau"]) ** (1.0 / 12.0)
-    return pref * _contract(eu, uspan, ev, vspan, m)
+    return pref * (_exp_side(eu, uspan, "u").T @ m @ _exp_side(ev, vspan, "v"))
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +507,17 @@ def pearcey_gauss_term(tau: float, xi, eta):
     return float(val) if val.ndim == 0 else val
 
 
-def _tilde_grid(tau_i, tau_j, xis, etas, contour):
-    """K-tilde grid in (xi, eta) coordinates, dispatching on the contour."""
+def _tilde_grid(tau_i, tau_j, xis, etas, contour, sides=None):
+    """K-tilde grid in (xi, eta) coordinates, dispatching on the contour;
+    direct-mode sides are memoized in sides."""
     contour = contour if contour is not None else PearceyContour()
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     spec = contour.recenter
     if spec is None:
+        sides = {} if sides is None else sides
         return _quadrature(
-            contour, lambda n: _direct_grid(tau_i, tau_j, xis, etas, contour, n)
+            contour, lambda n: _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides)
         )
     t_i, t_j = t_from_tau(tau_i, spec.z), t_from_tau(tau_j, spec.z)
     xs = x_from_xi(xis, tau_i)
@@ -534,12 +534,12 @@ def pearcey_tilde(tau_i: float, tau_j: float, xi: float, eta: float,
 
 
 def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
-                       contour: PearceyContour | None = None) -> np.ndarray:
+                       contour: PearceyContour | None = None, sides=None) -> np.ndarray:
     """The Pearcey kernel block over xis x etas: K-tilde minus the Gaussian
-    term when tau_i < tau_j (the Fredholm assembly path)."""
+    term when tau_i < tau_j (the Fredholm assembly path shares ``sides``)."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    out = _tilde_grid(tau_i, tau_j, xis, etas, contour)
+    out = _tilde_grid(tau_i, tau_j, xis, etas, contour, sides)
     if tau_i < tau_j:
         out = out - pearcey_gauss_term(tau_j - tau_i, xis[:, None], etas[None, :])
     return out

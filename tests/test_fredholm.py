@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pearceygap import airy_process, fredholm, pearcey_process
 from pearceygap.exceptions import AccuracyError, DomainError, ValidityError
 from pearceygap.fredholm import (
     BlockDiscretization,
@@ -77,6 +78,42 @@ def test_geometric_refinement_decay():
     d1 = abs(ps[16] - ps[8])
     d2 = abs(ps[32] - ps[16])
     assert d2 <= 0.3 * d1
+
+
+def test_airy_sides_evaluated_once_per_window(monkeypatch):
+    # both windows hold the same nodes, so each certificate level evaluates
+    # one Airy side for its four blocks
+    arrays, airy = [], airy_process.airy
+
+    def counting(x):
+        if np.ndim(x):
+            arrays.append(np.shape(x))
+        return airy(x)
+
+    monkeypatch.setattr(airy_process, "airy", counting)
+    q = GapQuery(family="airy", times=(-0.5, 0.5), windows=((-1.0, 6.0),) * 2, m=40)
+    log_gap_probability(q)
+    assert arrays == [(40, 200), (80, 200)]
+
+
+def test_free_radius_query_blocks_share_one_ray_geometry(monkeypatch):
+    levels = []
+
+    def assemble(query, disc):
+        levels.append(set())
+        return original_assemble(query, disc)
+
+    def ray_system(xray, yray, n):
+        levels[-1].add((xray, yray))
+        return original_rays(xray, yray, n)
+
+    original_assemble, original_rays = fredholm._assemble, pearcey_process._ray_system
+    monkeypatch.setattr(fredholm, "_assemble", assemble)
+    monkeypatch.setattr(pearcey_process, "_ray_system", ray_system)
+    q = GapQuery(family="pearcey", times=(3.0, 4.0), windows=((-3.0, 3.0), (-3.5, 3.5)),
+                 m=12)
+    log_gap_probability(q)
+    assert [len(geometries) for geometries in levels] == [1, 1]
 
 
 def test_monotone_in_window_inclusion():

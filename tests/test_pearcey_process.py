@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pearceygap.airy_process import airy_block, airy_heat_term, airy_kernel
+from pearceygap.airy_process import airy_block, airy_block_grid, airy_heat_term, airy_kernel
 from pearceygap.exceptions import (
     AccuracyError,
     ContourError,
@@ -260,7 +260,36 @@ def test_pinned_kernel_values():
         [-0.00025712118923993613, -0.025115019339895028, -0.0002053031590030236],
         [2.6244148717629667e-06, -0.0002055318557081313, -0.0007561493970610092],
     ])
-    for got, ref in ((direct, direct_ref), (conj, conj_ref)):
+    # Airy blocks at ascending, descending and equal times (row and column
+    # points differ in the first two), and below -20 so that the lambda
+    # rule's tail length L = 10 - min point exceeds 30
+    xb, yb = np.array([-1.0, 0.5, 2.0]), np.array([-0.5, 1.5])
+    low_x, low_y = np.array([-21.0, -20.5]), np.array([-20.75, -20.0])
+    airy_cases = [
+        (-0.5, 0.5, xb, yb, [
+            [-0.1628765120758625, -0.01419031773130145],
+            [-0.133278347929429, -0.07800712874815302],
+            [-0.018731334847722214, -0.04888041198821451],
+        ]),
+        (0.5, -0.5, xb, yb, [
+            [0.1265102566550529, 0.01397854449840186],
+            [0.04033676609895755, 0.00471303947741576],
+            [0.005174861605919593, 0.0006221091553464445],
+        ]),
+        (0.25, 0.25, xb, xb, [
+            [0.2869286968369929, 0.0787327633976598, 0.009359428070152382],
+            [0.0787327633976598, 0.023743784061459574, 0.002963931908357689],
+            [0.009359428070152382, 0.0029639319083576894, 0.0003791991476692681],
+        ]),
+        (0.3, -0.3, low_x, low_y, [
+            [0.027917884010428166, -0.021526416101551774],
+            [0.025606513438667017, -0.03123765348912383],
+        ]),
+    ]
+    pairs = [(direct, direct_ref), (conj, conj_ref)]
+    pairs += [(airy_block_grid(t_i, t_j, x, y), np.array(ref))
+              for t_i, t_j, x, y, ref in airy_cases]
+    for got, ref in pairs:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
