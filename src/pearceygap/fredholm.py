@@ -12,14 +12,13 @@ kernels, so agreement of two dyadic levels is a meaningful error bound.
 
 Airy and direct Pearcey blocks are products of two sides, one per (time,
 window); each determinant gives its blocks one ``sides`` dict, so a side is
-built once, when a block needing it misses the block cache.  A pearcey query
-with a free contour radius gets one radius for all its blocks.
+built once, when a block needing it misses the block cache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,7 +28,6 @@ from . import cache as cache_mod
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, ValidityError
 from .pearcey_process import PearceyContour, conjugated_block_grid, pearcey_block_grid
-from .pearcey_process import ray_radius_bound
 from .scaling import ScalingParams
 from .specfun import gauss_rule
 
@@ -167,19 +165,7 @@ def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j, sides) -> np.ndarr
     return grid
 
 
-def _fixed_radius(query: GapQuery, disc: BlockDiscretization) -> GapQuery:
-    """A direct pearcey query with radius=None, its contour's radius fixed at
-    ray_radius_bound over the largest |tau| and |node| of disc."""
-    contour = query.contour or PearceyContour()
-    if query.family != "pearcey" or contour.radius is not None or contour.recenter is not None:
-        return query
-    coord_max = max(float(np.max(np.abs(x))) for x in disc.nodes)
-    radius = ray_radius_bound(max(abs(t) for t in disc.times), coord_max, contour)
-    return replace(query, contour=replace(contour, radius=radius))
-
-
 def _assemble(query: GapQuery, disc: BlockDiscretization) -> np.ndarray:
-    query = _fixed_radius(query, disc)
     sides: dict = {}
     sq = [np.sqrt(w) for w in disc.weights]
     rows = []

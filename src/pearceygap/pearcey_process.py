@@ -13,8 +13,8 @@ checks, and fu^T M fv, at a fixed node count or adaptively doubled.
   coordinate terms of the exponent by the envelope budget; that radius grows
   with the block's time and largest |coordinate|, unless the contour fixes one
   radius for all rays.  A fixed radius (ray_radius_bound over a whole study's
-  or query's reach) gives every block the same ray nodes, so their Cauchy
-  matrix is built once.  A block is a product of two sides, K-tilde_ij = G_i F_j
+  reach) gives every block the same ray nodes, so their Cauchy matrix is built
+  once.  A block is a product of two sides, K-tilde_ij = G_i F_j
   with G_i = exp(eu_i)^T M and F_j = exp(ev_j); each side, checked, is built
   once per key in the caller's ``sides`` dict (one per Fredholm determinant).
 
@@ -319,13 +319,13 @@ def _y_rays(contour: PearceyContour, tau_j: float, coord_max: float):
     ]
 
 
-def ray_radius_bound(tau_max: float, coord_max: float,
-                     contour: PearceyContour = PearceyContour()) -> float:
-    """Largest truncation radius the radius=None rule picks over the six X/Y
-    rays at the angles of a radius=None contour, for times |tau| <= tau_max
-    and coordinates |xi| <= coord_max.  The rule grows with both bounds, so
-    this fixed radius truncates every such block at or beyond its own radii."""
-    rays = _x_rays(contour, tau_max, coord_max) + _y_rays(contour, tau_max, coord_max)
+def ray_radius_bound(tau_max: float, coord_max: float) -> float:
+    """Largest truncation radius the radius=None rule picks over the six
+    default-angle X/Y rays for times |tau| <= tau_max and coordinates
+    |xi| <= coord_max.  The rule grows with both bounds, so a contour with this
+    fixed radius truncates every such block at or beyond its own radii."""
+    free = PearceyContour()
+    rays = _x_rays(free, tau_max, coord_max) + _y_rays(free, tau_max, coord_max)
     return max(ray[3] for ray in rays)
 
 
@@ -333,7 +333,7 @@ def ray_radius_bound(tau_max: float, coord_max: float,
 def _ray_system(xray: tuple, yray: tuple, n: int):
     """X nodes and segment spans plus the Cauchy matrix of both ray systems.
     It depends only on the ray geometry, so blocks under a fixed-radius
-    contour (one per PDE study or library query) share one build."""
+    contour (one per PDE study) share one build."""
     u, wu, uspan = _signed_rays(xray, n)
     v, wv, vspan = _signed_rays(yray, n)
     m = _cauchy(u, wu, uspan, v, wv)

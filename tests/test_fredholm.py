@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pearceygap import airy_process, fredholm, pearcey_process
+from pearceygap import airy_process, fredholm
 from pearceygap.exceptions import AccuracyError, DomainError, ValidityError
 from pearceygap.fredholm import (
     BlockDiscretization,
@@ -80,40 +80,28 @@ def test_geometric_refinement_decay():
     assert d2 <= 0.3 * d1
 
 
-def test_airy_sides_evaluated_once_per_window(monkeypatch):
-    # both windows hold the same nodes, so each certificate level evaluates
-    # one Airy side for its four blocks
-    arrays, airy = [], airy_process.airy
+@pytest.mark.parametrize("windows, per_level", [
+    (((-1.0, 6.0), (-1.0, 6.0)), 1),
+    (((-1.0, 6.0), (-0.5, 4.0)), 2),
+])
+def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
+    # both windows share one lambda-tail length, so each certificate level
+    # evaluates one side per distinct window, and sharing them leaves log P
+    # bit-equal to building both sides of every block afresh
+    arrays, airy, block_grid = [], airy_process.airy, fredholm.airy_block_grid
 
     def counting(x):
         if np.ndim(x):
             arrays.append(np.shape(x))
         return airy(x)
 
+    q = GapQuery(family="airy", times=(-0.5, 0.5), windows=windows, m=40)
     monkeypatch.setattr(airy_process, "airy", counting)
-    q = GapQuery(family="airy", times=(-0.5, 0.5), windows=((-1.0, 6.0),) * 2, m=40)
-    log_gap_probability(q)
-    assert arrays == [(40, 200), (80, 200)]
-
-
-def test_free_radius_query_blocks_share_one_ray_geometry(monkeypatch):
-    levels = []
-
-    def assemble(query, disc):
-        levels.append(set())
-        return original_assemble(query, disc)
-
-    def ray_system(xray, yray, n):
-        levels[-1].add((xray, yray))
-        return original_rays(xray, yray, n)
-
-    original_assemble, original_rays = fredholm._assemble, pearcey_process._ray_system
-    monkeypatch.setattr(fredholm, "_assemble", assemble)
-    monkeypatch.setattr(pearcey_process, "_ray_system", ray_system)
-    q = GapQuery(family="pearcey", times=(3.0, 4.0), windows=((-3.0, 3.0), (-3.5, 3.5)),
-                 m=12)
-    log_gap_probability(q)
-    assert [len(geometries) for geometries in levels] == [1, 1]
+    shared = log_gap_probability(q)
+    assert arrays == [(40, 200)] * per_level + [(80, 200)] * per_level
+    monkeypatch.setattr(fredholm, "airy_block_grid",
+                        lambda t_i, t_j, xs, ys, sides: block_grid(t_i, t_j, xs, ys))
+    assert log_gap_probability(q) == shared
 
 
 def test_monotone_in_window_inclusion():
