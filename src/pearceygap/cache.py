@@ -5,17 +5,18 @@ Entries are keyed by a SHA-256 over (family, block times, a record of the
 family's fixed data such as the contour, node coordinates), so identical
 kernel blocks are recognized across runs and across the many stencil shifts
 of the PDE study that share times.
-Every payload carries its own checksum; a mismatch (torn write, bit rot) is
-treated as a miss and recomputed, never silently reused.
+Each entry is one flat file that carries its own checksum (KernelCache); an
+entry that fails its checks (torn write, bit rot) is deleted and recomputed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import hashlib
 import os
+import struct
 import tempfile
-import zipfile
 
 import numpy as np
 
@@ -23,10 +24,13 @@ from .exceptions import ConcurrencyError
 
 __all__ = ["KernelCache", "CacheLock", "block_key", "default_root"]
 
-# Bump whenever kernel evaluation changes, so stale blocks stop matching.
-_FORMAT = b"pearceygap-cache-3"
+# Bump whenever kernel evaluation or the entry layout changes.
+_FORMAT = b"pearceygap-cache-4"
 ENV_ROOT = "PEARCEYGAP_CACHE"
 _DEFAULT_DIRNAME = ".pearceygap-cache"
+_DIGEST = 32  # entry layout: see KernelCache
+_SHAPE = struct.Struct("<QQ")
+_HEAD = _DIGEST + _SHAPE.size
 
 
 def default_root(flag_value: str | None = None) -> str:
@@ -54,16 +58,11 @@ def block_key(family: str, t_i: float, t_j: float, record: str, x_i, x_j) -> str
     return h.hexdigest()
 
 
-def _payload_digest(grid: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(str(grid.dtype).encode())
-    h.update(str(grid.shape).encode())
-    h.update(np.ascontiguousarray(grid).tobytes())
-    return h.hexdigest()
-
-
 class KernelCache:
-    """Directory of <key>.npz files, each holding one grid and its checksum.
+    """Directory of <key>.blk files, one per block: a 32-byte SHA-256 of the
+    rest, the grid's (rows, columns) as little-endian uint64, then its values
+    as little-endian float64 in C order.  An entry whose length disagrees with
+    its header or whose digest does not match is deleted and counted a miss.
 
     The root is created and locked (CacheLock) at the first lookup or store,
     so a run that reads no block leaves no trace; close() releases the lock.
@@ -79,7 +78,7 @@ class KernelCache:
         """Path of key's entry; the first call creates and locks the root."""
         if self._lock is None:
             self._lock = CacheLock(self.root).acquire()
-        return os.path.join(self.root, key + ".npz")
+        return os.path.join(self.root, key + ".blk")
 
     def close(self) -> None:
         if self._lock is not None:
@@ -88,35 +87,36 @@ class KernelCache:
 
     def lookup(self, key: str) -> np.ndarray | None:
         path = self._path(key)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                grid = np.asarray(data["grid"])
-                stored = str(data["digest"])
-        except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
-            self.misses += 1
-            return None
-        if _payload_digest(grid) != stored:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        return grid
+        raw = b""
+        with contextlib.suppress(OSError), open(path, "rb") as fh:
+            raw = fh.read()
+        rows, cols = _SHAPE.unpack_from(raw, _DIGEST) if len(raw) >= _HEAD else (0, 0)
+        if (len(raw) == _HEAD + 8 * rows * cols
+                and hashlib.sha256(memoryview(raw)[_DIGEST:]).digest() == raw[:_DIGEST]):
+            self.hits += 1
+            return np.frombuffer(raw, "<f8", offset=_HEAD).astype(float).reshape(rows, cols)
+        with contextlib.suppress(OSError):
+            os.remove(path)  # absent, short, mismatched or corrupt
+        self.misses += 1
+        return None
 
     def store(self, key: str, grid: np.ndarray) -> None:
+        kind = f"{np.ndim(grid)}-D {getattr(grid, 'dtype', type(grid).__name__)}"
+        if kind != "2-D float64":
+            raise TypeError(f"the block cache stores 2-D float64 grids, not {kind}")
+        head = _SHAPE.pack(*grid.shape)
+        data = np.ascontiguousarray(grid, dtype="<f8")
+        digest = hashlib.sha256(head)
+        digest.update(data)
         path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".part")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, grid=grid, digest=_payload_digest(grid))
+                fh.writelines((digest.digest(), head, data))
             os.replace(tmp, path)
         except BaseException:
-            try:
+            with contextlib.suppress(OSError):
                 os.remove(tmp)
-            except OSError:
-                pass
             raise
 
 

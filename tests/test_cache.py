@@ -1,5 +1,6 @@
 """Kernel block cache: content addressing, payload integrity, advisory lock."""
 
+import hashlib
 import os
 import stat
 import subprocess
@@ -35,7 +36,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "2e8a51f9fec31de034b73651c7f7ef7b1416c8ac7006824f4fc565d7054a816c"
+    assert key == "7f316a94a7c181e9b5591faea90bcaba8fcff7753569eaf91d947c94315813e5"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):
@@ -44,6 +45,10 @@ def test_default_root_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("PEARCEYGAP_CACHE", str(tmp_path / "env"))
     assert default_root() == str(tmp_path / "env")
     assert default_root(str(tmp_path / "flag")) == str(tmp_path / "flag")
+
+
+def _entry(root, key):
+    return os.path.join(str(root), key + ".blk")
 
 
 def test_store_lookup_roundtrip(tmp_path):
@@ -59,13 +64,62 @@ def test_store_lookup_roundtrip(tmp_path):
     cache.close()
 
 
+def test_non_square_roundtrip_is_bit_exact_and_writable(tmp_path):
+    cache = KernelCache(str(tmp_path))
+    rng = np.random.default_rng(11)
+    grid = rng.normal(size=(3, 7)) * 10.0 ** rng.integers(-300, 300, size=(3, 7))
+    grid[0, :3] = (-0.0, np.finfo(float).tiny / 4, -np.finfo(float).max)
+    key = "f" * 64
+    cache.store(key, grid.T)  # a non-contiguous view is stored in C order
+    assert os.path.getsize(_entry(tmp_path, key)) == 32 + 16 + 8 * 3 * 7
+    out = cache.lookup(key)
+    assert out.shape == (7, 3) and out.dtype == np.float64
+    assert out.tobytes() == np.ascontiguousarray(grid.T).tobytes()
+    assert out.flags.writeable and out.flags.c_contiguous
+    out[0, 0] = 1.0  # the caller owns its copy
+    assert cache.lookup(key).tobytes() == np.ascontiguousarray(grid.T).tobytes()
+    cache.close()
+
+
+def _truncate_in_payload(path):
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 5)
+
+
+def _empty(path):
+    open(path, "wb").close()
+
+
+def _flip_header_shape(path):
+    # (5, 5) -> (5, 4) under a digest that matches, so only the length disagrees
+    with open(path, "r+b") as fh:
+        rest = bytearray(fh.read()[32:])
+        rest[8:16] = (4).to_bytes(8, "little")
+        fh.seek(0)
+        fh.write(hashlib.sha256(rest).digest() + rest)
+
+
+@pytest.mark.parametrize("damage", [_empty, _truncate_in_payload, _flip_header_shape])
+def test_damaged_entry_is_a_miss_and_deleted(tmp_path, damage):
+    cache = KernelCache(str(tmp_path))
+    key = "b" * 64
+    cache.store(key, np.ones((5, 5)))
+    path = _entry(tmp_path, key)
+    damage(path)
+    assert cache.lookup(key) is None
+    assert not os.path.exists(path)
+    assert (cache.hits, cache.misses) == (0, 1)
+    cache.store(key, np.ones((5, 5)))
+    assert np.array_equal(cache.lookup(key), np.ones((5, 5)))
+    cache.close()
+
+
 def test_truncated_entry_is_a_miss(tmp_path):
     cache = KernelCache(str(tmp_path))
     key = "b" * 64
     cache.store(key, np.ones((5, 5)))
-    path = os.path.join(str(tmp_path), key + ".npz")
-    with open(path, "r+b") as fh:
-        fh.truncate(40)
+    with open(_entry(tmp_path, key), "r+b") as fh:
+        fh.truncate(40)  # inside the shape header
     assert cache.lookup(key) is None
     cache.store(key, np.ones((5, 5)))
     assert np.array_equal(cache.lookup(key), np.ones((5, 5)))
@@ -77,16 +131,25 @@ def test_checksum_mismatch_deletes_entry(tmp_path):
     key = "c" * 64
     grid = np.full((4, 4), 0.25)
     cache.store(key, grid)
-    path = os.path.join(str(tmp_path), key + ".npz")
-    # graft a valid npz with a different payload under the stored digest's name
+    path = _entry(tmp_path, key)
+    # graft a valid entry with a different payload under the stored key's name
     cache.store("d" * 64, grid + 1.0)
-    os.replace(os.path.join(str(tmp_path), "d" * 64 + ".npz"), path)
+    os.replace(_entry(tmp_path, "d" * 64), path)
     # the digest inside matches its own payload, so tamper with raw bytes too
     with open(path, "r+b") as fh:
         fh.seek(-8, os.SEEK_END)
         fh.write(b"\x00" * 8)
     assert cache.lookup(key) is None
-    assert not os.path.exists(path) or cache.lookup(key) is None
+    assert not os.path.exists(path)
+    cache.close()
+
+
+@pytest.mark.parametrize("grid", [np.ones((3, 3), dtype=complex), np.ones(9), [[1.0]]])
+def test_store_rejects_what_is_not_a_real_2d_grid(tmp_path, grid):
+    cache = KernelCache(str(tmp_path))
+    with pytest.raises(TypeError, match="2-D float64"):
+        cache.store("e" * 64, grid)
+    assert not [n for n in os.listdir(str(tmp_path)) if n != "lock"]
     cache.close()
 
 
