@@ -11,6 +11,7 @@ the command-line layer can serialize results without re-deriving anything.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 
@@ -477,95 +478,56 @@ def _pde_contour(grid: PdeGrid) -> PearceyContour:
     )
 
 
-def _pde_f_factory(grid: PdeGrid, m: int, contour: PearceyContour):
-    cache: dict = {}
-
-    def f(dtau=0.0, dsigma=0.0, dxi=0.0, deta=0.0, dmu=0.0, dnu=0.0):
-        key = (dtau, dsigma, dxi, deta, dmu, dnu)
-        if key in cache:
-            return cache[key]
-        tau = grid.tau + dtau
-        sigma = grid.sigma + dsigma
-        xi = grid.xi + dxi
-        eta = grid.eta + deta
-        mu = grid.mu + dmu
-        nu = grid.nu + dnu
-        e1 = (xi + eta + mu, xi + eta - mu)
-        e2 = (xi - eta + nu, xi - eta - nu)
-        # ascending times: tau - sigma first (sigma > 0)
-        q = GapQuery(
-            family="pearcey",
-            times=(tau - sigma, tau + sigma),
-            windows=(e2, e1),
-            m=m,
-            contour=contour,
-            certify=False,
-        )
-        val = log_gap_probability(q)
-        cache[key] = val
-        return val
-
-    return f
+_PDE_AXES = ("dtau", "dsigma", "dxi", "deta", "dmu", "dnu")
+# central difference stencils, (offset in steps, weight) with error O(h^2);
+# zero-weight points are left out
+_STENCILS = {
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+}
 
 
-def _pde_terms(grid: PdeGrid, m: int, h: float, contour: PearceyContour) -> dict:
-    f = _pde_f_factory(grid, m, contour)
-    h2, h3 = h * h, h * h * h
+def _derivative(f, h: float, **orders) -> float:
+    """Mixed partial derivative of f(**offsets) at zero offset, e.g.
+    _derivative(f, h, dtau=1, dxi=2): the product of each axis's central
+    stencil of the given order, offsets i * h."""
+    total = 0.0
+    for taps in itertools.product(*(_STENCILS[n] for n in orders.values())):
+        weight = math.prod(w for _, w in taps)
+        total += weight * f(**{axis: i * h for axis, (i, _) in zip(orders, taps)})
+    return total / h ** sum(orders.values())
 
-    def d3(axis):
-        return (
-            -f(**{axis: -2 * h}) + 2 * f(**{axis: -h}) - 2 * f(**{axis: h}) + f(**{axis: 2 * h})
-        ) / (2 * h3)
 
-    def dxx_at(**off):
-        lo = dict(off)
-        hi = dict(off)
-        lo["dxi"] = lo.get("dxi", 0.0) - h
-        hi["dxi"] = hi.get("dxi", 0.0) + h
-        return (f(**lo) - 2 * f(**off) + f(**hi)) / h2
+def _pde_terms(grid: PdeGrid, log_p) -> dict:
+    """The four PDE terms at the grid's base point, by central differences of
+    step grid.h of log_p(m, offsets) at m = grid.m nodes."""
 
-    def d1_of_dxx(axis):
-        return (dxx_at(**{axis: h}) - dxx_at(**{axis: -h})) / (2 * h)
+    def f(**offsets):
+        return log_p(grid.m, tuple(offsets.get(axis, 0.0) for axis in _PDE_AXES))
 
-    def d2_mixed(ax1, ax2):
-        return (
-            f(**{ax1: h, ax2: h})
-            - f(**{ax1: h, ax2: -h})
-            - f(**{ax1: -h, ax2: h})
-            + f(**{ax1: -h, ax2: -h})
-        ) / (4 * h2)
+    def d(**orders):
+        return _derivative(f, grid.h, **orders)
 
-    f_tautautau = d3("dtau")
-    f_xixi = dxx_at()
-    f_xixixi = d3("dxi")  # = d/dxi of F_xixi
+    f_xixi = d(dxi=2)
+    f_xixixi = d(dxi=3)
+    f_tauxixi = d(dtau=1, dxi=2)
     euler = (
-        2.0 * (grid.sigma * d1_of_dxx("dsigma") - grid.tau * d1_of_dxx("dtau"))
+        2.0 * (grid.sigma * d(dsigma=1, dxi=2) - grid.tau * f_tauxixi)
         + grid.xi * f_xixixi
-        + grid.eta * d1_of_dxx("deta")
-        + grid.mu * d1_of_dxx("dmu")
-        + grid.nu * d1_of_dxx("dnu")
+        + grid.eta * d(deta=1, dxi=2)
+        + grid.mu * d(dmu=1, dxi=2)
+        + grid.nu * d(dnu=1, dxi=2)
         - 2.0 * f_xixi
     )
-    f_tauxieta = (
-        f(dtau=h, dxi=h, deta=h)
-        - f(dtau=h, dxi=h, deta=-h)
-        - f(dtau=h, dxi=-h, deta=h)
-        + f(dtau=h, dxi=-h, deta=-h)
-        - f(dtau=-h, dxi=h, deta=h)
-        + f(dtau=-h, dxi=h, deta=-h)
-        + f(dtau=-h, dxi=-h, deta=h)
-        - f(dtau=-h, dxi=-h, deta=-h)
-    ) / (8 * h3)
-    f_tauxi = d2_mixed("dtau", "dxi")
-    f_tauxixi = d1_of_dxx("dtau")
     # Wronskian bracket {F_tauxi, F_xixi}_xi with the derivative on the first
     # slot; the opposite reading leaves a step-independent residual ~50x above
     # the truncation floor at the base point.
     return {
-        "third_tau": 2.0 * f_tautautau,
+        "third_tau": 2.0 * d(dtau=3),
         "euler_weighted_curvature": 0.25 * euler,
-        "mixed_tau_xi_eta": -grid.sigma * f_tauxieta,
-        "bracket": f_tauxixi * f_xixi - f_tauxi * f_xixixi,
+        "mixed_tau_xi_eta": -grid.sigma * d(dtau=1, dxi=1, deta=1),
+        "bracket": f_tauxixi * f_xixi - d(dtau=1, dxi=1) * f_xixixi,
     }
 
 
@@ -583,23 +545,38 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
     """Normalized residual of the two-time PDE at the grid's base point,
     with a step-halving consistency check, a sign-flip ablation, and a
     discretization-noise estimate (the study is inconclusive when the noise
-    reaches the residual)."""
+    reaches the residual).  One memo of log P, keyed by node count and the
+    six stencil offsets, serves the three passes, so the points the h and
+    h/2 stencils share are computed once."""
     grid = grid if grid is not None else PdeGrid()
     contour = _pde_contour(grid)
-    terms = _pde_terms(grid, grid.m, grid.h, contour)
+
+    @functools.cache
+    def log_p(m: int, offsets: tuple) -> float:
+        # axis "d<name>" shifts the grid field <name>
+        tau, sigma, xi, eta, mu, nu = (
+            getattr(grid, axis[1:]) + off for axis, off in zip(_PDE_AXES, offsets)
+        )
+        e1 = (xi + eta + mu, xi + eta - mu)
+        e2 = (xi - eta + nu, xi - eta - nu)
+        # ascending times: tau - sigma first (sigma > 0)
+        return log_gap_probability(GapQuery(
+            family="pearcey", times=(tau - sigma, tau + sigma), windows=(e2, e1),
+            m=m, contour=contour, certify=False,
+        ))
+
+    terms = _pde_terms(grid, log_p)
     total, scale = _pde_combine(terms)
     normalized = abs(total) / max(scale, 1e-300)
 
-    terms_half = _pde_terms(grid, grid.m, grid.h / 2.0, contour)
-    total_half, scale_half = _pde_combine(terms_half)
+    total_half, scale_half = _pde_combine(_pde_terms(replace(grid, h=grid.h / 2), log_p))
     normalized_half = abs(total_half) / max(scale_half, 1e-300)
 
     flipped, _ = _pde_combine(terms, flip="bracket")
     ablation_ratio = abs(flipped) / max(abs(total), 1e-300)
 
     # quadrature-noise probe: same stencil at a different node count
-    terms_noise = _pde_terms(replace(grid, m=grid.m + 8), grid.m + 8, grid.h, contour)
-    total_noise, _ = _pde_combine(terms_noise)
+    total_noise, _ = _pde_combine(_pde_terms(replace(grid, m=grid.m + 8), log_p))
     noise = abs(total_noise - total) / max(scale, 1e-300)
 
     inconclusive = noise > normalized

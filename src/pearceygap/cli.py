@@ -110,15 +110,16 @@ class StudyConfig:
                             "the rerun with the time-matching cross term dropped")
     thm_certify: bool = _key(True, "theorem.certify", "certify",
                              "the node-refinement certificate per point")
-    pde_tau: float = _key(4.0, "pde.tau", "tau", "base point: mean time")
-    pde_sigma: float = _key(0.5, "pde.sigma", "sigma", "base point: half time-difference")
-    pde_xi: float = _key(3.0, "pde.xi", "xi", "base point: mean endpoint")
-    pde_eta: float = _key(0.25, "pde.eta", "eta", "base point: endpoint asymmetry")
-    pde_mu: float = _key(-1.0, "pde.mu", "mu", "base point: first window width (< 0)")
-    pde_nu: float = _key(-1.0, "pde.nu", "nu", "base point: second window width (< 0)")
-    pde_step: float = _key(0.05, "pde.step", "step", "finite-difference step h")
-    pde_nodes: int = _key(24, "pde.nodes", "nodes", "quadrature nodes per window")
-    pde_nodes_per_ray: int = _key(384, "pde.nodes_per_ray", "nodes-per-ray",
+    pde_tau: float = _key(PdeGrid.tau, "pde.tau", "tau", "base point: mean time")
+    pde_sigma: float = _key(PdeGrid.sigma, "pde.sigma", "sigma",
+                            "base point: half time-difference")
+    pde_xi: float = _key(PdeGrid.xi, "pde.xi", "xi", "base point: mean endpoint")
+    pde_eta: float = _key(PdeGrid.eta, "pde.eta", "eta", "base point: endpoint asymmetry")
+    pde_mu: float = _key(PdeGrid.mu, "pde.mu", "mu", "base point: first window width (< 0)")
+    pde_nu: float = _key(PdeGrid.nu, "pde.nu", "nu", "base point: second window width (< 0)")
+    pde_step: float = _key(PdeGrid.h, "pde.step", "step", "finite-difference step h")
+    pde_nodes: int = _key(PdeGrid.m, "pde.nodes", "nodes", "quadrature nodes per window")
+    pde_nodes_per_ray: int = _key(PdeGrid.nodes_per_ray, "pde.nodes_per_ray", "nodes-per-ray",
                                   "contour nodes per ray")
     oracle_s_min: float = _key(-5.0, "oracle.s_min", "s-min",
                                "reference table lower end (the oracle floor is -5)")
@@ -180,11 +181,17 @@ def serialize_config(config: StudyConfig) -> str:
     return "".join(f"{key} = {text}\n" for key, text in _encoded(config).items())
 
 
-def _check_choice(f, value) -> None:
-    """Reject a value outside the field's allowed values (if it lists any)."""
+def _check_value(f, value) -> None:
+    """Reject a value outside the field's allowed values (if it lists any), and
+    a non-finite number in a float, Floats or Windows field."""
     choices = f.metadata["choices"]
     if choices and value not in choices:
         raise DomainError(f"{f.metadata['key']} must be one of {choices}, got {value!r}")
+    if f.type in ("float", "Floats", "Windows"):
+        numbers = [value] if f.type == "float" else [v for v in value if v is not None]
+        if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
+            text = _CODECS[f.type][1](value)
+            raise DomainError(f"{f.metadata['key']} must be finite, got {text}")
 
 
 def parse_config(text: str, base: StudyConfig | None = None) -> StudyConfig:
@@ -203,7 +210,7 @@ def parse_config(text: str, base: StudyConfig | None = None) -> StudyConfig:
         f = by_key[key]
         try:
             updates[f.name] = _CODECS[f.type][0](value.strip())
-            _check_choice(f, updates[f.name])
+            _check_value(f, updates[f.name])
         except (ValueError, DomainError) as exc:
             raise DomainError(f"config line {lineno}: {exc}") from exc
     return replace(base if base is not None else StudyConfig(), **updates)
@@ -364,7 +371,7 @@ def _write_json(report: StudyReport, path: str, config: StudyConfig) -> None:
 def run(config: StudyConfig) -> tuple[StudyReport, int]:
     """Execute one configured study and write its CSV/JSON reports."""
     for f in fields(config):
-        _check_choice(f, getattr(config, f.name))
+        _check_value(f, getattr(config, f.name))
     started = time.time()
     # the cache creates and locks its root at the study's first block lookup
     cache = KernelCache(default_root(config.cache_dir or None)) if config.cache_enabled else None

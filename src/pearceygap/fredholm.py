@@ -72,6 +72,8 @@ class GapQuery:
         times = tuple(float(t) for t in self.times)
         if not times:
             raise DomainError("at least one time is required")
+        if not all(math.isfinite(t) for t in times):
+            raise DomainError(f"times must be finite, got {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise DomainError(f"times must be strictly ascending, got {times}")
         if len(self.windows) != len(times):

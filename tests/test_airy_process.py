@@ -6,12 +6,13 @@ import pytest
 from pearceygap.airy_process import (
     AiryContour,
     airy_block,
+    airy_block_grid,
     airy_heat_term,
     airy_kernel,
     extended_airy,
     extended_airy_contour,
 )
-from pearceygap.exceptions import ContourError, DomainError
+from pearceygap.exceptions import AccuracyError, ContourError, DomainError
 from pearceygap.specfun import airy, gauss_rule
 
 
@@ -161,3 +162,11 @@ def test_block_gate_fires_only_for_ascending_times():
     )
     want = extended_airy(-0.3, 0.3, x, y) - airy_heat_term(0.6, x, y)
     assert airy_block(-0.3, 0.3, x, y) == pytest.approx(want, abs=1e-14)
+
+
+def test_lambda_tail_check_rejects_undecayed_integrand():
+    # with t_i - t_j = -8 the weight e^{8 lam} outgrows the Airy decay by the
+    # tail cut (endpoint/max ~ 1.4e8); at -6 the integrand has decayed
+    with pytest.raises(AccuracyError, match="not decayed"):
+        airy_block_grid(-4.0, 4.0, [0.0], [0.0])
+    assert np.isfinite(airy_block_grid(-3.0, 3.0, [0.0], [0.0])).all()

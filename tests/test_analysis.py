@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,64 @@ def test_pde_study_radius_covers_every_block(monkeypatch):
             rays = _x_rays(free, tau, coord) + _y_rays(free, tau, coord)
             block_radii.extend(ray[3] for ray in rays)
     assert max(block_radii) <= radius
+
+
+# every derivative the PDE study takes; each has total order >= 2, so its
+# central stencil is exact on cubics
+_PDE_DERIVATIVES = [
+    {"dtau": 3},
+    {"dxi": 2},
+    {"dxi": 3},
+    *({axis: 1, "dxi": 2} for axis in ("dtau", "dsigma", "deta", "dmu", "dnu")),
+    {"dtau": 1, "dxi": 1},
+    {"dtau": 1, "dxi": 1, "deta": 1},
+]
+
+
+@pytest.mark.parametrize("orders", _PDE_DERIVATIVES)
+def test_derivative_exact_on_cubics(orders):
+    rng = np.random.default_rng(7)
+    powers = [p for p in itertools.product(range(4), repeat=6) if sum(p) <= 3]
+    for _ in range(3):
+        coeffs = rng.uniform(-1.0, 1.0, len(powers))
+
+        def f(**offsets):
+            x = [offsets.get(axis, 0.0) for axis in analysis._PDE_AXES]
+            return sum(c * np.prod([xa**pa for xa, pa in zip(x, p)])
+                       for c, p in zip(coeffs, powers))
+
+        target = tuple(orders.get(axis, 0) for axis in analysis._PDE_AXES)
+        exact = coeffs[powers.index(target)] * np.prod([math.factorial(n) for n in target])
+        for h in (0.05, 0.025):
+            assert analysis._derivative(f, h, **orders) == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("orders", [{"dtau": 1}, {"dxi": 2}, {"dtau": 3, "dxi": 1}])
+def test_derivative_skips_zero_weight_points(orders):
+    h = 0.1
+    calls = []
+
+    def f(**offsets):
+        calls.append(tuple(round(offsets[axis] / h) for axis in orders))
+        return 1.0
+
+    analysis._derivative(f, h, **orders)
+    nonzero = {1: (-1, 1), 2: (-1, 0, 1), 3: (-2, -1, 1, 2)}
+    expected = set(itertools.product(*(nonzero[n] for n in orders.values())))
+    assert sorted(calls) == sorted(expected)  # each once, none at zero weight
+
+
+def test_pde_study_computes_each_query_once(monkeypatch):
+    queries = []
+
+    def record(query):
+        queries.append(query)
+        return 0.0
+
+    monkeypatch.setattr(analysis, "log_gap_probability", record)
+    pde_residual(PdeGrid())
+    # the h and h/2 passes share the base point and +-h along tau and xi
+    assert len(queries) == len(set(queries)) == 130
 
 
 @pytest.mark.parametrize(

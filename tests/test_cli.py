@@ -153,6 +153,13 @@ def test_inconclusive_study_exits_2(tmp_path, monkeypatch):
         ["theorem", "--tau1=", "--no-cache"],  # no points to fit
         ["theorem", "--windows", "none,-1:6", "--tau1", "30,60", "--no-cache"],
         ["pde", "--nodes-per-ray", "2"],
+        # non-finite numbers
+        ["gap", "--family", "pearcey", "--times", "nan", "--windows", "-1:1", "--no-cache"],
+        ["gap", "--family", "pearcey", "--times", "inf", "--windows", "-1:1", "--no-cache"],
+        ["pde", "--tau", "nan", "--no-cache"],
+        ["pde", "--step", "nan", "--no-cache"],
+        ["theorem", "--tau1", "30,nan", "--no-cache"],
+        ["identities", "--tolerance", "nan", "--no-cache"],
     ],
 )
 def test_configuration_errors_exit_3(argv, tmp_path, monkeypatch, capsys):
@@ -176,6 +183,15 @@ def test_run_rejects_values_outside_field_choices(change, key, tmp_path, monkeyp
     config = StudyConfig(cache_dir=str(tmp_path / "cache"), **change)
     with pytest.raises(DomainError, match=rf"^{re.escape(key)} must be one of"):
         run(config)
+    assert os.listdir(tmp_path) == []  # rejected before the cache or any report
+
+
+def test_non_finite_numbers_rejected_from_config_and_library(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DomainError, match=r"^config line 2: pde.tau must be finite"):
+        parse_config("study.kind = pde\npde.tau = inf\n")
+    with pytest.raises(DomainError, match=r"^gap.windows must be finite"):
+        run(StudyConfig(windows=((-1.0, math.nan),), cache_dir=str(tmp_path / "cache")))
     assert os.listdir(tmp_path) == []  # rejected before the cache or any report
 
 

@@ -235,6 +235,9 @@ def test_accuracy_error_when_certificate_fails():
         dict(family="airy", times=(0.0,), windows=((0.0, 1.0),), m=1),
         dict(family="pearcey-conjugated", times=(0.0,), windows=(None,)),
         dict(family="custom", times=(0.0,), windows=(None,)),
+        dict(family="airy", times=(math.nan,), windows=((0.0, 1.0),)),
+        dict(family="airy", times=(0.0, math.inf), windows=(None, None)),
+        dict(family="pearcey", times=(-math.inf, 1.0), windows=(None, None)),
     ],
 )
 def test_query_validation(kwargs):
