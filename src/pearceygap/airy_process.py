@@ -15,8 +15,8 @@ Fredholm determinant), so Ai is evaluated once per window, not twice per block.
 
 Block entries subtract a heat-kernel term when the first time is strictly
 smaller than the second.  Each routine is addressed by its two times and its
-points, (t_i, t_j, xs, ys); extended_airy, airy_block and the near-diagonal
-branch of airy_kernel each read one entry of their grid routine.
+points, (t_i, t_j, xs, ys); one entry is grid[0, 0] (the near-diagonal branch
+of airy_kernel reads it this way).
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ from .specfun import airy, gauss_rule, ray_rule
 __all__ = [
     "AiryContour",
     "airy_kernel",
-    "extended_airy",
     "extended_airy_grid",
     "extended_airy_contour",
     "airy_heat_term",
-    "airy_block",
     "airy_block_grid",
 ]
 
@@ -81,11 +79,6 @@ def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray
     return (ax * (w * np.exp(-dt * lam))[None, :]) @ ay.T
 
 
-def extended_airy(t_i: float, t_j: float, x: float, y: float) -> float:
-    """One extended_airy_grid entry."""
-    return float(extended_airy_grid(t_i, t_j, x, y)[0, 0])
-
-
 def airy_kernel(x: float, y: float) -> float:
     """Static Airy kernel; quotient form away from the diagonal, the
     lambda-integral inside |x - y| < 1e-3 where the quotient cancels."""
@@ -97,7 +90,7 @@ def airy_kernel(x: float, y: float) -> float:
         vx = airy(x)
         vy = airy(y)
         return (vx.ai * vy.aip - vy.ai * vx.aip) / (x - y)
-    return extended_airy(0.0, 0.0, x, y)
+    return float(extended_airy_grid(0.0, 0.0, x, y)[0, 0])
 
 
 def airy_heat_term(t: float, x, y):
@@ -123,11 +116,6 @@ def airy_block_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray:
     if t_i < t_j:
         out = out - airy_heat_term(t_j - t_i, xs[:, None], ys[None, :])
     return out
-
-
-def airy_block(t_i: float, t_j: float, x: float, y: float) -> float:
-    """One airy_block_grid entry."""
-    return float(airy_block_grid(t_i, t_j, x, y)[0, 0])
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,13 @@ class StudyReport:
         return "pass" if self.passed else "fail"
 
 
+def _require_finite(**values) -> None:
+    """Reject a non-finite number in any of the named scalars or grids."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # differential identities
 
@@ -134,12 +141,12 @@ def identity2_residual(x: float, y: float, s: float) -> float:
     return lhs - rhs
 
 
-def identity_grid_study(
-    x_grid=None, y_grid=None, s_grid=(0.1, 0.3, 0.6), tolerance=1e-7
-) -> StudyReport:
+def identity_grid_study(x_grid=(-1.0, -0.5, 0.0, 0.5, 1.0), y_grid=(-1.0, -0.5, 0.0, 0.5, 1.0),
+                        s_grid=(0.1, 0.3, 0.6), tolerance=1e-7) -> StudyReport:
     """Both identity residuals tabulated over a (x, y, s) product grid."""
-    x_grid = np.linspace(-1.0, 1.0, 5) if x_grid is None else np.asarray(x_grid, float)
-    y_grid = np.linspace(-1.0, 1.0, 5) if y_grid is None else np.asarray(y_grid, float)
+    _require_finite(x_grid=x_grid, y_grid=y_grid, s_grid=s_grid, tolerance=tolerance)
+    x_grid = np.asarray(x_grid, float)
+    y_grid = np.asarray(y_grid, float)
     if tolerance <= 0.0:
         raise DomainError("tolerance must be positive")
     if 0 in (len(x_grid), len(y_grid), len(s_grid)):
@@ -209,15 +216,14 @@ def _kernel_residual(params: ScalingParams, points, contour=None) -> float:
 def proposition_slope(
     t: float,
     s: float,
-    z_grid=None,
+    z_grid=tuple(float(z) for z in np.geomspace(0.35, 0.15, 6)),
     sample_points=_DEFAULT_POINTS,
 ) -> StudyReport:
     """Fit the decay order of the conjugated-kernel error against z.
 
     Expected order: 8 when the two times average to zero, 4 otherwise.
     """
-    if z_grid is None:
-        z_grid = np.geomspace(0.35, 0.15, 6)
+    _require_finite(t=t, s=s, z_grid=z_grid)
     z_grid = np.sort(np.asarray(z_grid, dtype=float))[::-1]
     if z_grid.size < 2:
         raise DomainError("z grid needs at least two points for a fit")
@@ -296,7 +302,7 @@ def _ratio_deviation(params, windows, m, single_time, certify, airy_log_p) -> fl
         times=times,
         windows=windows,
         m=m,
-        params=params,
+        z=params.z,
         certify=certify,
     )
     return math.expm1(log_gap_probability(qp) - airy_log_p(certify))
@@ -319,6 +325,7 @@ def theorem_ratio_study(
     excluded from the fit.  The ablation drops the product term of the
     second-time matching rule and refits: the law must visibly break.
     """
+    _require_finite(tau1_grid=tau1_grid, t1=t1, t2=t2)
     tau1_grid = np.asarray(tau1_grid, dtype=float)
     if np.any(tau1_grid <= 0.0):
         raise DomainError("tau1 grid must be positive")
@@ -448,6 +455,7 @@ class PdeGrid:
     nodes_per_ray: int = 384
 
     def __post_init__(self):
+        _require_finite(**{f.name: getattr(self, f.name) for f in dataclass_fields(self)})
         if self.h <= 0.0:
             raise DomainError("step h must be positive")
         if self.nodes_per_ray and self.nodes_per_ray < 4:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import inspect
 import json
 import math
 import re
@@ -51,9 +52,7 @@ _STUDIES = {
 # config-key sections whose flags every subcommand takes
 _SHARED_SECTIONS = ("output", "cache")
 
-_Z_GRID_DEFAULT = tuple(float(z) for z in np.geomspace(0.35, 0.15, 6))
 _TAU1_DEFAULT = (30.0, 60.0, 120.0, 240.0, 480.0, 960.0)
-_GRID5 = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 # frozen one-time GUE edge value from the Painleve II oracle, used as the
 # oracle-painleve self-check
@@ -62,6 +61,11 @@ _F2_AT_ZERO = 0.9693728283552667
 # value kinds that are tuples; a field's annotation names its kind
 Floats = tuple[float, ...]  # config text "0.0,0.5"
 Windows = tuple[tuple[float, float] | None, ...]  # config text "-1.0:6.0,none"
+
+
+def _default(study, name: str):
+    """The default the library function study declares for its parameter name."""
+    return inspect.signature(study).parameters[name].default
 
 
 def _key(default, key: str, flag: str | None, help: str, choices: tuple = ()):
@@ -87,29 +91,37 @@ class StudyConfig:
     times: Floats = _key((0.0,), "gap.times", "times", "strictly ascending process times")
     windows: Windows = _key(((-1.0, 6.0),), "gap.windows", "windows",
                             "one lo:hi window per time (or none)")
-    nodes: int = _key(40, "gap.nodes", "nodes", "quadrature nodes per window")
-    certify: bool = _key(True, "gap.certify", "certify", "the m -> 2m refinement certificate")
-    id_x_grid: Floats = _key(_GRID5, "identities.x_grid", "x-grid", "first kernel argument grid")
-    id_y_grid: Floats = _key(_GRID5, "identities.y_grid", "y-grid", "second kernel argument grid")
-    id_s_grid: Floats = _key((0.1, 0.3, 0.6), "identities.s_grid", "s-grid", "time-separation grid")
-    id_tolerance: float = _key(1e-7, "identities.tolerance", "tolerance",
-                               "max allowed absolute residual")
+    nodes: int = _key(GapQuery.m, "gap.nodes", "nodes", "quadrature nodes per window")
+    certify: bool = _key(GapQuery.certify, "gap.certify", "certify",
+                         "the m -> 2m refinement certificate")
+    id_x_grid: Floats = _key(_default(identity_grid_study, "x_grid"), "identities.x_grid",
+                             "x-grid", "first kernel argument grid")
+    id_y_grid: Floats = _key(_default(identity_grid_study, "y_grid"), "identities.y_grid",
+                             "y-grid", "second kernel argument grid")
+    id_s_grid: Floats = _key(_default(identity_grid_study, "s_grid"), "identities.s_grid",
+                             "s-grid", "time-separation grid")
+    id_tolerance: float = _key(_default(identity_grid_study, "tolerance"), "identities.tolerance",
+                               "tolerance", "max allowed absolute residual")
     prop_t: float = _key(0.0, "prop21.t", "t", "mean Airy time")
     prop_s: float = _key(0.5, "prop21.s", "s", "half time-difference")
-    prop_z_grid: Floats = _key(_Z_GRID_DEFAULT, "prop21.z_grid", "z", "scaling parameter grid")
+    prop_z_grid: Floats = _key(_default(proposition_slope, "z_grid"), "prop21.z_grid", "z",
+                               "scaling parameter grid")
     thm_tau1_grid: Floats = _key(_TAU1_DEFAULT, "theorem.tau1_grid", "tau1",
                                  "Pearcey time grid (ascending)")
-    thm_t1: float = _key(-0.5, "theorem.t1", "t1", "first Airy time")
-    thm_t2: float = _key(0.5, "theorem.t2", "t2", "second Airy time")
-    thm_windows: Windows = _key(((-1.0, 6.0), (-1.0, 6.0)), "theorem.windows", "windows",
-                                "Airy-coordinate lo:hi windows")
-    thm_nodes: int = _key(30, "theorem.nodes", "nodes", "quadrature nodes per window")
-    thm_single_time: bool = _key(False, "theorem.single_time", "single-time",
-                                 "the one-time variant")
-    thm_ablate: bool = _key(True, "theorem.ablate", "ablate",
+    thm_t1: float = _key(_default(theorem_ratio_study, "t1"), "theorem.t1", "t1",
+                         "first Airy time")
+    thm_t2: float = _key(_default(theorem_ratio_study, "t2"), "theorem.t2", "t2",
+                         "second Airy time")
+    thm_windows: Windows = _key(_default(theorem_ratio_study, "airy_windows"), "theorem.windows",
+                                "windows", "Airy-coordinate lo:hi windows")
+    thm_nodes: int = _key(_default(theorem_ratio_study, "m"), "theorem.nodes", "nodes",
+                          "quadrature nodes per window")
+    thm_single_time: bool = _key(_default(theorem_ratio_study, "single_time"),
+                                 "theorem.single_time", "single-time", "the one-time variant")
+    thm_ablate: bool = _key(_default(theorem_ratio_study, "ablate"), "theorem.ablate", "ablate",
                             "the rerun with the time-matching cross term dropped")
-    thm_certify: bool = _key(True, "theorem.certify", "certify",
-                             "the node-refinement certificate per point")
+    thm_certify: bool = _key(_default(theorem_ratio_study, "certify"), "theorem.certify",
+                             "certify", "the node-refinement certificate per point")
     pde_tau: float = _key(PdeGrid.tau, "pde.tau", "tau", "base point: mean time")
     pde_sigma: float = _key(PdeGrid.sigma, "pde.sigma", "sigma",
                             "base point: half time-difference")

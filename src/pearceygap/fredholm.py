@@ -28,7 +28,6 @@ from . import cache as cache_mod
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, ValidityError
 from .pearcey_process import PearceyContour, conjugated_block_grid, pearcey_block_grid
-from .scaling import ScalingParams
 from .specfun import gauss_rule
 
 __all__ = [
@@ -52,16 +51,15 @@ class GapQuery:
     windows[k] is the open interval observed at times[k], or None when that
     time observes nothing (an empty window contributes probability factor 1).
     m is the per-window node count of the reported value; the certificate
-    recomputes at 2m.  The pearcey-conjugated family needs params, of which
-    its blocks read only the scale z; custom needs kernel(t_i, t_j, x_i, x_j)
-    returning the block grid.
+    recomputes at 2m.  The pearcey-conjugated family needs the scale z in
+    (0, 1); custom needs kernel(t_i, t_j, x_i, x_j) returning the block grid.
     """
 
     family: str
     times: tuple
     windows: tuple
     m: int = 40
-    params: ScalingParams | None = None
+    z: float | None = None
     contour: PearceyContour | None = None
     kernel: Callable | None = None
     certify: bool = True
@@ -91,12 +89,15 @@ class GapQuery:
             windows.append((a, b))
         if self.m < 2:
             raise DomainError(f"need at least 2 nodes per window, got m={self.m}")
-        if self.family == "pearcey-conjugated" and self.params is None:
-            raise DomainError("pearcey-conjugated queries need params")
+        # a float, so that the block cache record reads the same for any number type
+        z = None if self.z is None else float(self.z)
+        if self.family == "pearcey-conjugated" and not (z is not None and 0.0 < z < 1.0):
+            raise DomainError(f"pearcey-conjugated queries need z in (0, 1), got {self.z}")
         if self.family == "custom" and self.kernel is None:
             raise DomainError("custom queries need a kernel callable")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "windows", tuple(windows))
+        object.__setattr__(self, "z", z)
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ _BLOCK_CACHE = None
 _RECORDS = {
     "airy": lambda q: "",
     "pearcey": lambda q: repr(q.contour),
-    "pearcey-conjugated": lambda q: f"{q.contour!r}|z={q.params.z!r}",
+    "pearcey-conjugated": lambda q: f"{q.contour!r}|z={q.z!r}",
 }
 
 
@@ -150,7 +151,7 @@ def _block_value(query: GapQuery, t_i, t_j, x_i, x_j, sides) -> np.ndarray:
     if query.family == "pearcey":
         return pearcey_block_grid(t_i, t_j, x_i, x_j, query.contour, sides)
     if query.family == "pearcey-conjugated":
-        return conjugated_block_grid(query.params.z, t_i, t_j, x_i, x_j, query.contour)
+        return conjugated_block_grid(query.z, t_i, t_j, x_i, x_j, query.contour)
     return np.asarray(query.kernel(t_i, t_j, x_i, x_j), dtype=float)
 
 

@@ -25,15 +25,18 @@ checks, and fu^T M fv, at a fixed node count or adaptively doubled.
   block's own address for a conjugated block.  The recentred exponent is an
   exact quartic polynomial in u whose coefficients suffer z^{-12}-sized
   cancellations, so they are prepared once per (z, t) in 50-digit arithmetic
-  and cast to float; node evaluation stays vectorized float64.  The left
-  X-pair's contribution is exponentially small (e^{-3 tau^2/4}-sized) and is
-  dropped; the mode therefore requires tau >= 5.
+  and cast to float; node evaluation stays vectorized float64.  The
+  coefficients include the conjugation's large exponent phi = phi0 + phi1 x;
+  a conjugated block also takes off h = z^4 x (x + 6 t^2)/4, and a raw
+  recentred block takes phi off again.  The left X-pair's contribution is
+  exponentially small (e^{-3 tau^2/4}-sized) and is dropped; the mode
+  therefore requires tau >= 5.
 
 Every block routine is addressed by its two times and its points plus the
 family's fixed data: pearcey_block_grid(tau_i, tau_j, xis, etas, contour) and
 conjugated_block_grid(z, t_i, t_j, xs, ys, contour), both gated on the first
-time being the smaller.  pearcey_tilde, pearcey_block and
-conjugated_pearcey_block read one entry of their grid routine.
+time being the smaller.  One entry is grid[0, 0]; the K-tilde part alone is
+the block with tau_i >= tau_j.
 
 Orientations (the source figures only draw arrows): right X pair downward,
 left X pair upward, Y upward.  They are pinned by the realness, deformation
@@ -55,18 +58,14 @@ from .exceptions import (
     DomainError,
     StabilityError,
 )
-from .scaling import ScalingParams, t_from_tau, x_from_xi
+from .scaling import t_from_tau, x_from_xi
 from .specfun import ray_rule
 
 __all__ = [
     "PearceyContour",
     "RecenterSpec",
     "ray_radius_bound",
-    "ConjugationFactors",
-    "pearcey_tilde",
     "pearcey_gauss_term",
-    "pearcey_block",
-    "conjugated_pearcey_block",
     "pearcey_block_grid",
     "conjugated_tilde_grid",
     "conjugated_gauss_grid",
@@ -155,30 +154,6 @@ class PearceyContour:
             raise ContourError("truncation radius must be positive")
         if self.nodes_per_ray and self.nodes_per_ray < 4:
             raise ContourError("nodes_per_ray must be 0 (adaptive) or >= 4")
-
-
-@dataclass(frozen=True)
-class ConjugationFactors:
-    """The rational conjugation exponents at expansion parameter u (= z^4)."""
-
-    u: float
-
-    def __post_init__(self):
-        if self.u == 0.0:
-            raise DomainError("conjugation exponent is singular at u = 0")
-
-    def phi(self, x, t):
-        u = self.u
-        return (
-            -1.0 / (4.0 * (3.0 * u) ** 3)
-            - t / (3.0 * u) ** 2
-            + (x - t * t) / (3.0 * u)
-            + (4.0 / 3.0) * t * x
-            + (u / 6.0) * t * t * x
-        )
-
-    def h(self, x, t):
-        return (self.u * x / 4.0) * (x + 6.0 * t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -282,40 +257,34 @@ def _to_real(grid: np.ndarray) -> np.ndarray:
 # direct mode
 
 
+def _direct_radius(contour: PearceyContour, quartic: float, angle: float,
+                   tau: float, coord_max: float) -> float:
+    """The contour's fixed radius, else where exp(quartic (w^4/4 - tau w^2/2))
+    along the ray at angle outweighs the time and coordinate terms by the
+    envelope budget: quartic = +1 on the X rays, -1 on the Y rays."""
+    if contour.radius is not None:
+        return contour.radius
+    c4 = -quartic * math.cos(4.0 * angle)  # the quartic term decays where c4 > 0
+    g2 = 0.5 * abs(tau) * max(0.0, -quartic * math.cos(2.0 * angle))
+    return _ray_radius([0.25 * max(c4, 0.02), 0.0, -g2, -coord_max], 1.05)
+
+
 def _x_rays(contour: PearceyContour, tau_i: float, coord_max: float):
     """Right pair downward, left pair upward, vertices at +/-1/2."""
-
-    def radius_for(angle):
-        if contour.radius is not None:
-            return contour.radius
-        c4 = -math.cos(4.0 * angle)  # exp(+U^4/4) decays where cos(4a) < 0
-        g2 = 0.5 * abs(tau_i) * max(0.0, -math.cos(2.0 * angle))
-        return _ray_radius([0.25 * max(c4, 0.02), 0.0, -g2, -coord_max], 1.05)
-
     s1, s1p = contour.sigma1, contour.sigma1p
     s2, s2p = math.pi - contour.sigma2, -(math.pi - contour.sigma2p)
     return [
-        (0.5 + 0.0j, s1, -1.0, radius_for(s1)),
-        (0.5 + 0.0j, -s1p, +1.0, radius_for(-s1p)),
-        (-0.5 + 0.0j, s2, +1.0, radius_for(s2)),
-        (-0.5 + 0.0j, s2p, -1.0, radius_for(s2p)),
+        (vertex, angle, sign, _direct_radius(contour, +1.0, angle, tau_i, coord_max))
+        for vertex, angle, sign in ((0.5 + 0.0j, s1, -1.0), (0.5 + 0.0j, -s1p, +1.0),
+                                    (-0.5 + 0.0j, s2, +1.0), (-0.5 + 0.0j, s2p, -1.0))
     ]
 
 
 def _y_rays(contour: PearceyContour, tau_j: float, coord_max: float):
     """Two rays through the origin, traversed upward."""
-
-    def radius_for(angle):
-        if contour.radius is not None:
-            return contour.radius
-        c4 = math.cos(4.0 * angle)  # exp(-V^4/4) decays where cos(4a) > 0
-        g2 = 0.5 * abs(tau_j) * max(0.0, math.cos(2.0 * angle))
-        return _ray_radius([0.25 * max(c4, 0.02), 0.0, -g2, -coord_max], 1.05)
-
-    up, dn = contour.tau_ang, -contour.tau_angp
     return [
-        (0.0 + 0.0j, up, +1.0, radius_for(up)),
-        (0.0 + 0.0j, dn, -1.0, radius_for(dn)),
+        (0.0 + 0.0j, angle, sign, _direct_radius(contour, -1.0, angle, tau_j, coord_max))
+        for angle, sign in ((contour.tau_ang, +1.0), (-contour.tau_angp, -1.0))
     ]
 
 
@@ -384,9 +353,9 @@ def _side_scalars(z: float, t: float):
 @lru_cache(maxsize=4096)
 def _side_coeffs(z: float, t: float):
     """Quartic exponent coefficients of the recentred variable, plus the
-    side's Pearcey time and scale factor B.  Exact cancellations of size
-    z^{-12} force the high-precision pass; everything returned is a plain
-    float."""
+    side's Pearcey time, scale factor B and conjugation exponents phi0, phi1.
+    Exact cancellations of size z^{-12} force the high-precision pass;
+    everything returned is a plain float."""
     tau, s6, c_, phi0, phi1 = _side_scalars(z, t)
     with mp.workdps(50):
         zm = mp.mpf(z)
@@ -401,8 +370,14 @@ def _side_coeffs(z: float, t: float):
         p4 = -(b_**4) / 4
         q0 = a_ * s6 - phi1
         q1 = b_ * s6
-        out = dict(tau=tau, B=b_, p0=p0, p1=p1, p2=p2, p3=p3, p4=p4, q0=q0, q1=q1)
+        out = dict(tau=tau, B=b_, p0=p0, p1=p1, p2=p2, p3=p3, p4=p4, q0=q0, q1=q1,
+                   phi0=phi0, phi1=phi1)
     return {k: float(v) for k, v in out.items()}
+
+
+def _conj_h(z: float, x, t: float):
+    """The conjugating exponent h = z^4 x (x + 6 t^2)/4 of one side."""
+    return (z**4 * x / 4.0) * (x + 6.0 * t * t)
 
 
 @lru_cache(maxsize=4096)
@@ -476,16 +451,16 @@ def _recentred_grid(spec, t_i, t_j, xs, ys, conjugated, n):
     # V - U in original variables, kept in the well-scaled z*O(1) form
     m = _cauchy(cs_u["B"] * u, wu, uspan, spec.z * (t_j - t_i) + cs_v["B"] * v, wv)
 
-    conj = ConjugationFactors(u=spec.z**4)
     # exponent matrices: columns are x (resp. y) points
     eu = -(_quartic(cs_u, u)[:, None] + (cs_u["q0"] + cs_u["q1"] * u)[:, None] * xs[None, :])
     ev = +(_quartic(cs_v, v)[:, None] + (cs_v["q0"] + cs_v["q1"] * v)[:, None] * ys[None, :])
     if conjugated:
-        eu = eu - conj.h(xs, t_i)[None, :]
-        ev = ev + conj.h(ys, t_j)[None, :]
+        gx, gy = _conj_h(spec.z, xs, t_i), _conj_h(spec.z, ys, t_j)
     else:
-        eu = eu - conj.phi(xs, t_i)[None, :]
-        ev = ev + conj.phi(ys, t_j)[None, :]
+        gx = cs_u["phi0"] + cs_u["phi1"] * xs
+        gy = cs_v["phi0"] + cs_v["phi1"] * ys
+    eu = eu - gx[None, :]
+    ev = ev + gy[None, :]
     pref = -cs_u["B"] * cs_v["B"] / (4.0 * math.pi**2)
     if conjugated:
         pref *= (3.0 * cs_u["tau"]) ** (1.0 / 12.0) * (3.0 * cs_v["tau"]) ** (1.0 / 12.0)
@@ -527,12 +502,6 @@ def _tilde_grid(tau_i, tau_j, xis, etas, contour, sides=None):
     )
 
 
-def pearcey_tilde(tau_i: float, tau_j: float, xi: float, eta: float,
-                  contour: PearceyContour | None = None) -> float:
-    """Double-contour part of the Pearcey kernel at one point."""
-    return float(_tilde_grid(float(tau_i), float(tau_j), xi, eta, contour)[0, 0])
-
-
 def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
                        contour: PearceyContour | None = None, sides=None) -> np.ndarray:
     """The Pearcey kernel block over xis x etas: K-tilde minus the Gaussian
@@ -543,12 +512,6 @@ def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
     if tau_i < tau_j:
         out = out - pearcey_gauss_term(tau_j - tau_i, xis[:, None], etas[None, :])
     return out
-
-
-def pearcey_block(tau_i: float, tau_j: float, xi: float, eta: float,
-                  contour: PearceyContour | None = None) -> float:
-    """One pearcey_block_grid entry."""
-    return float(pearcey_block_grid(tau_i, tau_j, xi, eta, contour)[0, 0])
 
 
 def conjugated_tilde_grid(z: float, t_i: float, t_j: float, xs, ys,
@@ -570,11 +533,10 @@ def conjugated_gauss_grid(z: float, t_i: float, t_j: float, xs, ys) -> np.ndarra
     """Conjugated Gaussian term in Airy coordinates at Airy times t_i < t_j
     (log-space assembly)."""
     sc = _gauss_scalars(z, t_i, t_j)
-    conj = ConjugationFactors(u=z**4)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    log_col = sc["cx"] * xs + sc["qxx"] * xs**2 - conj.h(xs, t_i)
-    log_row = sc["cy"] * ys + sc["qyy"] * ys**2 + conj.h(ys, t_j)
+    log_col = sc["cx"] * xs + sc["qxx"] * xs**2 - _conj_h(z, xs, t_i)
+    log_row = sc["cy"] * ys + sc["qyy"] * ys**2 + _conj_h(z, ys, t_j)
     expo = sc["s0"] + log_col[:, None] + log_row[None, :] + sc["qxy"] * np.outer(xs, ys)
     if float(np.max(expo)) > _EXP_LIMIT:
         raise StabilityError("conjugated Gaussian exponent exceeds float range")
@@ -590,11 +552,3 @@ def conjugated_block_grid(z: float, t_i: float, t_j: float, xs, ys,
     if t_i < t_j:
         out = out - conjugated_gauss_grid(z, t_i, t_j, xs, ys)
     return out
-
-
-def conjugated_pearcey_block(params: ScalingParams, x: float, y: float,
-                             contour: PearceyContour | None = None) -> float:
-    """One conjugated_block_grid entry at params' (z, t1, t2), directly
-    comparable to airy_block(t1, t2, x, y)."""
-    grid = conjugated_block_grid(params.z, params.t1, params.t2, x, y, contour)
-    return float(grid[0, 0])

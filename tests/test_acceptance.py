@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from pearceygap.airy_process import airy_kernel, extended_airy
+from pearceygap.airy_process import airy_kernel, extended_airy_grid
 from pearceygap.analysis import (
     identity_grid_study,
     pde_residual,
@@ -28,7 +28,7 @@ from pearceygap.analysis import (
 from pearceygap.cli import main
 from pearceygap.fredholm import GapQuery, gap_probability, log_gap_probability
 from pearceygap.painleve import tracy_widom_f2
-from pearceygap.pearcey_process import PearceyContour, RecenterSpec, pearcey_tilde
+from pearceygap.pearcey_process import PearceyContour, RecenterSpec, pearcey_block_grid
 from pearceygap.scaling import ScalingParams, map_windows
 from pearceygap.specfun import airy, airy_deriv, gauss_rule
 
@@ -64,7 +64,7 @@ def test_criterion_2_kernel_representation_equivalence():
         for y in pts:
             if abs(x - y) < 1e-3:
                 continue  # the quotient form degenerates on the diagonal
-            worst = max(worst, abs(airy_kernel(x, y) - extended_airy(0.0, 0.0, x, y)))
+            worst = max(worst, abs(airy_kernel(x, y) - extended_airy_grid(0.0, 0.0, x, y)[0, 0]))
     assert worst <= 1e-9
     print(f"[criterion 2] representation gap {worst:.2e} <= 1e-9 on 20x20 grid")
 
@@ -156,7 +156,7 @@ def test_criterion_7_fredholm_engine():
         times=(p.t1, p.t2),
         windows=((-1.0, 6.0), (-1.0, 6.0)),
         m=30,
-        params=p,
+        z=p.z,
         certify=True,
     )
     log_gap_probability(certified)  # raises AccuracyError on failure
@@ -180,7 +180,7 @@ def test_criterion_8_invariance_spot_checks():
     direct = GapQuery(family="pearcey", times=(p.tau2, p.tau1),
                       windows=tuple(wxi), m=30)
     conj = GapQuery(family="pearcey-conjugated", times=(p.t2, p.t1),
-                    windows=(w2x, w1x), m=30, params=p)
+                    windows=(w2x, w1x), m=30, z=p.z)
     gap_conj = abs(gap_probability(direct) - gap_probability(conj))
     assert gap_conj <= 1e-8
 
@@ -192,17 +192,18 @@ def test_criterion_8_invariance_spot_checks():
     direct2 = GapQuery(family="pearcey", times=(p2.tau2, p2.tau1),
                        windows=tuple(wxi2), m=30, contour=rc)
     conj2 = GapQuery(family="pearcey-conjugated", times=(p2.t2, p2.t1),
-                     windows=(w2x, w1x), m=30, params=p2)
+                     windows=(w2x, w1x), m=30, z=p2.z)
     gap_conj2 = abs(gap_probability(direct2) - gap_probability(conj2))
     assert gap_conj2 <= 1e-8
 
     # contour-deformation invariance of the direct kernel
-    base = pearcey_tilde(2.0, 1.5, 0.7, -0.4)
-    moved = pearcey_tilde(
+    # tau_i > tau_j, so the block is the double-contour part alone
+    base = pearcey_block_grid(2.0, 1.5, 0.7, -0.4)[0, 0]
+    moved = pearcey_block_grid(
         2.0, 1.5, 0.7, -0.4,
         PearceyContour(sigma1=0.48, sigma1p=1.05, sigma2=0.52, sigma2p=1.11,
                        tau_ang=1.27, tau_angp=1.82),
-    )
+    )[0, 0]
     gap_deform = abs(moved - base)
     assert gap_deform <= 1e-8
     print(f"[criterion 8] conjugation gaps {gap_conj:.2e}, {gap_conj2:.2e}; "

@@ -5,12 +5,11 @@ import pytest
 
 from pearceygap.airy_process import (
     AiryContour,
-    airy_block,
     airy_block_grid,
     airy_heat_term,
     airy_kernel,
-    extended_airy,
     extended_airy_contour,
+    extended_airy_grid,
 )
 from pearceygap.exceptions import AccuracyError, ContourError, DomainError
 from pearceygap.specfun import airy, gauss_rule
@@ -27,7 +26,7 @@ def test_static_symmetry():
 
 
 def test_quotient_vs_lambda_integral_single_point():
-    assert abs(airy_kernel(0.0, 1.0) - extended_airy(0.0, 0.0, 0.0, 1.0)) <= 1e-9
+    assert abs(airy_kernel(0.0, 1.0) - extended_airy_grid(0.0, 0.0, 0.0, 1.0)[0, 0]) <= 1e-9
 
 
 def test_representation_equivalence_grid():
@@ -38,7 +37,7 @@ def test_representation_equivalence_grid():
         for y in pts:
             if abs(x - y) < 1e-3:
                 continue
-            v = abs(airy_kernel(x, y) - extended_airy(0.0, 0.0, x, y))
+            v = abs(airy_kernel(x, y) - extended_airy_grid(0.0, 0.0, x, y)[0, 0])
             worst = max(worst, v)
     assert worst <= 1e-9
 
@@ -47,7 +46,7 @@ def test_kernel_smooth_through_diagonal_split():
     # quotient and lambda-integral branches must agree near the handover
     for x in (-1.3, 0.2, 2.4):
         y = x + 1.1e-3  # quotient side of the split
-        assert abs(airy_kernel(x, y) - extended_airy(0.0, 0.0, x, y)) <= 1e-9
+        assert abs(airy_kernel(x, y) - extended_airy_grid(0.0, 0.0, x, y)[0, 0]) <= 1e-9
 
 
 def test_diagonal_positivity():
@@ -61,31 +60,32 @@ def test_far_right_decay():
 
 def test_extended_equal_times_reduces_to_static():
     for x, y in [(0.4, -0.2), (-1.0, 2.0)]:
-        assert abs(extended_airy(0.7, 0.7, x, y) - airy_kernel(x, y)) <= 1e-10
+        assert abs(extended_airy_grid(0.7, 0.7, x, y)[0, 0] - airy_kernel(x, y)) <= 1e-10
 
 
 def test_extended_argument_symmetry():
-    a = extended_airy(0.2, -0.2, 0.5, -0.3)
-    assert abs(a - extended_airy(0.2, -0.2, -0.3, 0.5)) <= 1e-14
+    a = extended_airy_grid(0.2, -0.2, 0.5, -0.3)[0, 0]
+    assert abs(a - extended_airy_grid(0.2, -0.2, -0.3, 0.5)[0, 0]) <= 1e-14
 
 
 def test_extended_time_negation_relabeling():
     # integrand relabeling: K(t_i, t_j, x, y) = K(-t_j, -t_i, y, x)
-    a = extended_airy(0.2, -0.3, 0.5, -0.3)
-    b = extended_airy(0.3, -0.2, -0.3, 0.5)
+    a = extended_airy_grid(0.2, -0.3, 0.5, -0.3)[0, 0]
+    b = extended_airy_grid(0.3, -0.2, -0.3, 0.5)[0, 0]
     assert abs(a - b) <= 1e-13
 
 
 def test_antisymmetric_pair_is_fully_symmetric():
     # for times (s, -s) the relabeling closes on itself
     s = 0.35
-    assert abs(extended_airy(s, -s, 0.8, -0.1) - extended_airy(s, -s, -0.1, 0.8)) <= 1e-12
+    grid = extended_airy_grid(s, -s, [0.8, -0.1], [0.8, -0.1])
+    assert abs(grid[0, 1] - grid[1, 0]) <= 1e-12
 
 
 def test_gate_bookkeeping_against_two_sided_integral():
     # for t_i < t_j:  K_tilde - heat = -integral over (-inf, 0)
     t_i, t_j, x, y = -0.3, 0.3, 0.4, -0.6
-    lhs = extended_airy(t_i, t_j, x, y) - airy_heat_term(t_j - t_i, x, y)
+    lhs = extended_airy_grid(t_i, t_j, x, y)[0, 0] - airy_heat_term(t_j - t_i, x, y)
     rule = gauss_rule(1200, -70.0, 0.0)
     lam, w = rule.nodes, rule.weights
     vals = airy(x + lam).ai * airy(y + lam).ai * np.exp(-(t_i - t_j) * lam)
@@ -98,7 +98,7 @@ def test_extended_matches_double_contour_oracle():
         theta1=math.pi / 3, theta1p=math.pi / 3, theta2=math.pi / 3, theta2p=math.pi / 3
     )
     lhs = extended_airy_contour(0.2, -0.2, 0.5, -0.3, contour)
-    assert abs(lhs - extended_airy(0.2, -0.2, 0.5, -0.3)) <= 1e-7
+    assert abs(lhs - extended_airy_grid(0.2, -0.2, 0.5, -0.3)[0, 0]) <= 1e-7
 
 
 def test_contour_oracle_handles_ascending_times():
@@ -106,7 +106,7 @@ def test_contour_oracle_handles_ascending_times():
         theta1=math.pi / 3, theta1p=math.pi / 3, theta2=math.pi / 3, theta2p=math.pi / 3
     )
     lhs = extended_airy_contour(-0.2, 0.2, 0.5, -0.3, contour)
-    assert abs(lhs - extended_airy(-0.2, 0.2, 0.5, -0.3)) <= 1e-7
+    assert abs(lhs - extended_airy_grid(-0.2, 0.2, 0.5, -0.3)[0, 0]) <= 1e-7
 
 
 def test_contour_deformation_invariance():
@@ -154,14 +154,14 @@ def test_heat_term_solves_heat_flow_identity():
 
 def test_block_gate_fires_only_for_ascending_times():
     x, y = 0.1, 0.2
-    assert airy_block(0.3, -0.3, x, y) == pytest.approx(
-        extended_airy(0.3, -0.3, x, y), abs=1e-14
+    assert airy_block_grid(0.3, -0.3, x, y)[0, 0] == pytest.approx(
+        extended_airy_grid(0.3, -0.3, x, y)[0, 0], abs=1e-14
     )
-    assert airy_block(0.3, 0.3, x, y) == pytest.approx(
-        extended_airy(0.3, 0.3, x, y), abs=1e-14
+    assert airy_block_grid(0.3, 0.3, x, y)[0, 0] == pytest.approx(
+        extended_airy_grid(0.3, 0.3, x, y)[0, 0], abs=1e-14
     )
-    want = extended_airy(-0.3, 0.3, x, y) - airy_heat_term(0.6, x, y)
-    assert airy_block(-0.3, 0.3, x, y) == pytest.approx(want, abs=1e-14)
+    want = extended_airy_grid(-0.3, 0.3, x, y)[0, 0] - airy_heat_term(0.6, x, y)
+    assert airy_block_grid(-0.3, 0.3, x, y)[0, 0] == pytest.approx(want, abs=1e-14)
 
 
 def test_lambda_tail_check_rejects_undecayed_integrand():

@@ -11,6 +11,7 @@ from pearceygap.analysis import (
     PsiOperator,
     identity1_residual,
     identity2_residual,
+    identity_grid_study,
     pde_residual,
     proposition_slope,
     theorem_ratio_study,
@@ -272,3 +273,27 @@ def test_pde_study_computes_each_query_once(monkeypatch):
 def test_pde_grid_validation(kwargs):
     with pytest.raises(DomainError):
         PdeGrid(**kwargs)
+
+
+_NON_FINITE_CALLS = {
+    "theorem-tau1": (theorem_ratio_study, ([30.0, math.nan],), {}),
+    "theorem-t1": (theorem_ratio_study, ([30.0, 60.0],), {"t1": math.nan}),
+    "theorem-t2": (theorem_ratio_study, ([30.0, 60.0],), {"t2": math.nan}),
+    "prop21-t": (proposition_slope, (math.nan, 0.5), {}),
+    "prop21-s": (proposition_slope, (0.0, math.inf), {}),
+    "prop21-z": (proposition_slope, (0.0, 0.5), {"z_grid": [0.3, math.nan]}),
+    "identities-tolerance": (identity_grid_study, ([0.0], [0.0], [0.3]), {"tolerance": math.nan}),
+    "identities-tolerance-inf": (identity_grid_study, ([0.0], [0.0], [0.3], math.inf), {}),
+    "identities-x": (identity_grid_study, ([math.nan], [0.0], [0.3]), {}),
+    "identities-y": (identity_grid_study, ([0.0], [-math.inf], [0.3]), {}),
+    "identities-s": (identity_grid_study, ([0.0], [0.0], [math.nan]), {}),
+    **{f"pde-{name}": (PdeGrid, (), {name: math.nan})
+       for name in ("tau", "sigma", "xi", "eta", "mu", "nu", "h")},
+}
+
+
+@pytest.mark.parametrize("case", _NON_FINITE_CALLS)
+def test_studies_reject_non_finite_numbers(case):
+    study, args, kwargs = _NON_FINITE_CALLS[case]
+    with pytest.raises(DomainError, match="must be"):
+        study(*args, **kwargs)

@@ -147,7 +147,7 @@ def test_conjugation_invariance_large_tau():
         times=(p.t2, p.t1),
         windows=(w2x, w1x),
         m=30,
-        params=p,
+        z=p.z,
     )
     assert abs(gap_probability(qd) - gap_probability(qc)) <= 1e-8
 
@@ -159,7 +159,7 @@ def test_conjugation_invariance_direct_single_time():
     wxi = map_windows([wx], p.tau1)
     qd = GapQuery(family="pearcey", times=(p.tau1,), windows=tuple(wxi), m=30)
     qc = GapQuery(
-        family="pearcey-conjugated", times=(0.0,), windows=(wx,), m=30, params=p
+        family="pearcey-conjugated", times=(0.0,), windows=(wx,), m=30, z=p.z
     )
     assert abs(gap_probability(qd) - gap_probability(qc)) <= 1e-8
 
@@ -176,7 +176,7 @@ def test_conjugation_invariance_direct_two_time():
         times=(p.t2, p.t1),
         windows=(w2x, w1x),
         m=30,
-        params=p,
+        z=p.z,
     )
     assert abs(gap_probability(qd) - gap_probability(qc)) <= 1e-8
 
@@ -188,7 +188,7 @@ def test_single_pearcey_window_against_conjugated_certificates():
         times=(p.t2, p.t1),
         windows=((-1.0, 4.0), (-0.5, 4.5)),
         m=40,
-        params=p,
+        z=p.z,
     )
     prob = gap_probability(q)  # certificate m=40 vs m=80 must pass
     assert 0.0 < prob <= 1.0
@@ -238,11 +238,23 @@ def test_accuracy_error_when_certificate_fails():
         dict(family="airy", times=(math.nan,), windows=((0.0, 1.0),)),
         dict(family="airy", times=(0.0, math.inf), windows=(None, None)),
         dict(family="pearcey", times=(-math.inf, 1.0), windows=(None, None)),
+        dict(family="pearcey-conjugated", times=(0.0,), windows=(None,), z=math.nan),
+        dict(family="pearcey-conjugated", times=(0.0,), windows=(None,), z=0.0),
+        dict(family="pearcey-conjugated", times=(0.0,), windows=(None,), z=1.0),
     ],
 )
 def test_query_validation(kwargs):
     with pytest.raises(DomainError):
         GapQuery(**kwargs)
+
+
+def test_conjugated_cache_record_is_independent_of_the_number_type_of_z():
+    records = {
+        fredholm._RECORDS["pearcey-conjugated"](
+            GapQuery(family="pearcey-conjugated", times=(0.0,), windows=((0.0, 1.0),), z=z))
+        for z in (0.3, np.float64(0.3))
+    }
+    assert records == {"None|z=0.3"}
 
 
 def test_block_discretization_skips_empty_windows():

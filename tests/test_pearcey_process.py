@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pearceygap.airy_process import airy_block, airy_block_grid, airy_heat_term, airy_kernel
+from pearceygap.airy_process import airy_block_grid, airy_heat_term, airy_kernel
 from pearceygap.exceptions import (
     AccuracyError,
     ContourError,
@@ -13,17 +13,13 @@ from pearceygap.exceptions import (
 from pearceygap import pearcey_process
 from pearceygap.analysis import PdeGrid, _pde_contour
 from pearceygap.pearcey_process import (
-    ConjugationFactors,
     PearceyContour,
     RecenterSpec,
     conjugated_block_grid,
     conjugated_gauss_grid,
-    conjugated_pearcey_block,
     conjugated_tilde_grid,
-    pearcey_block,
     pearcey_block_grid,
     pearcey_gauss_term,
-    pearcey_tilde,
 )
 from pearceygap.scaling import ScalingParams, tau_from_z, xi_from_x
 
@@ -60,26 +56,26 @@ def brute_force_tilde(tau_i, tau_j, xi, eta, reach=7.0, n=1200):
 
 
 def test_tilde_matches_brute_force_quadrature():
-    got = pearcey_tilde(1.0, 1.0, 0.0, 0.0)
+    got = pearcey_block_grid(1.0, 1.0, 0.0, 0.0)[0, 0]
     ref = brute_force_tilde(1.0, 1.0, 0.0, 0.0)
     assert abs(got - ref) <= 1e-7
 
 
 def test_tilde_matches_brute_force_two_time():
-    got = pearcey_tilde(2.0, 1.5, 0.7, -0.4)
+    got = pearcey_block_grid(2.0, 1.5, 0.7, -0.4)[0, 0]
     ref = brute_force_tilde(2.0, 1.5, 0.7, -0.4)
     assert abs(got - ref) <= 1e-7
 
 
 def test_tilde_reflection_symmetry():
-    a = pearcey_tilde(2.0, 1.5, 0.7, -0.4)
-    b = pearcey_tilde(2.0, 1.5, -0.7, 0.4)
+    a = pearcey_block_grid(2.0, 1.5, 0.7, -0.4)[0, 0]
+    b = pearcey_block_grid(2.0, 1.5, -0.7, 0.4)[0, 0]
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 def test_tilde_fixed_node_counts_converged():
     vals = [
-        pearcey_tilde(1.0, 1.0, 0.0, 0.0, PearceyContour(nodes_per_ray=n))
+        pearcey_block_grid(1.0, 1.0, 0.0, 0.0, PearceyContour(nodes_per_ray=n))[0, 0]
         for n in (256, 512)
     ]
     assert abs(vals[0] - vals[1]) <= 1e-11
@@ -87,7 +83,7 @@ def test_tilde_fixed_node_counts_converged():
 
 def test_deformation_invariance_direct():
     rng = np.random.default_rng(11)
-    base = pearcey_tilde(2.0, 1.5, 0.7, -0.4)
+    base = pearcey_block_grid(2.0, 1.5, 0.7, -0.4)[0, 0]
     for _ in range(5):
         a = rng.uniform(np.pi / 8 + 0.06, 3 * np.pi / 8 - 0.06, size=4)
         b = rng.uniform(3 * np.pi / 8 + 0.06, 5 * np.pi / 8 - 0.06, size=2)
@@ -95,7 +91,7 @@ def test_deformation_invariance_direct():
             sigma1=a[0], sigma1p=a[1], sigma2=a[2], sigma2p=a[3],
             tau_ang=b[0], tau_angp=b[1],
         )
-        assert abs(pearcey_tilde(2.0, 1.5, 0.7, -0.4, contour) - base) <= 1e-9
+        assert abs(pearcey_block_grid(2.0, 1.5, 0.7, -0.4, contour)[0, 0] - base) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -141,17 +137,11 @@ def test_gauss_term_values_and_domain():
 
 def test_block_gate_orders():
     t_lo, t_hi, xi, eta = 1.0, 2.5, 0.4, -0.2
-    tilde_fwd = pearcey_tilde(t_lo, t_hi, xi, eta)
-    assert abs(
-        pearcey_block(t_lo, t_hi, xi, eta)
-        - (tilde_fwd - pearcey_gauss_term(t_hi - t_lo, xi, eta))
-    ) <= 1e-14
-    assert abs(
-        pearcey_block(t_hi, t_lo, xi, eta) - pearcey_tilde(t_hi, t_lo, xi, eta)
-    ) <= 1e-14
-    assert abs(
-        pearcey_block(t_lo, t_lo, xi, eta) - pearcey_tilde(t_lo, t_lo, xi, eta)
-    ) <= 1e-14
+    for tau_i, tau_j in ((t_lo, t_hi), (t_hi, t_lo), (t_lo, t_lo)):
+        want = pearcey_process._tilde_grid(tau_i, tau_j, xi, eta, None)[0, 0]
+        if tau_i < tau_j:
+            want -= pearcey_gauss_term(tau_j - tau_i, xi, eta)
+        assert abs(pearcey_block_grid(tau_i, tau_j, xi, eta)[0, 0] - want) <= 1e-14
 
 
 def _recentred_contour(z):
@@ -210,7 +200,7 @@ def test_direct_overflow_raises_stability_error():
     tau = 960.0
     xi = xi_from_x(tau, 0.0)
     with pytest.raises(StabilityError):
-        pearcey_tilde(tau, tau, xi, xi)
+        pearcey_block_grid(tau, tau, xi, xi)
 
 
 def test_unconjugated_recentred_overflow_raises_stability_error():
@@ -223,7 +213,7 @@ def test_unconjugated_recentred_overflow_raises_stability_error():
 
 def test_insufficient_radius_raises_accuracy_error():
     with pytest.raises(AccuracyError):
-        pearcey_tilde(1.0, 1.0, 0.0, 0.0, PearceyContour(radius=2.0, nodes_per_ray=64))
+        pearcey_block_grid(1.0, 1.0, 0.0, 0.0, PearceyContour(radius=2.0, nodes_per_ray=64))
 
 
 def test_fixed_radius_blocks_share_one_ray_system():
@@ -260,6 +250,24 @@ def test_pinned_kernel_values():
         [-0.00025712118923993613, -0.025115019339895028, -0.0002053031590030236],
         [2.6244148717629667e-06, -0.0002055318557081313, -0.0007561493970610092],
     ])
+    # raw recentred blocks at the points of test_direct_vs_recentred_two_time,
+    # ascending and descending: the only mode that undoes the conjugation
+    z = (1.0 / (3.0 * 9.7)) ** (1.0 / 6.0)
+    tau_lo, tau_hi = tau_from_z(z, -0.3), tau_from_z(z, 0.3)
+    pts = np.array([-0.5, 0.3, 1.2])
+    xi_lo, xi_hi = xi_from_x(tau_lo, pts), xi_from_x(tau_hi, pts)
+    raw_cases = [
+        (tau_lo, tau_hi, xi_lo, xi_hi, [
+            [-0.0002716118919570002, -0.003327832845752534, -0.022703778546389882],
+            [-2.167294317551682e-05, -0.00048461024004584844, -0.006644176625182171],
+            [-5.571233655774087e-07, -2.502819531539832e-05, -0.0006682637326798326],
+        ]),
+        (tau_hi, tau_lo, xi_hi, xi_lo, [
+            [38.71250608322739, 175.00677650751518, 664.1812776419323],
+            [1.1350812555518641, 5.21772472860957, 20.06199554139855],
+            [0.016216378460301297, 0.07550971447307157, 0.2932540481808132],
+        ]),
+    ]
     # Airy blocks at ascending, descending and equal times (row and column
     # points differ in the first two), and below -20 so that the lambda
     # rule's tail length L = 10 - min point exceeds 30
@@ -287,6 +295,8 @@ def test_pinned_kernel_values():
         ]),
     ]
     pairs = [(direct, direct_ref), (conj, conj_ref)]
+    pairs += [(pearcey_block_grid(t_i, t_j, x, y, _recentred_contour(z)), np.array(ref))
+              for t_i, t_j, x, y, ref in raw_cases]
     pairs += [(airy_block_grid(t_i, t_j, x, y), np.array(ref))
               for t_i, t_j, x, y, ref in airy_cases]
     for got, ref in pairs:
@@ -300,7 +310,8 @@ def test_conjugated_block_equal_mean_time_rate(z, expected_ratio):
     pts = [(-0.4, 0.7), (0.2, 0.2), (1.0, -0.6)]
     p = ScalingParams.from_z(z, 0.0, 0.5)
     res = max(
-        abs(conjugated_pearcey_block(p, x, y) - airy_block(p.t1, p.t2, x, y))
+        abs(conjugated_block_grid(p.z, p.t1, p.t2, x, y)[0, 0]
+            - airy_block_grid(p.t1, p.t2, x, y)[0, 0])
         for x, y in pts
     )
     assert res <= 0.08 * z**8
@@ -313,7 +324,8 @@ def test_conjugated_block_rate_degrades_to_z4_off_centre():
     for z in (0.3, 0.2):
         p = ScalingParams.from_z(z, 0.5, 0.5)
         res[z] = max(
-            abs(conjugated_pearcey_block(p, x, y) - airy_block(p.t1, p.t2, x, y))
+            abs(conjugated_block_grid(p.z, p.t1, p.t2, x, y)[0, 0]
+                - airy_block_grid(p.t1, p.t2, x, y)[0, 0])
             for x, y in pts
         )
         assert res[z] <= 0.03 * z**4
@@ -350,20 +362,3 @@ def test_conjugated_gate_matches_block_composition():
     assert np.max(np.abs(fwd - parts)) == 0.0
     rev = conjugated_block_grid(p.z, p.t1, p.t2, xs, ys)
     assert np.max(np.abs(rev - conjugated_tilde_grid(p.z, p.t1, p.t2, xs, ys))) == 0.0
-
-
-def test_conjugation_factors_forms():
-    cf = ConjugationFactors(u=0.3**4)
-    u = 0.3**4
-    x, t = 0.7, -0.4
-    phi = (
-        -1.0 / (4.0 * (3 * u) ** 3)
-        - t / (3 * u) ** 2
-        + (x - t * t) / (3 * u)
-        + (4.0 / 3.0) * t * x
-        + (u / 6.0) * t * t * x
-    )
-    assert abs(cf.phi(x, t) - phi) <= 1e-12 * abs(phi)
-    assert abs(cf.h(x, t) - u * x * (x + 6 * t * t) / 4.0) <= 1e-15
-    with pytest.raises(DomainError):
-        ConjugationFactors(u=0.0)

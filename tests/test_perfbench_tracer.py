@@ -39,7 +39,7 @@ def test_tracer_records_the_rows_of_every_block_routine():
         GapQuery(family="pearcey", times=(3.0, 4.0), windows=((-3.0, 3.0), (-3.5, 3.5)),
                  m=m, certify=False),
         GapQuery(family="pearcey-conjugated", times=(p.t1, p.t2),
-                 windows=((-1.0, 6.0),) * 2, m=m, params=p, certify=False),
+                 windows=((-1.0, 6.0),) * 2, m=m, z=p.z, certify=False),
     ]
     tracer = tracing.Tracer()
     tracer.install(lib)
