@@ -225,8 +225,8 @@ def proposition_slope(
     """
     _require_finite(t=t, s=s, z_grid=z_grid)
     z_grid = np.sort(np.asarray(z_grid, dtype=float))[::-1]
-    if z_grid.size < 2:
-        raise DomainError("z grid needs at least two points for a fit")
+    if np.unique(z_grid).size < 2:
+        raise DomainError("z grid needs at least two distinct points for a fit")
     if np.any((z_grid <= 0.0) | (z_grid > 0.5)):
         raise DomainError("z grid must lie inside (0, 0.5]")
     if abs(t) > 1.0 or not 0.0 < abs(s) <= 1.0:
@@ -333,6 +333,8 @@ def theorem_ratio_study(
         raise DomainError("tau1 grid must be strictly ascending")
     if tau1_grid.size < 2:
         raise DomainError("tau1 grid needs at least two points for a fit")
+    if len(airy_windows) == 0:
+        raise DomainError("windows need at least one window")
     for w in airy_windows:
         if w is None or not (np.isfinite(w[0]) and np.isfinite(w[1])):
             raise DomainError(f"windows must be finite intervals, got {w}")

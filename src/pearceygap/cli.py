@@ -40,18 +40,6 @@ from .painleve import hastings_mcleod, tracy_widom_f2
 
 __all__ = ["StudyConfig", "StudyReport", "run", "main"]
 
-# subcommand (= study.kind) -> (config-key section whose flags it takes, help)
-_STUDIES = {
-    "gap": ("gap", "one gap probability"),
-    "identities": ("identities", "kernel differential-identity residuals"),
-    "prop21": ("prop21", "kernel convergence order in z"),
-    "theorem": ("theorem", "statistics convergence order in tau1"),
-    "pde": ("pde", "two-time gap-probability PDE residual"),
-    "oracle-painleve": ("oracle", "build/refresh the Painleve II reference table"),
-}
-# config-key sections whose flags every subcommand takes
-_SHARED_SECTIONS = ("output", "cache")
-
 _TAU1_DEFAULT = (30.0, 60.0, 120.0, 240.0, 480.0, 960.0)
 
 # frozen one-time GUE edge value from the Painleve II oracle, used as the
@@ -68,22 +56,85 @@ def _default(study, name: str):
     return inspect.signature(study).parameters[name].default
 
 
-def _key(default, key: str, flag: str | None, help: str, choices: tuple = ()):
+def _gap_study(family: str, times, windows, nodes: int, certify: bool) -> StudyReport:
+    logp = log_gap_probability(GapQuery(family=family, times=tuple(times),
+                                        windows=tuple(windows), m=nodes, certify=certify))
+    prob = math.exp(logp)
+    return StudyReport(
+        name="gap",
+        columns=("probability", "log_probability", "nodes"),
+        rows=[(prob, logp, nodes)],
+        summary={"probability": prob, "log_probability": logp, "nodes": nodes},
+        passed=True,
+        inputs={"family": family, "times": times, "windows": windows, "nodes": nodes,
+                "certify": certify},
+    )
+
+
+def _oracle_study(s_min: float, s_max: float, step: float) -> StudyReport:
+    if step <= 0.0 or s_max <= s_min:
+        raise DomainError("oracle grid must be ascending with positive step")
+    # last point at or below s_max; the slack keeps an exact multiple that
+    # division rounds just below an integer
+    count = math.floor((s_max - s_min) / step + 1e-9)
+    rows = []
+    for s in s_min + step * np.arange(count + 1):
+        q, qp = hastings_mcleod(float(s))
+        rows.append((float(s), q, qp, tracy_widom_f2(float(s))))
+    check = abs(tracy_widom_f2(0.0) - _F2_AT_ZERO)
+    f2s = [r[3] for r in rows]
+    summary = {
+        "points": len(rows),
+        "f2_at_zero_error": check,
+        "monotone": bool(all(b >= a for a, b in zip(f2s, f2s[1:]))),
+    }
+    return StudyReport(
+        name="oracle-painleve",
+        columns=("s", "q", "q_prime", "f2"),
+        rows=rows,
+        summary=summary,
+        passed=check < 1e-6 and summary["monotone"],
+        inputs={"s_min": s_min, "s_max": s_max, "step": step},
+    )
+
+
+# subcommand (= study.kind) -> (config-key section whose flags it takes, help,
+# the study, called with one keyword per field of the section)
+_STUDIES = {
+    "gap": ("gap", "one gap probability", _gap_study),
+    "identities": ("identities", "kernel differential-identity residuals", identity_grid_study),
+    "prop21": ("prop21", "kernel convergence order in z", proposition_slope),
+    "theorem": ("theorem", "statistics convergence order in tau1", theorem_ratio_study),
+    "pde": ("pde", "two-time gap-probability PDE residual",
+            lambda **grid: pde_residual(PdeGrid(**grid))),
+    "oracle-painleve": ("oracle", "build/refresh the Painleve II reference table", _oracle_study),
+}
+# config-key sections whose flags every subcommand takes
+_SHARED_SECTIONS = ("output", "cache")
+
+
+def _key(default, key: str, flag: str | None, help: str, choices: tuple = (),
+         param: str | None = None):
     """A StudyConfig field with its dotted config key, the subcommand flag that
-    sets it (None: no flag), its help text and its allowed values (empty: any)."""
-    return field(default=default,
-                 metadata={"key": key, "flag": flag, "help": help, "choices": choices})
+    sets it (None: no flag), its help text, its allowed values (empty: any) and
+    the parameter it feeds of its section's study (default: the key's last part).
+    The key's first part is the field's section."""
+    section, _, name = key.partition(".")
+    return field(default=default, metadata={
+        "key": key, "flag": flag, "help": help, "choices": choices,
+        "section": section, "param": param or name})
 
 
 @dataclass
 class StudyConfig:
     """Flat, fully-defaulted study configuration (see docs/output_formats.md).
 
-    Each field is declared once, with `_key`: it is one dotted config key and
-    one flag of the subcommand whose section starts the key (`output.` and
-    `cache.` flags go to every subcommand).  The annotation, a string under
-    `from __future__ import annotations`, names the value kind in `_CODECS`.
-    The serialized form roundtrips to an identical value.
+    Each field is declared once, with `_key`: it is one dotted config key, one
+    flag of the subcommand whose section starts the key (`output.` and `cache.`
+    flags go to every subcommand) and one parameter of that subcommand's study.
+    The annotation, a string under `from __future__ import annotations`, names
+    the value kind in `_CODECS`.  The serialized form roundtrips to an
+    identical value.
     """
 
     kind: str = _key("gap", "study.kind", None, "which study to run", tuple(_STUDIES))
@@ -113,9 +164,10 @@ class StudyConfig:
     thm_t2: float = _key(_default(theorem_ratio_study, "t2"), "theorem.t2", "t2",
                          "second Airy time")
     thm_windows: Windows = _key(_default(theorem_ratio_study, "airy_windows"), "theorem.windows",
-                                "windows", "Airy-coordinate lo:hi windows")
+                                "windows", "Airy-coordinate lo:hi windows",
+                                param="airy_windows")
     thm_nodes: int = _key(_default(theorem_ratio_study, "m"), "theorem.nodes", "nodes",
-                          "quadrature nodes per window")
+                          "quadrature nodes per window", param="m")
     thm_single_time: bool = _key(_default(theorem_ratio_study, "single_time"),
                                  "theorem.single_time", "single-time", "the one-time variant")
     thm_ablate: bool = _key(_default(theorem_ratio_study, "ablate"), "theorem.ablate", "ablate",
@@ -129,8 +181,10 @@ class StudyConfig:
     pde_eta: float = _key(PdeGrid.eta, "pde.eta", "eta", "base point: endpoint asymmetry")
     pde_mu: float = _key(PdeGrid.mu, "pde.mu", "mu", "base point: first window width (< 0)")
     pde_nu: float = _key(PdeGrid.nu, "pde.nu", "nu", "base point: second window width (< 0)")
-    pde_step: float = _key(PdeGrid.h, "pde.step", "step", "finite-difference step h")
-    pde_nodes: int = _key(PdeGrid.m, "pde.nodes", "nodes", "quadrature nodes per window")
+    pde_step: float = _key(PdeGrid.h, "pde.step", "step", "finite-difference step h",
+                           param="h")
+    pde_nodes: int = _key(PdeGrid.m, "pde.nodes", "nodes", "quadrature nodes per window",
+                          param="m")
     pde_nodes_per_ray: int = _key(PdeGrid.nodes_per_ray, "pde.nodes_per_ray", "nodes-per-ray",
                                   "contour nodes per ray")
     oracle_s_min: float = _key(-5.0, "oracle.s_min", "s-min",
@@ -232,99 +286,10 @@ def parse_config(text: str, base: StudyConfig | None = None) -> StudyConfig:
 # dispatch
 
 
-def _gap_study(config: StudyConfig) -> StudyReport:
-    query = GapQuery(
-        family=config.family,
-        times=tuple(config.times),
-        windows=tuple(config.windows),
-        m=config.nodes,
-        certify=config.certify,
-    )
-    logp = log_gap_probability(query)
-    prob = math.exp(logp)
-    summary = {"probability": prob, "log_probability": logp, "nodes": config.nodes}
-    return StudyReport(
-        name="gap",
-        columns=("probability", "log_probability", "nodes"),
-        rows=[(prob, logp, config.nodes)],
-        summary=summary,
-        passed=True,
-        inputs={
-            "family": config.family,
-            "times": list(config.times),
-            "windows": [list(w) if w is not None else None for w in config.windows],
-            "nodes": config.nodes,
-            "certify": config.certify,
-        },
-    )
-
-
-def _oracle_study(config: StudyConfig) -> StudyReport:
-    if config.oracle_step <= 0.0 or config.oracle_s_max <= config.oracle_s_min:
-        raise DomainError("oracle grid must be ascending with positive step")
-    # last point at or below s_max; the slack keeps an exact multiple that
-    # division rounds just below an integer
-    count = math.floor((config.oracle_s_max - config.oracle_s_min) / config.oracle_step + 1e-9)
-    s_grid = config.oracle_s_min + config.oracle_step * np.arange(count + 1)
-    rows = []
-    for s in s_grid:
-        q, qp = hastings_mcleod(float(s))
-        rows.append((float(s), q, qp, tracy_widom_f2(float(s))))
-    check = abs(tracy_widom_f2(0.0) - _F2_AT_ZERO)
-    f2s = [r[3] for r in rows]
-    summary = {
-        "points": len(rows),
-        "f2_at_zero_error": check,
-        "monotone": bool(all(b >= a for a, b in zip(f2s, f2s[1:]))),
-    }
-    return StudyReport(
-        name="oracle-painleve",
-        columns=("s", "q", "q_prime", "f2"),
-        rows=rows,
-        summary=summary,
-        passed=check < 1e-6 and summary["monotone"],
-        inputs={
-            "s_min": config.oracle_s_min,
-            "s_max": config.oracle_s_max,
-            "step": config.oracle_step,
-        },
-    )
-
-
 def _dispatch(config: StudyConfig) -> StudyReport:
-    if config.kind == "gap":
-        return _gap_study(config)
-    if config.kind == "identities":
-        return identity_grid_study(
-            config.id_x_grid, config.id_y_grid, config.id_s_grid, config.id_tolerance
-        )
-    if config.kind == "prop21":
-        return proposition_slope(config.prop_t, config.prop_s, config.prop_z_grid)
-    if config.kind == "theorem":
-        return theorem_ratio_study(
-            config.thm_tau1_grid,
-            config.thm_t1,
-            config.thm_t2,
-            airy_windows=config.thm_windows,
-            m=config.thm_nodes,
-            single_time=config.thm_single_time,
-            ablate=config.thm_ablate,
-            certify=config.thm_certify,
-        )
-    if config.kind == "pde":
-        grid = PdeGrid(
-            tau=config.pde_tau,
-            sigma=config.pde_sigma,
-            xi=config.pde_xi,
-            eta=config.pde_eta,
-            mu=config.pde_mu,
-            nu=config.pde_nu,
-            h=config.pde_step,
-            m=config.pde_nodes,
-            nodes_per_ray=config.pde_nodes_per_ray,
-        )
-        return pde_residual(grid)
-    return _oracle_study(config)  # run() admits only the kinds in _STUDIES
+    section, _, study = _STUDIES[config.kind]
+    return study(**{f.metadata["param"]: getattr(config, f.name) for f in fields(config)
+                    if f.metadata["section"] == section})
 
 
 # ---------------------------------------------------------------------------
@@ -349,34 +314,22 @@ def _write_csv(report: StudyReport, path: str) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def _plain(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def _write_json(report: StudyReport, path: str, config: StudyConfig) -> None:
     doc = {
         "schema": "pearceygap-report-1",
         "study": report.name,
         "verdict": report.verdict,
         "config": _encoded(config),
-        "inputs": _plain(report.inputs),
-        "summary": _plain(report.summary),
-        "columns": list(report.columns),
-        "rows": [[_plain(v) for v in row] for row in report.rows],
-        "metadata": _plain(report.metadata),
+        "inputs": report.inputs,
+        "summary": report.summary,
+        "columns": report.columns,
+        "rows": report.rows,
+        "metadata": report.metadata,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        # json writes float subclasses (np.float64) as floats and tuples as
+        # arrays; other numpy scalars (np.int64, np.bool_) become Python ones
+        json.dump(doc, fh, indent=2, default=lambda v: v.item())
         fh.write("\n")
 
 
@@ -442,12 +395,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (section, summary) in _STUDIES.items():
+    for command, (section, summary, _) in _STUDIES.items():
         sub = subs.add_parser(command, help=summary)
         sub.add_argument("--config", help="config file (flat dotted key = value)")
         for f in fields(StudyConfig):
             key, flag, help_text = f.metadata["key"], f.metadata["flag"], f.metadata["help"]
-            if flag is None or key.split(".")[0] not in (section, *_SHARED_SECTIONS):
+            if flag is None or f.metadata["section"] not in (section, *_SHARED_SECTIONS):
                 continue
             if f.type == "bool":
                 # default on: --no-<flag> turns it off; default off: --<flag> turns it on

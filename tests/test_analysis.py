@@ -101,6 +101,7 @@ def test_proposition_slope_report_table():
         {"t": 0.0, "s": 0.5, "z_grid": [0.2]},
         {"t": 1.5, "s": 0.5},
         {"t": 0.0, "s": 0.0},
+        {"t": 0.0, "s": 0.5, "z_grid": [0.35, 0.35]},  # one point, repeated
     ],
 )
 def test_proposition_slope_rejects_bad_inputs(kwargs):

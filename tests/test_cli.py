@@ -7,6 +7,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pearceygap import cli
@@ -160,6 +161,7 @@ def test_inconclusive_study_exits_2(tmp_path, monkeypatch):
         ["pde", "--step", "nan", "--no-cache"],
         ["theorem", "--tau1", "30,nan", "--no-cache"],
         ["identities", "--tolerance", "nan", "--no-cache"],
+        ["theorem", "--single-time", "--windows", "", "--no-cache"],  # no window to take
     ],
 )
 def test_configuration_errors_exit_3(argv, tmp_path, monkeypatch, capsys):
@@ -313,6 +315,18 @@ def test_json_separates_metadata_from_data(tmp_path, monkeypatch):
     assert "elapsed_seconds" in doc["metadata"]
     assert len(doc["rows"]) == 2
     assert all(len(row) == len(doc["columns"]) for row in doc["rows"])
+
+
+def test_json_writes_numpy_numbers_as_plain_numbers(tmp_path, monkeypatch):
+    # a library caller may configure numpy scalars, which json cannot encode by itself
+    monkeypatch.chdir(tmp_path)
+    config = StudyConfig(kind="gap", nodes=np.int64(20), cache_enabled=False,
+                         out_csv="gap.csv", out_json="gap.json")
+    _, code = run(config)
+    assert code == 0
+    doc = json.loads((tmp_path / "gap.json").read_text())
+    values = (doc["summary"]["nodes"], doc["inputs"]["nodes"], doc["rows"][0][2])
+    assert all(type(v) is int and v == 20 for v in values)
 
 
 def test_default_output_paths_follow_study_name(tmp_path, monkeypatch):
