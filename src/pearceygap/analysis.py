@@ -20,7 +20,12 @@ import numpy as np
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, PearceyGapError
 from .fredholm import GapQuery, log_gap_probability
-from .pearcey_process import PearceyContour, conjugated_block_grid, ray_radius_bound
+from .pearcey_process import (
+    _MAX_NODES,
+    PearceyContour,
+    conjugated_block_grid,
+    ray_radius_bound,
+)
 from .scaling import ScalingParams, match_tau2, t_from_tau
 from .specfun import airy_derivs_upto, gauss_rule
 
@@ -444,6 +449,8 @@ class PdeGrid:
     Coordinates: tau/sigma are the mean/half-difference of the two Pearcey
     times; the windows are E1 = (xi+eta+mu, xi+eta-mu) at tau+sigma and
     E2 = (xi-eta+nu, xi-eta-nu) at tau-sigma, with mu, nu < 0.
+    nodes_per_ray=0 has pde_residual choose the contour's node count once per
+    study (see _ray_nodes); a positive value fixes it.
     """
 
     tau: float = 4.0
@@ -454,14 +461,14 @@ class PdeGrid:
     nu: float = -1.0
     h: float = 0.05
     m: int = 24
-    nodes_per_ray: int = 384
+    nodes_per_ray: int = 0
 
     def __post_init__(self):
         _require_finite(**{f.name: getattr(self, f.name) for f in dataclass_fields(self)})
         if self.h <= 0.0:
             raise DomainError("step h must be positive")
         if self.nodes_per_ray and self.nodes_per_ray < 4:
-            raise DomainError("nodes_per_ray must be 0 (adaptive) or >= 4")
+            raise DomainError("nodes_per_ray must be 0 (chosen per study) or >= 4")
         if self.sigma <= 2.0 * self.h:
             raise DomainError("sigma must stay positive across the stencil")
         if self.mu + 2.0 * self.h >= 0.0 or self.nu + 2.0 * self.h >= 0.0:
@@ -477,8 +484,8 @@ class PdeGrid:
 
 
 def _pde_contour(grid: PdeGrid) -> PearceyContour:
-    """One contour for every block of the study, so all blocks share one ray
-    system and one cache record: its radius is the per-block rule's radius at
+    """One contour for every block of the study, so all blocks at one node
+    count share one ray system: its radius is the per-block rule's radius at
     the stencil's reach, with each coordinate shifted by up to 2h."""
     reach = 2.0 * grid.h
     tau_max = grid.tau + grid.sigma + 2.0 * reach
@@ -511,10 +518,12 @@ def _derivative(f, h: float, **orders) -> float:
 
 def _pde_terms(grid: PdeGrid, log_p) -> dict:
     """The four PDE terms at the grid's base point, by central differences of
-    step grid.h of log_p(m, offsets) at m = grid.m nodes."""
+    step grid.h of log_p(n, m, offsets) at n = grid.nodes_per_ray nodes per
+    ray and m = grid.m nodes per window."""
 
     def f(**offsets):
-        return log_p(grid.m, tuple(offsets.get(axis, 0.0) for axis in _PDE_AXES))
+        offsets = tuple(offsets.get(axis, 0.0) for axis in _PDE_AXES)
+        return log_p(grid.nodes_per_ray, grid.m, offsets)
 
     def d(**orders):
         return _derivative(f, grid.h, **orders)
@@ -541,6 +550,48 @@ def _pde_terms(grid: PdeGrid, log_p) -> dict:
     }
 
 
+# Absolute agreement in log P of two consecutive ray-node levels, required
+# at every probe point.  The direct contour rules converge geometrically in
+# the node count: at both default probe points every level from 32 to 384
+# nodes lies within 7e-14 of the 384 value (the rounding floor), while 24
+# nodes are 6e-11 to 9e-11 off, so 1e-12 separates a settled level from an
+# unresolved one.
+_RAY_TOL = 1e-12
+_RAY_START = 48  # first ray-node level of the doubling
+
+
+def _ray_nodes(grid: PdeGrid, log_p) -> tuple[int, float]:
+    """The ray-node count for every block of the study, and the largest probe
+    gap at it: doubled from _RAY_START until log_p at two consecutive levels
+    agrees within _RAY_TOL at the base point and at the stencil's far corner
+    (every offset at its reach 2h, raising the later time, moving xi and eta
+    away from zero and widening both windows), where the ray envelope is
+    widest.  The finer of the two agreeing levels is returned."""
+    reach = 2.0 * grid.h
+    probes = {
+        "base point": (0.0,) * len(_PDE_AXES),
+        "far corner": (reach, reach, math.copysign(reach, grid.xi),
+                       math.copysign(reach, grid.eta), -reach, -reach),
+    }
+    n = _RAY_START
+    prev = {name: log_p(n, grid.m, offsets) for name, offsets in probes.items()}
+    while 2 * n <= _MAX_NODES:
+        n *= 2
+        gaps = {}
+        for name, offsets in probes.items():
+            value = log_p(n, grid.m, offsets)
+            gaps[name] = abs(value - prev[name])
+            prev[name] = value
+        worst = max(gaps, key=gaps.get)
+        if gaps[worst] <= _RAY_TOL:
+            return n, gaps[worst]
+    raise AccuracyError(
+        f"pde ray quadrature did not settle by {_MAX_NODES} nodes per ray: log P at "
+        f"the {worst} {dict(zip(_PDE_AXES, probes[worst]))} moved by {gaps[worst]:.3e} "
+        f"from {n // 2} to {n} (tolerance {_RAY_TOL:g})"
+    )
+
+
 def _pde_combine(terms: dict, flip: str | None = None) -> tuple[float, float]:
     total = 0.0
     scale = 0.0
@@ -555,14 +606,16 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
     """Normalized residual of the two-time PDE at the grid's base point,
     with a step-halving consistency check, a sign-flip ablation, and a
     discretization-noise estimate (the study is inconclusive when the noise
-    reaches the residual).  One memo of log P, keyed by node count and the
-    six stencil offsets, serves the three passes, so the points the h and
-    h/2 stencils share are computed once."""
+    reaches the residual).  Every block uses one contour radius and one
+    ray-node count: grid.nodes_per_ray, or for 0 the count _ray_nodes picks
+    once before the passes.  One memo of log P, keyed by ray-node count,
+    window node count and the six stencil offsets, serves the probe and the
+    three passes, so the points they share are computed once."""
     grid = grid if grid is not None else PdeGrid()
     contour = _pde_contour(grid)
 
     @functools.cache
-    def log_p(m: int, offsets: tuple) -> float:
+    def log_p(n: int, m: int, offsets: tuple) -> float:
         # axis "d<name>" shifts the grid field <name>
         tau, sigma, xi, eta, mu, nu = (
             getattr(grid, axis[1:]) + off for axis, off in zip(_PDE_AXES, offsets)
@@ -572,21 +625,26 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
         # ascending times: tau - sigma first (sigma > 0)
         return log_gap_probability(GapQuery(
             family="pearcey", times=(tau - sigma, tau + sigma), windows=(e2, e1),
-            m=m, contour=contour, certify=False,
+            m=m, contour=replace(contour, nodes_per_ray=n), certify=False,
         ))
 
-    terms = _pde_terms(grid, log_p)
+    # a fixed node count is not probed: its convergence is not measured
+    n, ray_convergence = (
+        (grid.nodes_per_ray, None) if grid.nodes_per_ray else _ray_nodes(grid, log_p)
+    )
+    at_n = replace(grid, nodes_per_ray=n)
+    terms = _pde_terms(at_n, log_p)
     total, scale = _pde_combine(terms)
     normalized = abs(total) / max(scale, 1e-300)
 
-    total_half, scale_half = _pde_combine(_pde_terms(replace(grid, h=grid.h / 2), log_p))
+    total_half, scale_half = _pde_combine(_pde_terms(replace(at_n, h=grid.h / 2), log_p))
     normalized_half = abs(total_half) / max(scale_half, 1e-300)
 
     flipped, _ = _pde_combine(terms, flip="bracket")
     ablation_ratio = abs(flipped) / max(abs(total), 1e-300)
 
     # quadrature-noise probe: same stencil at a different node count
-    total_noise, _ = _pde_combine(_pde_terms(replace(grid, m=grid.m + 8), log_p))
+    total_noise, _ = _pde_combine(_pde_terms(replace(at_n, m=grid.m + 8), log_p))
     noise = abs(total_noise - total) / max(scale, 1e-300)
 
     inconclusive = noise > normalized
@@ -609,6 +667,8 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
         "term_scale": scale,
         "h": grid.h,
         "ray_radius": contour.radius,
+        "nodes_per_ray": n,
+        "ray_convergence": ray_convergence,
         "inconclusive": inconclusive,
     }
     return StudyReport(

@@ -36,7 +36,6 @@ from .analysis import (
 from .cache import KernelCache, default_root
 from .exceptions import ConcurrencyError, DomainError, PearceyGapError
 from .fredholm import GapQuery, log_gap_probability, set_block_cache
-from .painleve import hastings_mcleod, tracy_widom_f2
 
 __all__ = ["StudyConfig", "StudyReport", "run", "main"]
 
@@ -72,6 +71,9 @@ def _gap_study(family: str, times, windows, nodes: int, certify: bool) -> StudyR
 
 
 def _oracle_study(s_min: float, s_max: float, step: float) -> StudyReport:
+    # imported here, so that no other study pays for loading the oracle
+    from .painleve import hastings_mcleod, tracy_widom_f2
+
     if step <= 0.0 or s_max <= s_min:
         raise DomainError("oracle grid must be ascending with positive step")
     # last point at or below s_max; the slack keeps an exact multiple that
@@ -186,7 +188,8 @@ class StudyConfig:
     pde_nodes: int = _key(PdeGrid.m, "pde.nodes", "nodes", "quadrature nodes per window",
                           param="m")
     pde_nodes_per_ray: int = _key(PdeGrid.nodes_per_ray, "pde.nodes_per_ray", "nodes-per-ray",
-                                  "contour nodes per ray")
+                                  "contour nodes per ray (0: chosen once per study by doubling "
+                                  "from 48 until log P settles)")
     oracle_s_min: float = _key(-5.0, "oracle.s_min", "s-min",
                                "reference table lower end (the oracle floor is -5)")
     oracle_s_max: float = _key(6.0, "oracle.s_max", "s-max", "reference table upper end")

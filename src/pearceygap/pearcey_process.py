@@ -298,11 +298,14 @@ def ray_radius_bound(tau_max: float, coord_max: float) -> float:
     return max(ray[3] for ray in rays)
 
 
-@lru_cache(maxsize=1)
+# one entry per level of the adaptive ladder: blocks that share one ray
+# geometry (a contour with a fixed radius and nodes_per_ray=0) each walk the
+# ladder from _MIN_NODES, and find every level they revisit still built
+@lru_cache(maxsize=_MAX_NODES.bit_length() - _MIN_NODES.bit_length() + 1)
 def _ray_system(xray: tuple, yray: tuple, n: int):
     """X nodes and segment spans plus the Cauchy matrix of both ray systems.
     It depends only on the ray geometry, so blocks under a fixed-radius
-    contour (one per PDE study) share one build."""
+    contour (one per PDE study and node count) share one build."""
     u, wu, uspan = _signed_rays(xray, n)
     v, wv, vspan = _signed_rays(yray, n)
     m = _cauchy(u, wu, uspan, v, wv)

@@ -16,8 +16,8 @@ from pearceygap.analysis import (
     proposition_slope,
     theorem_ratio_study,
 )
-from pearceygap.exceptions import DomainError
-from pearceygap.fredholm import BlockDiscretization
+from pearceygap.exceptions import AccuracyError, DomainError
+from pearceygap.fredholm import BlockDiscretization, log_gap_probability
 from pearceygap.pearcey_process import _x_rays, _y_rays
 
 
@@ -164,7 +164,14 @@ def test_theorem_rejects_bad_grid(grid):
         theorem_ratio_study(grid)
 
 
-def test_pde_residual_default_grid():
+def test_pde_residual_default_grid(monkeypatch):
+    computed = {}
+
+    def record(query):
+        computed[query] = log_gap_probability(query)
+        return computed[query]
+
+    monkeypatch.setattr(analysis, "log_gap_probability", record)
     rep = pde_residual(PdeGrid())
     s = rep.summary
     assert not s["inconclusive"]
@@ -175,19 +182,34 @@ def test_pde_residual_default_grid():
     assert rep.passed
     names = [r[0] for r in rep.rows]
     assert names == sorted(names[:-1]) + ["pde_total"]
+    # the ray-node count settles at 96: 48 and 96 agree at both probe points
+    assert s["nodes_per_ray"] == 96
+    assert s["ray_convergence"] <= analysis._RAY_TOL
+    probes = [q for q in computed if q.contour.nodes_per_ray == 48]
+    assert len(probes) == 2
+    for q in probes:
+        at_96, at_384 = (replace(q, contour=replace(q.contour, nodes_per_ray=n))
+                         for n in (96, 384))
+        assert abs(computed[at_96] - log_gap_probability(at_384)) <= analysis._RAY_TOL
 
 
-def test_pde_study_radius_covers_every_block(monkeypatch):
-    # record the queries instead of computing determinants
+def _recorded_run(monkeypatch, grid, log_p=lambda query: 0.0):
+    """pde_residual(grid) with each query answered by log_p instead of a
+    determinant: its report and the queries it sent, in order."""
     queries = []
 
     def record(query):
         queries.append(query)
-        return 0.0
+        return log_p(query)
 
     monkeypatch.setattr(analysis, "log_gap_probability", record)
-    rep = pde_residual(PdeGrid())
-    assert len({q.contour for q in queries}) == 1
+    return pde_residual(grid), queries
+
+
+def test_pde_study_radius_covers_every_block(monkeypatch):
+    rep, queries = _recorded_run(monkeypatch, PdeGrid())
+    # the probe's queries differ from the study's in nodes_per_ray only
+    assert len({q.contour.radius for q in queries}) == 1
     radius = queries[0].contour.radius
     assert rep.summary["ray_radius"] == radius
     # the per-block rule (radius=None) on each side of every block
@@ -248,16 +270,31 @@ def test_derivative_skips_zero_weight_points(orders):
 
 
 def test_pde_study_computes_each_query_once(monkeypatch):
-    queries = []
-
-    def record(query):
-        queries.append(query)
-        return 0.0
-
-    monkeypatch.setattr(analysis, "log_gap_probability", record)
-    pde_residual(PdeGrid())
+    _, study = _recorded_run(monkeypatch, PdeGrid(nodes_per_ray=96))
     # the h and h/2 passes share the base point and +-h along tau and xi
-    assert len(queries) == len(set(queries)) == 130
+    assert len(study) == len(set(study)) == 130
+    # a constant log P settles at once, at 96 nodes per ray: the probe adds
+    # the base point and the far corner at 48, and the far corner at 96
+    _, queries = _recorded_run(monkeypatch, PdeGrid())
+    assert len(queries) == len(set(queries)) == 133
+    probe = set(queries) - set(study)
+    assert sorted(q.contour.nodes_per_ray for q in probe) == [48, 48, 96]
+    grid = PdeGrid()
+    corner = max(probe, key=lambda q: q.times[1])
+    assert corner.times == pytest.approx((grid.tau - grid.sigma,
+                                          grid.tau + grid.sigma + 4.0 * grid.h))
+
+
+def test_pde_fixed_ray_nodes_skip_the_probe(monkeypatch):
+    _, queries = _recorded_run(monkeypatch, PdeGrid(nodes_per_ray=128))
+    assert len(queries) == 130
+    assert {q.contour.nodes_per_ray for q in queries} == {128}
+
+
+def test_pde_ray_nodes_that_never_settle_raise(monkeypatch):
+    # log P moving by 1/n at every doubling never agrees within the tolerance
+    with pytest.raises(AccuracyError, match="far corner|base point"):
+        _recorded_run(monkeypatch, PdeGrid(), lambda query: 1.0 / query.contour.nodes_per_ray)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -81,6 +83,29 @@ def test_docs_config_table_matches_study_config():
     documented = re.findall(r"^\| `(\w+\.\w+)` \| (\w+) \|", doc, flags=re.MULTILINE)
     declared = [(f.metadata["key"], f.type.lower()) for f in fields(StudyConfig)]
     assert documented == declared
+
+
+def test_docs_config_defaults_match_study_config():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "output_formats.md").read_text()
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| \w+ \| (.*?) \|", doc, flags=re.MULTILINE)
+    defaults = {f.metadata["key"]: getattr(StudyConfig(), f.name) for f in fields(StudyConfig)}
+    # rows whose default cell is prose (a description, or empty) are skipped
+    literals = [(key, m[1]) for key, cell in rows if (m := re.fullmatch(r"`([^`]*)`", cell))]
+    assert len(literals) >= 30
+    for key, literal in literals:
+        config = parse_config(f"{key} = {literal}")
+        field_name = next(f.name for f in fields(config) if f.metadata["key"] == key)
+        assert getattr(config, field_name) == defaults[key], key
+
+
+def test_cli_import_leaves_the_painleve_oracle_unloaded():
+    code = "import sys, pearceygap.cli; print('pearceygap.painleve' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pearceygap.exceptions import (
 )
 from pearceygap import pearcey_process
 from pearceygap.analysis import PdeGrid, _pde_contour
+from pearceygap.fredholm import GapQuery, log_gap_probability
 from pearceygap.pearcey_process import (
     PearceyContour,
     RecenterSpec,
@@ -230,10 +231,26 @@ def test_fixed_radius_blocks_share_one_ray_system():
         assert np.array_equal(pearcey_block_grid(*c, contour), got)
 
 
+def test_adaptive_ladder_reuses_each_ray_system(monkeypatch):
+    # a fixed radius with adaptive node counts: every block of both
+    # determinants (m and 2m) walks the same 64 -> 128 ladder on one ray
+    # geometry, so the Cauchy matrix is built once per level
+    query = GapQuery(family="pearcey", times=(3, 4), windows=((-3, 3), (-3.5, 3.5)),
+                     contour=PearceyContour(radius=4.5))
+    cached = pearcey_process._ray_system
+    cached.cache_clear()
+    value = log_gap_probability(query)
+    info = cached.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+    # reuse changes no bit: a fresh build for every call gives the same log P
+    monkeypatch.setattr(pearcey_process, "_ray_system", cached.__wrapped__)
+    assert log_gap_probability(query) == value
+
+
 def test_pinned_kernel_values():
     # absolute values, pinned so that a change of the kernel numerics shows
     # even where two representations would move together
-    contour = _pde_contour(PdeGrid())  # the default pde study's contour
+    contour = _pde_contour(PdeGrid(nodes_per_ray=384))  # the pde study's radius
     xs = np.array([1.75, 2.75, 3.75])
     ys = np.array([2.25, 3.25, 4.25])
     direct = pearcey_block_grid(3.5, 4.5, xs, ys, contour)
