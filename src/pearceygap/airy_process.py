@@ -1,46 +1,83 @@
-"""Static and extended Airy kernels, the heat-kernel correction term, and the
-time-ordered block entries assembled from them.
+"""Extended Airy kernel blocks: the lambda-integral K-tilde and the
+heat-kernel correction term subtracted from time-ordered blocks.
 
-The extended kernel has two interchangeable representations:
-
-* a lambda-integral ``int_0^inf e^{-lam (t_i - t_j)} Ai(x+lam) Ai(y+lam) dlam``
-  (the production path, evaluated by Gauss quadrature on (0, L)), and
-* a double contour integral over two ray pairs (kept as an independent oracle;
-  see :func:`extended_airy_contour`).
-
-On the lambda rule (lam, w) of (0, L) a block is a product of two sides,
-K-tilde(t_i, t_j) = A_i diag(w e^{-(t_i - t_j) lam}) A_j^T with A = Ai(x + lam).
-A side is keyed by its points and L in the caller's ``sides`` dict (one per
-Fredholm determinant), so Ai is evaluated once per window, not twice per block.
+K-tilde(t_i, t_j; x, y) = int_0^inf e^{-lam (t_i - t_j)} Ai(x+lam) Ai(y+lam) dlam
+is evaluated by one Gauss rule (lam, w) on (0, L), on which a block is a
+product of two sides, K-tilde = A_i diag(w e^{-(t_i - t_j) lam}) A_j^T with
+A = Ai(x + lam).  The caller's ``sides`` dict (one per Fredholm determinant)
+starts with the determinant's grid: its times and each window's points.  A
+convergence probe picks the rule's node count once from that grid (see
+_lambda_nodes), so every block of a determinant shares it.  A side is keyed
+by its points and L, so Ai is evaluated once per window, not twice per block.
 
 Block entries subtract a heat-kernel term when the first time is strictly
 smaller than the second.  Each routine is addressed by its two times and its
-points, (t_i, t_j, xs, ys); one entry is grid[0, 0] (the near-diagonal branch
-of airy_kernel reads it this way).
+points, (t_i, t_j, xs, ys).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AccuracyError, ContourError, DomainError
-from .specfun import airy, gauss_rule, ray_rule
+from .exceptions import AccuracyError, DomainError
+from .specfun import airy, gauss_rule
 
-__all__ = [
-    "AiryContour",
-    "airy_kernel",
-    "extended_airy_grid",
-    "extended_airy_contour",
-    "airy_heat_term",
-    "airy_block_grid",
-]
+__all__ = ["extended_airy_grid", "airy_heat_term", "airy_block_grid"]
 
-_SPLIT = 1e-3  # |x - y| below which the lambda-integral replaces the quotient
 _TAIL_RTOL = 1e-14
-_LAMBDA_NODES = 200
+# node counts the lambda-rule's probe walks, up to its hard top
+_LAMBDA_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512)
+# Largest probe gap between two consecutive levels, relative to sum w|f|, that
+# counts as settled.  Calibrated on 1,200 seeded pairs (lowest points in
+# [-40, 2] or [-20, 2], time differences in [-4, 4] or [-2, 2]) against a
+# 16-panel composite Gauss rule: levels that have settled differ by at most
+# 4e-12 (the rounding floor), a level two or more steps short of settling by
+# at least 1e-7, and the finer level of every pair accepted at 1e-11 is within
+# 1.5e-12 of the reference.
+_LAMBDA_TOL = 1e-11
+
+
+def _tail(low: float) -> float:
+    """The cut L of (0, L) for points whose lowest is ``low``: Airy decay beats
+    the e^{|t_i - t_j| lam} weight by a wide margin there for |t| <= 2."""
+    return max(30.0, 10.0 - float(low))
+
+
+def _lambda_nodes(times, lows) -> int:
+    """Node count of the lambda-rule for every block of a determinant whose
+    windows sit at ``times`` and have lowest points ``lows``.
+
+    The probe integrates f = e^{-(t_i - t_j) lam} Ai(a_i + lam) Ai(a_j + lam)
+    for every pair of windows at their lowest points a_i, a_j, where Ai
+    oscillates most, over the longest cut any block uses (a block's own cut
+    is no longer, so its rule is no coarser).  It walks _LAMBDA_LADDER until
+    two consecutive levels agree within _LAMBDA_TOL of sum w|f| (not of the
+    integral, which may cancel) for every pair, and returns the finer level.
+    """
+    times = np.asarray(times, dtype=float)
+    lows = np.asarray(lows, dtype=float)
+    dt = np.subtract.outer(times, times)[..., None]
+    tail = _tail(np.min(lows))
+    prev, gap = None, math.inf
+    for n in _LAMBDA_LADDER:
+        rule = gauss_rule(n, 0.0, tail)
+        a = airy(lows[:, None] + rule.nodes).ai
+        f = rule.weights * np.exp(-dt * rule.nodes) * a[:, None, :] * a[None, :, :]
+        value = f.sum(axis=-1)
+        if prev is not None:
+            # Ai underflows to 0 far right, where both levels agree on 0
+            scale = np.maximum(np.abs(f).sum(axis=-1), np.finfo(float).tiny)
+            gap = float(np.max(np.abs(value - prev) / scale))
+            if gap <= _LAMBDA_TOL:
+                return n
+        prev = value
+    raise AccuracyError(
+        f"lambda-rule did not settle by {_LAMBDA_LADDER[-1]} nodes: the probe moved by "
+        f"{gap:.3e} of its scale from {_LAMBDA_LADDER[-2]} to {_LAMBDA_LADDER[-1]} "
+        f"nodes (tolerance {_LAMBDA_TOL:g})"
+    )
 
 
 def _airy_side(sides: dict, pts: np.ndarray, lam: np.ndarray, tail: float):
@@ -55,16 +92,19 @@ def _airy_side(sides: dict, pts: np.ndarray, lam: np.ndarray, tail: float):
 
 def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray:
     """Matrix of K-tilde entries over xs x ys: the lambda-integral by one
-    Gauss rule of 200 nodes on (0, L), L = max(30, 10 - min(xs, ys)), where
-    Airy decay beats the e^{|t_i-t_j| lam} weight by a wide margin for the
-    |t| <= 2 regime; the time-weighted product of the two sides."""
+    Gauss rule on (0, L), L = max(30, 10 - min(xs, ys)), with the node count
+    _lambda_nodes picks for the grid in ``sides`` (without one, the block's
+    own two windows); the time-weighted product of the two sides."""
     if not (np.isfinite(t_i) and np.isfinite(t_j)):
         raise DomainError("times must be finite")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    sides = {} if sides is None else sides
-    tail = max(30.0, 10.0 - min(float(np.min(xs)), float(np.min(ys))))
-    rule = gauss_rule(_LAMBDA_NODES, 0.0, tail)
+    sides = {"grid": ((t_i, t_j), (xs, ys))} if sides is None else sides
+    if "lambda_nodes" not in sides:
+        times, points = sides["grid"]
+        sides["lambda_nodes"] = _lambda_nodes(times, [np.min(p) for p in points])
+    tail = _tail(min(np.min(xs), np.min(ys)))
+    rule = gauss_rule(sides["lambda_nodes"], 0.0, tail)
     lam, w = rule.nodes, rule.weights
     dt = t_i - t_j
     ax, x_peak, x_end = _airy_side(sides, xs, lam, tail)
@@ -77,20 +117,6 @@ def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray
             f"{abs(end) / peak:.3e} (needs <= {_TAIL_RTOL})"
         )
     return (ax * (w * np.exp(-dt * lam))[None, :]) @ ay.T
-
-
-def airy_kernel(x: float, y: float) -> float:
-    """Static Airy kernel; quotient form away from the diagonal, the
-    lambda-integral inside |x - y| < 1e-3 where the quotient cancels."""
-    x = float(x)
-    y = float(y)
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise DomainError("airy_kernel: non-finite argument")
-    if abs(x - y) >= _SPLIT:
-        vx = airy(x)
-        vy = airy(y)
-        return (vx.ai * vy.aip - vy.ai * vx.aip) / (x - y)
-    return float(extended_airy_grid(0.0, 0.0, x, y)[0, 0])
 
 
 def airy_heat_term(t: float, x, y):
@@ -116,78 +142,3 @@ def airy_block_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray:
     if t_i < t_j:
         out = out - airy_heat_term(t_j - t_i, xs[:, None], ys[None, :])
     return out
-
-
-@dataclass(frozen=True)
-class AiryContour:
-    """Ray-pair geometry for the double-contour representation.
-
-    theta1/theta1p: u-ray angles off the positive real axis (upper/lower);
-    theta2/theta2p: v-ray angles off the negative real axis.  All four must
-    lie strictly inside (pi/6, pi/2), the sector where the cubic exponent
-    decays along both ray systems.
-    """
-
-    theta1: float
-    theta1p: float
-    theta2: float
-    theta2p: float
-    radius: float = 14.0
-    nodes_per_ray: int = 160
-
-    def __post_init__(self):
-        for name in ("theta1", "theta1p", "theta2", "theta2p"):
-            ang = getattr(self, name)
-            if not (math.pi / 6.0 < ang < math.pi / 2.0):
-                raise ContourError(
-                    f"{name}={ang:.6f} outside the admissible band (pi/6, pi/2)"
-                )
-        if self.radius <= 0.0:
-            raise ContourError("truncation radius must be positive")
-        if self.nodes_per_ray < 4:
-            raise ContourError("need at least 4 nodes per ray")
-
-
-def extended_airy_contour(
-    t_i: float, t_j: float, x: float, y: float, contour: AiryContour
-) -> float:
-    """Double-contour representation of the K-tilde entry (oracle path).
-
-    The u-contour (right pair, traversed downward) and v-contour (left pair,
-    traversed upward) are anchored at small real vertices keeping
-    Re(u + t_i) - Re(v + t_j) >= 0.8, which both bounds the denominator away
-    from zero and makes the two representations exactly equal.
-    """
-    dt = t_j - t_i
-    cu = 0.4 + max(0.0, dt)
-    cv = -0.4 + min(0.0, dt)
-    n = contour.nodes_per_ray
-    rad = contour.radius
-
-    u_up, wu_up = ray_rule(cu, contour.theta1, rad, n)
-    u_dn, wu_dn = ray_rule(cu, -contour.theta1p, rad, n)
-    # downward traversal: in along the upper ray, out along the lower
-    u = np.concatenate([u_up, u_dn])
-    wu = np.concatenate([-wu_up, wu_dn])
-
-    v_up, wv_up = ray_rule(cv, math.pi - contour.theta2, rad, n)
-    v_dn, wv_dn = ray_rule(cv, -(math.pi - contour.theta2p), rad, n)
-    # upward traversal: in along the lower ray, out along the upper
-    v = np.concatenate([v_up, v_dn])
-    wv = np.concatenate([wv_up, -wv_dn])
-
-    fu = np.exp(u**3 / 3.0 - x * u)
-    fv = np.exp(-(v**3) / 3.0 + y * v)
-    for f, tag in ((fu, "u"), (fv, "v")):
-        m = float(np.max(np.abs(f)))
-        ends = max(abs(f[n - 1]), abs(f[-1]))
-        if ends > 1e-12 * m:
-            raise AccuracyError(
-                f"{tag}-ray envelope not decayed at radius {rad}: {ends / m:.3e}"
-            )
-    denom = (v[None, :] + t_j) - (u[:, None] + t_i)
-    val = (wu * fu) @ (1.0 / denom) @ (wv * fv)
-    val = val / (2.0j * math.pi) ** 2
-    if abs(val.imag) > 1e-8 * max(abs(val.real), 1e-300):
-        raise AccuracyError(f"contour value has imaginary residue {val.imag:.3e}")
-    return float(val.real)

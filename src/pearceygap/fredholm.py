@@ -12,7 +12,9 @@ kernels, so agreement of two dyadic levels is a meaningful error bound.
 
 Airy and direct Pearcey blocks are products of two sides, one per (time,
 window); each determinant gives its blocks one ``sides`` dict, so a side is
-built once, when a block needing it misses the block cache.
+built once, when a block needing it misses the block cache.  The dict starts
+with the determinant's grid, from which the Airy family sizes the one
+lambda-rule that all its blocks use.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j, sides) -> np.ndarr
 
 
 def _assemble(query: GapQuery, disc: BlockDiscretization) -> np.ndarray:
-    sides: dict = {}
+    sides: dict = {"grid": (disc.times, disc.nodes)}
     sq = [np.sqrt(w) for w in disc.weights]
     rows = []
     for i, t_i in enumerate(disc.times):

@@ -13,7 +13,7 @@ from scipy import special
 
 from .exceptions import DomainError
 
-__all__ = ["AiryValue", "QuadratureRule", "airy", "airy_deriv", "gauss_rule", "ray_rule"]
+__all__ = ["AiryValue", "QuadratureRule", "airy", "airy_derivs_upto", "gauss_rule", "ray_rule"]
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,6 @@ def airy(x) -> AiryValue:
     if scalar:
         return AiryValue(x=xa, ai=float(ai), aip=float(aip))
     return AiryValue(x=xa, ai=ai, aip=aip)
-
-
-def airy_deriv(x, k: int):
-    """k-th derivative of the Airy function via the ODE recursion.
-
-    A''(x) = x A(x) differentiates to A^(j)(x) = x A^(j-2)(x) + (j-2) A^(j-3)(x),
-    so every order is exact in terms of (Ai, Ai') up to rounding.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"derivative order must be a non-negative integer, got {k}")
-    derivs = airy_derivs_upto(x, k)
-    return derivs[k]
 
 
 def airy_derivs_upto(x, kmax: int):

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from pearceygap.airy_process import airy_kernel, extended_airy_grid
+from pearceygap.airy_process import extended_airy_grid
 from pearceygap.analysis import (
     identity_grid_study,
     pde_residual,
@@ -30,7 +30,9 @@ from pearceygap.fredholm import GapQuery, gap_probability, log_gap_probability
 from pearceygap.painleve import tracy_widom_f2
 from pearceygap.pearcey_process import PearceyContour, RecenterSpec, pearcey_block_grid
 from pearceygap.scaling import ScalingParams, map_windows
-from pearceygap.specfun import airy, airy_deriv, gauss_rule
+from pearceygap.specfun import airy, gauss_rule
+
+from oracles import airy_deriv, airy_kernel
 
 
 def test_criterion_1_airy_ode_and_closed_forms():

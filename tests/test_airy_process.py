@@ -3,16 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pearceygap.airy_process import (
-    AiryContour,
-    airy_block_grid,
-    airy_heat_term,
-    airy_kernel,
-    extended_airy_contour,
-    extended_airy_grid,
-)
+from pearceygap import airy_process
+from pearceygap.airy_process import airy_block_grid, airy_heat_term, extended_airy_grid
 from pearceygap.exceptions import AccuracyError, ContourError, DomainError
 from pearceygap.specfun import airy, gauss_rule
+
+from oracles import AiryContour, airy_kernel, extended_airy_contour
 
 
 @pytest.mark.parametrize("x", [-2.0, 0.0, 1.0])
@@ -170,3 +166,43 @@ def test_lambda_tail_check_rejects_undecayed_integrand():
     with pytest.raises(AccuracyError, match="not decayed"):
         airy_block_grid(-4.0, 4.0, [0.0], [0.0])
     assert np.isfinite(airy_block_grid(-3.0, 3.0, [0.0], [0.0])).all()
+
+
+def test_sized_lambda_rule_sweep():
+    # seeded two-window determinants: every block of the sized rule matches a
+    # 1000-node Gauss rule on the same (0, L) to 1e-10 of its largest entry,
+    # or is refused by the tail check (deep windows with ascending times)
+    rng = np.random.default_rng(20101)
+    ref_rule = gauss_rule(1000, 0.0, 1.0)
+    checked = refused = 0
+    for _ in range(20):
+        m = int(rng.choice([20, 40]))
+        times = rng.uniform(-1.0, 1.0, size=2)
+        lows, widths = rng.uniform(-20.0, 2.0, size=2), rng.uniform(1.0, 14.0, size=2)
+        nodes = [gauss_rule(m, a, a + w).nodes for a, w in zip(lows, widths)]
+        sides, ref_sides = {"grid": (tuple(times), tuple(nodes))}, {}
+        for i, (t_i, xs) in enumerate(zip(times, nodes)):
+            for j, (t_j, ys) in enumerate(zip(times, nodes)):
+                try:
+                    got = extended_airy_grid(t_i, t_j, xs, ys, sides)
+                except AccuracyError as exc:
+                    assert "not decayed" in str(exc) and t_i < t_j
+                    refused += 1
+                    continue
+                tail = max(30.0, 10.0 - min(xs[0], ys[0]))
+                lam = tail * ref_rule.nodes
+                for k, pts in ((i, xs), (j, ys)):
+                    if (k, tail) not in ref_sides:
+                        ref_sides[k, tail] = airy(pts[:, None] + lam).ai
+                weight = tail * ref_rule.weights * np.exp(-(t_i - t_j) * lam)
+                ref = (ref_sides[i, tail] * weight) @ ref_sides[j, tail].T
+                assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+                checked += 1
+    assert checked >= 60 and checked + refused == 80
+
+
+def test_unsettled_lambda_rule_raises(monkeypatch):
+    # at a lowest point of -14 the probe moves by ~0.3 from 32 to 48 nodes
+    monkeypatch.setattr(airy_process, "_LAMBDA_LADDER", (32, 48))
+    with pytest.raises(AccuracyError, match="did not settle by 48 nodes"):
+        extended_airy_grid(0.0, 0.0, [-14.0], [-14.0])

@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 import pearceygap
+from pearceygap import cache as cache_mod
 from pearceygap.cache import CacheLock, KernelCache, block_key, default_root
 from pearceygap.exceptions import ConcurrencyError
-from pearceygap.fredholm import GapQuery, log_gap_probability, set_block_cache
+from pearceygap.fredholm import (
+    BlockDiscretization,
+    GapQuery,
+    log_gap_probability,
+    set_block_cache,
+)
 
 
 def test_block_key_is_stable_and_discriminating():
@@ -36,7 +42,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "7f316a94a7c181e9b5591faea90bcaba8fcff7753569eaf91d947c94315813e5"
+    assert key == "cf04f062c8aecdb60b0e2e052e5834c284a24941a82bea4333b509616d928016"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):
@@ -211,6 +217,26 @@ def test_warm_cache_reproduces_cold_value(tmp_path):
     assert first == cold
     assert second == first
     assert cache.hits > hits_before
+
+
+def test_block_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
+    # the airy record is empty, so only the format tells a block of the fixed
+    # 200-node lambda-rule (pearceygap-cache-4) from one of the sized rule
+    query = GapQuery(family="airy", times=(0.0,), windows=((-1.0, 4.0),), m=24, certify=False)
+    x = BlockDiscretization.build(query).nodes[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_mod, "_FORMAT", b"pearceygap-cache-4")
+        old_key = block_key("airy", 0.0, 0.0, "", x, x)
+    cache = KernelCache(str(tmp_path))
+    cache.store(old_key, np.zeros((24, 24)))
+    set_block_cache(cache)
+    try:
+        value = log_gap_probability(query)
+    finally:
+        set_block_cache(None)
+        cache.close()
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert value == log_gap_probability(query) < 0.0
 
 
 def test_warm_cache_two_time_pearcey(tmp_path):

@@ -86,8 +86,9 @@ def test_geometric_refinement_decay():
 ])
 def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
     # both windows share one lambda-tail length, so each certificate level
-    # evaluates one side per distinct window, and sharing them leaves log P
-    # bit-equal to building both sides of every block afresh
+    # evaluates one side per distinct window, at the one lambda-rule size its
+    # determinant chose, and sharing them leaves log P bit-equal to building
+    # both sides of every block afresh at that size
     arrays, airy, block_grid = [], airy_process.airy, fredholm.airy_block_grid
 
     def counting(x):
@@ -96,11 +97,18 @@ def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
         return airy(x)
 
     q = GapQuery(family="airy", times=(-0.5, 0.5), windows=windows, m=40)
+    chosen = []
+    for factor in (1, 2):
+        disc = BlockDiscretization.build(q, factor)
+        chosen.append(airy_process._lambda_nodes(disc.times, [np.min(p) for p in disc.nodes]))
     monkeypatch.setattr(airy_process, "airy", counting)
     shared = log_gap_probability(q)
-    assert arrays == [(40, 200)] * per_level + [(80, 200)] * per_level
-    monkeypatch.setattr(fredholm, "airy_block_grid",
-                        lambda t_i, t_j, xs, ys, sides: block_grid(t_i, t_j, xs, ys))
+    sides = [shape for shape in arrays if shape[0] > 2]  # the probe's have a row per window
+    assert sides == [(40, chosen[0])] * per_level + [(80, chosen[1])] * per_level
+    monkeypatch.setattr(
+        fredholm, "airy_block_grid",
+        lambda t_i, t_j, xs, ys, sides: block_grid(t_i, t_j, xs, ys, {"grid": sides["grid"]}),
+    )
     assert log_gap_probability(q) == shared
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pearceygap.airy_process import airy_block_grid, airy_heat_term, airy_kernel
+from pearceygap.airy_process import airy_block_grid, airy_heat_term
 from pearceygap.exceptions import (
     AccuracyError,
     ContourError,
@@ -23,6 +23,8 @@ from pearceygap.pearcey_process import (
     pearcey_gauss_term,
 )
 from pearceygap.scaling import ScalingParams, tau_from_z, xi_from_x
+
+from oracles import airy_kernel
 
 
 def brute_force_tilde(tau_i, tau_j, xi, eta, reach=7.0, n=1200):

@@ -3,13 +3,9 @@ import numpy as np
 import pytest
 
 from pearceygap.exceptions import DomainError
-from pearceygap.specfun import (
-    QuadratureRule,
-    airy,
-    airy_deriv,
-    airy_derivs_upto,
-    gauss_rule,
-)
+from pearceygap.specfun import QuadratureRule, airy, airy_derivs_upto, gauss_rule
+
+from oracles import airy_deriv
 
 # Closed-form oracles: 3^(-2/3)/Gamma(2/3) and -3^(-1/3)/Gamma(1/3),
 # evaluated in 50-digit arithmetic and frozen.
