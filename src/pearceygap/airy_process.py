@@ -40,9 +40,16 @@ _LAMBDA_TOL = 1e-11
 
 
 def _tail(low: float) -> float:
-    """The cut L of (0, L) for points whose lowest is ``low``: Airy decay beats
-    the e^{|t_i - t_j| lam} weight by a wide margin there for |t| <= 2."""
-    return max(30.0, 10.0 - float(low))
+    """The cut L of (0, L) for points whose lowest is ``low``: at least 30, and
+    far enough that Airy decay beats the e^{|t_i - t_j| lam} weight for
+    |t_i - t_j| <= 2.  With s = low + L, Ai(s) <= e^{-(2/3) s^{3/2}} bounds
+    the weighted endpoint by e^{2L - (4/3) s^{3/2}}, and for s >= 16,
+    (4/3) s^{3/2} - 2s >= (5/6) s^{3/2}.  So s = (1.2 (36 - 2 low))^{2/3}
+    keeps the endpoint below e^{-36}, under 1e-14 of the squared peak Ai(-1.02)^2
+    = 0.29 that any window below -1 reaches.  The cut stays 30 for lows above
+    about -12.5."""
+    low = float(low)
+    return max(30.0, (1.2 * (36.0 - 2.0 * low)) ** (2.0 / 3.0) - low)
 
 
 def _lambda_nodes(times, lows) -> int:
@@ -92,7 +99,7 @@ def _airy_side(sides: dict, pts: np.ndarray, lam: np.ndarray, tail: float):
 
 def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray:
     """Matrix of K-tilde entries over xs x ys: the lambda-integral by one
-    Gauss rule on (0, L), L = max(30, 10 - min(xs, ys)), with the node count
+    Gauss rule on (0, L), L = _tail(min(xs, ys)), with the node count
     _lambda_nodes picks for the grid in ``sides`` (without one, the block's
     own two windows); the time-weighted product of the two sides."""
     if not (np.isfinite(t_i) and np.isfinite(t_j)):

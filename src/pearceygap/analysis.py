@@ -20,12 +20,7 @@ import numpy as np
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, PearceyGapError
 from .fredholm import GapQuery, log_gap_probability
-from .pearcey_process import (
-    _MAX_NODES,
-    PearceyContour,
-    conjugated_block_grid,
-    ray_radius_bound,
-)
+from .pearcey_process import PearceyContour, conjugated_block_grid, ray_radius_bound
 from .scaling import ScalingParams, match_tau2, t_from_tau
 from .specfun import airy_derivs_upto, gauss_rule
 
@@ -288,6 +283,32 @@ def proposition_slope(
 
 
 # ---------------------------------------------------------------------------
+# ray-node count of a study's Pearcey contours
+
+
+def _ray_nodes(log_p, probes: dict, ladder: tuple, tol: float, study: str):
+    """The ray-node count for every block of a study, and the largest probe
+    gap at it: the finer of the first two consecutive levels of ladder at which
+    log_p(n, point) agrees within tol (absolute, in log P) at every probe
+    point.  probes maps a label naming each point to it; if no two levels
+    agree, AccuracyError names the point and the gap that did not settle."""
+    prev = {label: log_p(ladder[0], point) for label, point in probes.items()}
+    for coarse, n in zip(ladder, ladder[1:]):
+        gaps = {}
+        for label, point in probes.items():
+            value = log_p(n, point)
+            gaps[label] = abs(value - prev[label])
+            prev[label] = value
+        worst = max(gaps, key=gaps.get)
+        if gaps[worst] <= tol:
+            return n, gaps[worst]
+    raise AccuracyError(
+        f"{study} ray quadrature did not settle by {ladder[-1]} nodes per ray: log P at "
+        f"the {worst} moved by {gaps[worst]:.3e} from {coarse} to {n} (tolerance {tol:g})"
+    )
+
+
+# ---------------------------------------------------------------------------
 # statistics convergence order (large tau)
 
 
@@ -297,20 +318,17 @@ def _theorem_params(tau1: float, t1, t2, single_time: bool) -> ScalingParams:
     return ScalingParams.for_theorem(tau1, t1, t2)
 
 
-def _ratio_deviation(params, windows, m, single_time, certify, airy_log_p) -> float:
-    """R = P_pearcey / P_airy - 1 over the shared windows; ``airy_log_p(certify)``
-    is the tau1-independent Airy reference log P."""
-    # kernel times ascending; window k belongs to process time k
-    times = (0.0,) if single_time else (params.t1, params.t2)
-    qp = GapQuery(
-        family="pearcey-conjugated",
-        times=times,
-        windows=windows,
-        m=m,
-        z=params.z,
-        certify=certify,
-    )
-    return math.expm1(log_gap_probability(qp) - airy_log_p(certify))
+# The theorem study's conjugated ray rule walks the Airy lambda-rule's ladder,
+# 32, 48, 64, 96, ..., on up to 2048.  Absolute agreement in log P of two consecutive
+# levels, required at the first and the last tau1.  Against a 512-node
+# reference, the worst log P error over the determinants of the default study
+# (certified at m and 2m, and ablated) is 3.4e-6 at 32 nodes per ray, 2.5e-10
+# at 48 and 7.4e-14 at 64; its single-time variant's is 7.9e-8, 6.5e-11 and
+# 3.7e-14.  So 1e-9 (the per-block claim of the adaptive rule, below the 1e-8
+# m -> 2m certificate) rejects 32/48 and accepts 48/64 at the defaults, and
+# the study runs at 64.
+_THEOREM_RAY_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
+_THEOREM_RAY_TOL = 1e-9
 
 
 def theorem_ratio_study(
@@ -329,6 +347,10 @@ def theorem_ratio_study(
     certificate; uncertified points are kept in the table (certified = 0) but
     excluded from the fit.  The ablation drops the product term of the
     second-time matching rule and refits: the law must visibly break.
+
+    Every conjugated block uses one ray-node count (summary nodes_per_ray),
+    which _ray_nodes picks once from the study's own uncertified query at the
+    first and the last tau1; ray_convergence is the gap it settled with.
     """
     _require_finite(tau1_grid=tau1_grid, t1=t1, t2=t2)
     tau1_grid = np.asarray(tau1_grid, dtype=float)
@@ -352,6 +374,25 @@ def theorem_ratio_study(
             GapQuery(family="airy", times=airy_times, windows=windows, m=m, certify=cert)
         )
 
+    def conjugated_log_p(params: ScalingParams, cert: bool, n: int) -> float:
+        # kernel times ascending; window k belongs to process time k
+        times = (0.0,) if single_time else (params.t1, params.t2)
+        return log_gap_probability(GapQuery(
+            family="pearcey-conjugated", times=times, windows=windows, m=m, z=params.z,
+            contour=PearceyContour(nodes_per_ray=n), certify=cert,
+        ))
+
+    n, ray_convergence = _ray_nodes(
+        lambda nodes, tau1: conjugated_log_p(
+            _theorem_params(tau1, t1, t2, single_time), False, nodes),
+        {f"tau1 = {tau1:g}": float(tau1) for tau1 in (tau1_grid[0], tau1_grid[-1])},
+        _THEOREM_RAY_LADDER, _THEOREM_RAY_TOL, "theorem",
+    )
+
+    def ratio_dev(params: ScalingParams, cert: bool) -> float:
+        """R = P_pearcey / P_airy - 1 over the shared windows."""
+        return math.expm1(conjugated_log_p(params, cert, n) - airy_log_p(cert))
+
     rows = []
     trusted = []
     devs = []
@@ -359,10 +400,10 @@ def theorem_ratio_study(
     for tau1 in tau1_grid:
         params = _theorem_params(float(tau1), t1, t2, single_time)
         try:
-            r = _ratio_deviation(params, windows, m, single_time, certify, airy_log_p)
+            r = ratio_dev(params, certify)
             ok = True
         except AccuracyError:
-            r = _ratio_deviation(params, windows, m, single_time, False, airy_log_p)
+            r = ratio_dev(params, False)
             ok = False
         trusted.append(ok)
         if ok:
@@ -378,7 +419,7 @@ def theorem_ratio_study(
             d = t2 - t1
             tau2_ab = match_tau2(float(tau1), t1, t2) - 4.0 * d * t1 * t2 / (3.0 * tau1)
             ablated = replace(params, t2=t_from_tau(tau2_ab, params.z), tau2=tau2_ab)
-            r_ab = _ratio_deviation(ablated, windows, m, single_time, False, airy_log_p)
+            r_ab = ratio_dev(ablated, False)
             devs_ablated.append(abs(r_ab))
             row["ratio_dev_ablated"] = r_ab
         rows.append(row)
@@ -397,6 +438,8 @@ def theorem_ratio_study(
         "fit_rms": rms,
         "expected_slope": -4.0 / 3.0,
         "untrusted_points": int(len(trusted) - sum(trusted)),
+        "nodes_per_ray": n,
+        "ray_convergence": ray_convergence,
     }
     columns = ["tau1", "tau2", "z", "ratio_dev"]
     if devs_ablated:
@@ -450,7 +493,7 @@ class PdeGrid:
     times; the windows are E1 = (xi+eta+mu, xi+eta-mu) at tau+sigma and
     E2 = (xi-eta+nu, xi-eta-nu) at tau-sigma, with mu, nu < 0.
     nodes_per_ray=0 has pde_residual choose the contour's node count once per
-    study (see _ray_nodes); a positive value fixes it.
+    study (see pde_residual); a positive value fixes it.
     """
 
     tau: float = 4.0
@@ -555,41 +598,10 @@ def _pde_terms(grid: PdeGrid, log_p) -> dict:
 # the node count: at both default probe points every level from 32 to 384
 # nodes lies within 7e-14 of the 384 value (the rounding floor), while 24
 # nodes are 6e-11 to 9e-11 off, so 1e-12 separates a settled level from an
-# unresolved one.
+# unresolved one.  The pde study doubles its count from 48.  Neither study's
+# ladder goes past the adaptive rule's top, pearcey_process._MAX_NODES.
 _RAY_TOL = 1e-12
-_RAY_START = 48  # first ray-node level of the doubling
-
-
-def _ray_nodes(grid: PdeGrid, log_p) -> tuple[int, float]:
-    """The ray-node count for every block of the study, and the largest probe
-    gap at it: doubled from _RAY_START until log_p at two consecutive levels
-    agrees within _RAY_TOL at the base point and at the stencil's far corner
-    (every offset at its reach 2h, raising the later time, moving xi and eta
-    away from zero and widening both windows), where the ray envelope is
-    widest.  The finer of the two agreeing levels is returned."""
-    reach = 2.0 * grid.h
-    probes = {
-        "base point": (0.0,) * len(_PDE_AXES),
-        "far corner": (reach, reach, math.copysign(reach, grid.xi),
-                       math.copysign(reach, grid.eta), -reach, -reach),
-    }
-    n = _RAY_START
-    prev = {name: log_p(n, grid.m, offsets) for name, offsets in probes.items()}
-    while 2 * n <= _MAX_NODES:
-        n *= 2
-        gaps = {}
-        for name, offsets in probes.items():
-            value = log_p(n, grid.m, offsets)
-            gaps[name] = abs(value - prev[name])
-            prev[name] = value
-        worst = max(gaps, key=gaps.get)
-        if gaps[worst] <= _RAY_TOL:
-            return n, gaps[worst]
-    raise AccuracyError(
-        f"pde ray quadrature did not settle by {_MAX_NODES} nodes per ray: log P at "
-        f"the {worst} {dict(zip(_PDE_AXES, probes[worst]))} moved by {gaps[worst]:.3e} "
-        f"from {n // 2} to {n} (tolerance {_RAY_TOL:g})"
-    )
+_PDE_RAY_LADDER = (48, 96, 192, 384, 768, 1536)
 
 
 def _pde_combine(terms: dict, flip: str | None = None) -> tuple[float, float]:
@@ -629,9 +641,20 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
         ))
 
     # a fixed node count is not probed: its convergence is not measured
-    n, ray_convergence = (
-        (grid.nodes_per_ray, None) if grid.nodes_per_ray else _ray_nodes(grid, log_p)
-    )
+    n, ray_convergence = grid.nodes_per_ray, None
+    if not n:
+        # the base point, and the stencil's far corner (every offset at its
+        # reach 2h, raising the later time, moving xi and eta away from zero
+        # and widening both windows), where the ray envelope is widest
+        reach = 2.0 * grid.h
+        probes = {"base point": (0.0,) * len(_PDE_AXES),
+                  "far corner": (reach, reach, math.copysign(reach, grid.xi),
+                                 math.copysign(reach, grid.eta), -reach, -reach)}
+        n, ray_convergence = _ray_nodes(
+            lambda n, offsets: log_p(n, grid.m, offsets),
+            {f"{name} {dict(zip(_PDE_AXES, at))}": at for name, at in probes.items()},
+            _PDE_RAY_LADDER, _RAY_TOL, "pde",
+        )
     at_n = replace(grid, nodes_per_ray=n)
     terms = _pde_terms(at_n, log_p)
     total, scale = _pde_combine(terms)

@@ -225,7 +225,10 @@ def _exp_side(expo: np.ndarray, spans, tag: str) -> np.ndarray:
 def _quadrature(contour: PearceyContour, grid_at) -> np.ndarray:
     """The real part of grid_at(n) at the contour's node count or, for
     nodes_per_ray=0, doubled from _MIN_NODES until two levels agree to
-    _RTOL_REFINE relative."""
+    _RTOL_REFINE relative.  The theorem and pde studies pick one count per
+    study and fix it, so this per-block ladder serves only library callers
+    with nodes_per_ray=0 (among the studies, prop21's kernel residuals and
+    gap queries of the pearcey family)."""
     if contour.nodes_per_ray:
         return _to_real(grid_at(contour.nodes_per_ray))
     n = _MIN_NODES

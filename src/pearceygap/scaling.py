@@ -1,6 +1,6 @@
 """Coordinate bridges between the Pearcey variables (tau, xi, E) and the Airy
 variables (t, x, E-tilde): time blow-up, space scaling, the two-time matching
-rule, window mapping, and the u-resubstitution.
+rule, and the u-resubstitution.
 
 All maps are exact closed forms; the asymptotic remainders of the source
 formulas (O(z^10) in the time map, O(tau1^{-5/3}) in the matching rule) are
@@ -19,10 +19,8 @@ from .exceptions import DomainError
 __all__ = [
     "ScalingParams",
     "tau_from_z",
-    "xi_from_x",
     "x_from_xi",
     "match_tau2",
-    "map_windows",
     "t_from_u",
     "t_from_tau",
 ]
@@ -42,17 +40,9 @@ def t_from_tau(tau: float, z: float) -> float:
     return (3.0 * z**6 * tau - 1.0) / (6.0 * z**4)
 
 
-def xi_from_x(tau: float, x):
-    """Pearcey space coordinate of an Airy coordinate at time tau."""
-    if tau <= 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    x = np.asarray(x, dtype=float)
-    val = (2.0 / 27.0) * (3.0 * tau) ** 1.5 - (3.0 * tau) ** (1.0 / 6.0) * x
-    return float(val) if val.ndim == 0 else val
-
-
 def x_from_xi(xi, tau: float):
-    """Inverse of xi_from_x at fixed tau."""
+    """Airy space coordinate of a Pearcey coordinate xi at time tau:
+    x = ((2/27)(3 tau)^{3/2} - xi) / (3 tau)^{1/6}."""
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
     xi = np.asarray(xi, dtype=float)
@@ -80,30 +70,6 @@ def t_from_u(u_i: float, z: float) -> float:
     if not 0.0 < z < 1.0:
         raise DomainError(f"scale parameter must be in (0, 1), got {z}")
     return u_i * (1.0 + u_i * z**4)
-
-
-def _map_one(window, tau):
-    if window is None:
-        return None
-    a, b = float(window[0]), float(window[1])
-    if a >= b:
-        raise DomainError(f"window must be ascending, got ({a}, {b})")
-    if tau is None:
-        raise DomainError("missing tau for a non-empty window")
-    lo, hi = sorted((xi_from_x(tau, a), xi_from_x(tau, b)))
-    return (lo, hi)
-
-
-def map_windows(airy_windows, tau1: float, tau2: float | None = None):
-    """Endpoint-wise Pearcey windows for the given Airy windows.
-
-    The space map has negative slope, so each mapped window is normalized to
-    an ascending interval.  ``None`` marks an explicitly empty window.
-    """
-    taus = [tau1, tau2]
-    if len(airy_windows) > 2:
-        raise DomainError("window mapping is defined for at most two time slices")
-    return [_map_one(w, taus[i]) for i, w in enumerate(airy_windows)]
 
 
 @dataclass(frozen=True)

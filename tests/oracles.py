@@ -1,6 +1,7 @@
 """Independent references the tests compare the library against: the static
 Airy kernel in quotient form, the double-contour representation of the
-extended Airy kernel, and Airy derivatives of any order."""
+extended Airy kernel, Airy derivatives of any order, and the forward space
+map from Airy to Pearcey coordinates with the window map built on it."""
 
 from __future__ import annotations
 
@@ -115,3 +116,36 @@ def extended_airy_contour(
     if abs(val.imag) > 1e-8 * max(abs(val.real), 1e-300):
         raise AccuracyError(f"contour value has imaginary residue {val.imag:.3e}")
     return float(val.real)
+
+
+def xi_from_x(tau: float, x):
+    """Pearcey space coordinate of an Airy coordinate at time tau."""
+    if tau <= 0.0:
+        raise DomainError(f"tau must be positive, got {tau}")
+    x = np.asarray(x, dtype=float)
+    val = (2.0 / 27.0) * (3.0 * tau) ** 1.5 - (3.0 * tau) ** (1.0 / 6.0) * x
+    return float(val) if val.ndim == 0 else val
+
+
+def _map_one(window, tau):
+    if window is None:
+        return None
+    a, b = float(window[0]), float(window[1])
+    if a >= b:
+        raise DomainError(f"window must be ascending, got ({a}, {b})")
+    if tau is None:
+        raise DomainError("missing tau for a non-empty window")
+    lo, hi = sorted((xi_from_x(tau, a), xi_from_x(tau, b)))
+    return (lo, hi)
+
+
+def map_windows(airy_windows, tau1: float, tau2: float | None = None):
+    """Endpoint-wise Pearcey windows for the given Airy windows.
+
+    The space map has negative slope, so each mapped window is normalized to
+    an ascending interval.  ``None`` marks an explicitly empty window.
+    """
+    taus = [tau1, tau2]
+    if len(airy_windows) > 2:
+        raise DomainError("window mapping is defined for at most two time slices")
+    return [_map_one(w, taus[i]) for i, w in enumerate(airy_windows)]

@@ -29,10 +29,10 @@ from pearceygap.cli import main
 from pearceygap.fredholm import GapQuery, gap_probability, log_gap_probability
 from pearceygap.painleve import tracy_widom_f2
 from pearceygap.pearcey_process import PearceyContour, RecenterSpec, pearcey_block_grid
-from pearceygap.scaling import ScalingParams, map_windows
+from pearceygap.scaling import ScalingParams
 from pearceygap.specfun import airy, gauss_rule
 
-from oracles import airy_deriv, airy_kernel
+from oracles import airy_deriv, airy_kernel, map_windows
 
 
 def test_criterion_1_airy_ode_and_closed_forms():

@@ -6,6 +6,7 @@ import pytest
 from pearceygap import airy_process
 from pearceygap.airy_process import airy_block_grid, airy_heat_term, extended_airy_grid
 from pearceygap.exceptions import AccuracyError, ContourError, DomainError
+from pearceygap.fredholm import GapQuery, log_gap_probability
 from pearceygap.specfun import airy, gauss_rule
 
 from oracles import AiryContour, airy_kernel, extended_airy_contour
@@ -170,11 +171,11 @@ def test_lambda_tail_check_rejects_undecayed_integrand():
 
 def test_sized_lambda_rule_sweep():
     # seeded two-window determinants: every block of the sized rule matches a
-    # 1000-node Gauss rule on the same (0, L) to 1e-10 of its largest entry,
-    # or is refused by the tail check (deep windows with ascending times)
+    # 1000-node Gauss rule on the same (0, L) to 1e-10 of its largest entry;
+    # with |t_i - t_j| <= 2 the cut outruns the weight even for deep windows
     rng = np.random.default_rng(20101)
     ref_rule = gauss_rule(1000, 0.0, 1.0)
-    checked = refused = 0
+    checked = 0
     for _ in range(20):
         m = int(rng.choice([20, 40]))
         times = rng.uniform(-1.0, 1.0, size=2)
@@ -183,13 +184,8 @@ def test_sized_lambda_rule_sweep():
         sides, ref_sides = {"grid": (tuple(times), tuple(nodes))}, {}
         for i, (t_i, xs) in enumerate(zip(times, nodes)):
             for j, (t_j, ys) in enumerate(zip(times, nodes)):
-                try:
-                    got = extended_airy_grid(t_i, t_j, xs, ys, sides)
-                except AccuracyError as exc:
-                    assert "not decayed" in str(exc) and t_i < t_j
-                    refused += 1
-                    continue
-                tail = max(30.0, 10.0 - min(xs[0], ys[0]))
+                got = extended_airy_grid(t_i, t_j, xs, ys, sides)
+                tail = airy_process._tail(min(xs[0], ys[0]))
                 lam = tail * ref_rule.nodes
                 for k, pts in ((i, xs), (j, ys)):
                     if (k, tail) not in ref_sides:
@@ -198,7 +194,26 @@ def test_sized_lambda_rule_sweep():
                 ref = (ref_sides[i, tail] * weight) @ ref_sides[j, tail].T
                 assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
                 checked += 1
-    assert checked >= 60 and checked + refused == 80
+    assert checked == 80
+
+
+def test_deep_windows_get_a_longer_tail_cut():
+    # at lows below about -12.5 the fixed cut of 30 left e^{2 lam} Ai(low + lam)^2
+    # undecayed (endpoint/max 5.3e-3 here) and the tail check refused the query
+    assert airy_process._tail(-12.0) == 30.0
+    low, dt = -17.0, 2.0
+    tail = airy_process._tail(low)
+    assert math.exp(dt * tail) * airy(low + tail).ai ** 2 <= 1e-14 * airy(-1.02).ai ** 2
+    query = GapQuery(family="airy", times=(-1.0, 1.0), windows=((-17.0, -10.0),) * 2, m=20)
+    assert math.isfinite(log_gap_probability(query))
+    # each block against a 1000-node rule on twice the cut
+    xs = gauss_rule(20, -17.0, -10.0).nodes
+    rule = gauss_rule(1000, 0.0, 2.0 * tail)
+    a = airy(xs[:, None] + rule.nodes).ai
+    for t_i, t_j in ((-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
+        ref = (a * (rule.weights * np.exp(-(t_i - t_j) * rule.nodes))) @ a.T
+        got = extended_airy_grid(t_i, t_j, xs, xs)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_unsettled_lambda_rule_raises(monkeypatch):

@@ -136,8 +136,55 @@ def test_theorem_airy_reference_computed_once_per_certify_level(monkeypatch):
     monkeypatch.setattr(analysis, "log_gap_probability", counting)
     rep = theorem_ratio_study(np.geomspace(30.0, 960.0, 6))
     assert rep.passed
-    assert families.count("pearcey-conjugated") == 12
+    # 6 certified and 6 ablated points, plus the ray-node probe: the first and
+    # the last tau1 at 32, 48 and 64 nodes per ray
+    assert families.count("pearcey-conjugated") == 12 + 6
     assert families.count("airy") <= 2
+
+
+def _theorem_determinants(monkeypatch, **kwargs):
+    """The default theorem study's report, and every conjugated determinant it
+    computed at the ray-node count it picked, as an uncertified query (a
+    certified query stands for its determinants at m and at 2m)."""
+    queries = []
+    real = analysis.log_gap_probability
+
+    def record(query):
+        queries.append(query)
+        return real(query)
+
+    monkeypatch.setattr(analysis, "log_gap_probability", record)
+    rep = theorem_ratio_study(np.geomspace(30.0, 960.0, 6), **kwargs)
+    n, dets = rep.summary["nodes_per_ray"], set()
+    for q in queries:
+        if q.family == "pearcey-conjugated" and q.contour.nodes_per_ray == n:
+            dets.add(replace(q, certify=False))
+            if q.certify:
+                dets.add(replace(q, m=2 * q.m, certify=False))
+    return rep, dets
+
+
+@pytest.mark.parametrize("single_time, count", [(False, 18), (True, 12)])
+def test_theorem_ray_nodes_match_a_512_node_reference(monkeypatch, single_time, count):
+    # certified points at m and 2m, and the ablated points at m: each within
+    # 1e-12 in log P of the same determinant at 512 nodes per ray
+    rep, dets = _theorem_determinants(monkeypatch, single_time=single_time)
+    assert rep.passed
+    assert rep.summary["nodes_per_ray"] == 64
+    assert rep.summary["ray_convergence"] <= analysis._THEOREM_RAY_TOL
+    assert len(dets) == count
+    for q in dets:
+        ref = replace(q, contour=replace(q.contour, nodes_per_ray=512))
+        assert abs(log_gap_probability(q) - log_gap_probability(ref)) <= 1e-12
+
+
+def test_theorem_ray_nodes_that_never_settle_raise(monkeypatch):
+    # log P moving by 1/n at every level never agrees within the tolerance
+    monkeypatch.setattr(analysis, "log_gap_probability",
+                        lambda query: 1.0 / query.contour.nodes_per_ray)
+    with pytest.raises(AccuracyError, match=r"by 2048 nodes per ray: log P at the "
+                       r"tau1 = 30 moved by 1\.628e-04 from 1536 to 2048"):
+        theorem_ratio_study(np.geomspace(30.0, 960.0, 6))
 
 
 def test_theorem_single_time_rate():

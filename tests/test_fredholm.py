@@ -13,7 +13,9 @@ from pearceygap.fredholm import (
 )
 from pearceygap.painleve import hastings_mcleod, tracy_widom_f2
 from pearceygap.pearcey_process import PearceyContour, RecenterSpec
-from pearceygap.scaling import ScalingParams, map_windows
+from pearceygap.scaling import ScalingParams
+
+from oracles import map_windows
 
 
 def test_empty_windows_give_probability_one():

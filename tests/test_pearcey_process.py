@@ -22,9 +22,9 @@ from pearceygap.pearcey_process import (
     pearcey_block_grid,
     pearcey_gauss_term,
 )
-from pearceygap.scaling import ScalingParams, tau_from_z, xi_from_x
+from pearceygap.scaling import ScalingParams, tau_from_z
 
-from oracles import airy_kernel
+from oracles import airy_kernel, xi_from_x
 
 
 def brute_force_tilde(tau_i, tau_j, xi, eta, reach=7.0, n=1200):

@@ -4,14 +4,14 @@ import pytest
 from pearceygap.exceptions import DomainError
 from pearceygap.scaling import (
     ScalingParams,
-    map_windows,
     match_tau2,
     t_from_tau,
     t_from_u,
     tau_from_z,
     x_from_xi,
-    xi_from_x,
 )
+
+from oracles import map_windows, xi_from_x
 
 
 def test_tau_from_z_direct_value():
