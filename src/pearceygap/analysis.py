@@ -97,11 +97,20 @@ def _require_finite(**values) -> None:
 _ID_NODES, _ID_CUT = 420, 32.0  # Gauss rule on (0, _ID_CUT) for the identities
 
 
+@functools.lru_cache(maxsize=64)
+def _id_derivs(x: float) -> tuple:
+    """Ai, ..., Ai^(4) at x + lam on the identities' rule, read-only: a study
+    grid has few distinct x, each met in many (x, y, s) residuals."""
+    derivs = airy_derivs_upto(x + gauss_rule(_ID_NODES, 0.0, _ID_CUT).nodes, 4)
+    for d in derivs:
+        d.flags.writeable = False
+    return tuple(derivs)
+
+
 def _product_integrals(x, y, decay, lam_power, orders):
     """D^{jk} = int_0^inf lam^p e^{-decay*lam} Ai^(j)(x+lam) Ai^(k)(y+lam)."""
     rule = gauss_rule(_ID_NODES, 0.0, _ID_CUT)
-    ax = airy_derivs_upto(x + rule.nodes, 4)
-    ay = airy_derivs_upto(y + rule.nodes, 4)
+    ax, ay = _id_derivs(x), _id_derivs(y)
     w = rule.weights * np.exp(-decay * rule.nodes)
     if lam_power:
         w = w * rule.nodes**lam_power

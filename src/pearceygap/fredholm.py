@@ -13,8 +13,10 @@ kernels, so agreement of two dyadic levels is a meaningful error bound.
 Airy and direct Pearcey blocks are products of two sides, one per (time,
 window); each determinant gives its blocks one ``sides`` dict, so a side is
 built once, when a block needing it misses the block cache.  The dict starts
-with the determinant's grid, from which the Airy family sizes the one
-lambda-rule that all its blocks use.
+with the determinant's grid, from which the Airy family sizes, at its first
+cross-time block, the one lambda-rule that all those blocks use; its diagonal
+blocks are the static Airy kernel in closed form and need no lambda-rule, so
+a one-time Airy determinant sizes none.
 """
 
 from __future__ import annotations

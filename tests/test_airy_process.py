@@ -221,3 +221,37 @@ def test_unsettled_lambda_rule_raises(monkeypatch):
     monkeypatch.setattr(airy_process, "_LAMBDA_LADDER", (32, 48))
     with pytest.raises(AccuracyError, match="did not settle by 48 nodes"):
         extended_airy_grid(0.0, 0.0, [-14.0], [-14.0])
+
+
+def test_closed_form_diagonal_block_matches_lambda_integral():
+    # seeded windows (s, s + L): the closed form against the lambda-integral
+    # to 1e-11 of the block's largest entry, near the diagonal included,
+    # where the quotient's numerator cancels
+    rng = np.random.default_rng(20160)
+    for _ in range(40):
+        s, width = rng.uniform(-20.0, 2.0), rng.uniform(2.0, 16.0)
+        m, t = int(rng.choice([20, 40, 80, 160])), rng.uniform(-1.0, 1.0)
+        xs = gauss_rule(m, s, s + width).nodes
+        got = airy_block_grid(t, t, xs, xs)
+        ref = extended_airy_grid(t, t, xs, xs)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert np.array_equal(got, got.T)
+
+
+def test_one_time_determinant_sizes_no_lambda_rule(monkeypatch):
+    # a one-time Airy determinant has only its diagonal block: one Airy call
+    # on the m points and one on the 2m points, and no lambda-rule probe
+    calls, airy_fn = [], airy_process.airy
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return airy_fn(x)
+
+    def no_probe(times, lows):
+        raise AssertionError("a one-time determinant sized a lambda-rule")
+
+    monkeypatch.setattr(airy_process, "airy", counting)
+    monkeypatch.setattr(airy_process, "_lambda_nodes", no_probe)
+    query = GapQuery(family="airy", times=(0.3,), windows=((-2.0, 12.0),), m=30)
+    assert math.isfinite(log_gap_probability(query))
+    assert calls == [(30,), (60,)]

@@ -52,6 +52,25 @@ def test_identity2_odd_under_relabeling():
     assert abs(a + b) < 1e-8
 
 
+def test_identity_study_evaluates_each_airy_point_set_once(monkeypatch):
+    # the default grid's 450 product integrals read 5 distinct x + lam sets;
+    # the shared derivative arrays are read-only, so no residual can alter
+    # another's, and the residuals are those of a fresh evaluation
+    calls, derivs = [], analysis.airy_derivs_upto
+
+    def counting(x, kmax):
+        calls.append(float(x[0]))
+        return derivs(x, kmax)
+
+    monkeypatch.setattr(analysis, "airy_derivs_upto", counting)
+    analysis._id_derivs.cache_clear()
+    report = identity_grid_study()
+    assert len(calls) == len(set(calls)) == 5
+    assert not any(a.flags.writeable for a in analysis._id_derivs(0.5))
+    x, y, s, r1, r2 = report.rows[-1]
+    assert (r1, r2) == (identity1_residual(x, y, s), identity2_residual(x, y, s))
+
+
 def test_identity1_nonzero_when_misassembled():
     # dropping the first-order term must leave a visible defect, so the
     # near-zero residuals above are not a trivial cancellation

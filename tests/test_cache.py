@@ -42,7 +42,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "cf04f062c8aecdb60b0e2e052e5834c284a24941a82bea4333b509616d928016"
+    assert key == "9e357c6e93d70e65e0a69becbd7e7da200aae470391e61b51b75b11a772023f2"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):
@@ -219,13 +219,33 @@ def test_warm_cache_reproduces_cold_value(tmp_path):
     assert cache.hits > hits_before
 
 
+def test_shared_diagonal_block_reads_the_same_warm_as_cold(tmp_path):
+    # a diagonal block is the static kernel in closed form, the same in every
+    # determinant; when it came from the lambda-rule its size depended on the
+    # other window, and this query read 2.36e-14 off its cold log P
+    fill = GapQuery(family="airy", times=(-0.5, 0.5), windows=((-1.0, 6.0),) * 2, m=40)
+    query = GapQuery(family="airy", times=(-0.5, 0.5), windows=((-1.0, 6.0), (-0.5, 4.0)), m=40)
+    cold = log_gap_probability(query)
+    cache = KernelCache(str(tmp_path))
+    set_block_cache(cache)
+    try:
+        log_gap_probability(fill)
+        hits_before = cache.hits
+        warm = log_gap_probability(query)
+    finally:
+        set_block_cache(None)
+        cache.close()
+    assert cache.hits > hits_before
+    assert warm == cold
+
+
 def test_block_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    # the airy record is empty, so only the format tells a block of the fixed
-    # 200-node lambda-rule (pearceygap-cache-4) from one of the sized rule
+    # the airy record is empty, so only the format tells a diagonal block of
+    # the lambda-rule (pearceygap-cache-5) from one of the closed form
     query = GapQuery(family="airy", times=(0.0,), windows=((-1.0, 4.0),), m=24, certify=False)
     x = BlockDiscretization.build(query).nodes[0]
     with monkeypatch.context() as patch:
-        patch.setattr(cache_mod, "_FORMAT", b"pearceygap-cache-4")
+        patch.setattr(cache_mod, "_FORMAT", b"pearceygap-cache-5")
         old_key = block_key("airy", 0.0, 0.0, "", x, x)
     cache = KernelCache(str(tmp_path))
     cache.store(old_key, np.zeros((24, 24)))

@@ -89,8 +89,10 @@ def test_geometric_refinement_decay():
 def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
     # both windows share one lambda-tail length, so each certificate level
     # evaluates one side per distinct window, at the one lambda-rule size its
-    # determinant chose, and sharing them leaves log P bit-equal to building
-    # both sides of every block afresh at that size
+    # determinant chose, for its two cross-time blocks, and sharing them
+    # leaves log P bit-equal to building both sides of every block afresh at
+    # that size; each diagonal block is the closed form, one Airy call on its
+    # window's points
     arrays, airy, block_grid = [], airy_process.airy, fredholm.airy_block_grid
 
     def counting(x):
@@ -105,8 +107,12 @@ def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
         chosen.append(airy_process._lambda_nodes(disc.times, [np.min(p) for p in disc.nodes]))
     monkeypatch.setattr(airy_process, "airy", counting)
     shared = log_gap_probability(q)
-    sides = [shape for shape in arrays if shape[0] > 2]  # the probe's have a row per window
-    assert sides == [(40, chosen[0])] * per_level + [(80, chosen[1])] * per_level
+    built = [shape for shape in arrays if shape[0] > 2]  # the probe's have a row per window
+    assert built == [
+        shape
+        for m, n in ((40, chosen[0]), (80, chosen[1]))
+        for shape in [(m,)] + [(m, n)] * per_level + [(m,)]
+    ]
     monkeypatch.setattr(
         fredholm, "airy_block_grid",
         lambda t_i, t_j, xs, ys, sides: block_grid(t_i, t_j, xs, ys, {"grid": sides["grid"]}),
