@@ -64,21 +64,22 @@ def _lambda_nodes(times, lows) -> int:
     windows sit at ``times`` and have lowest points ``lows``.
 
     The probe integrates f = e^{-(t_i - t_j) lam} Ai(a_i + lam) Ai(a_j + lam)
-    for every pair of windows at their lowest points a_i, a_j, where Ai
-    oscillates most, over the longest cut any block uses (a block's own cut
-    is no longer, so its rule is no coarser).  It walks _LAMBDA_LADDER until
-    two consecutive levels agree within _LAMBDA_TOL of sum w|f| (not of the
-    integral, which may cancel) for every pair, and returns the finer level.
+    for every pair i != j of windows (the (i, i) blocks are closed form) at
+    their lowest points a_i, a_j, where Ai oscillates most, over the longest
+    cut any block uses (a block's own cut is no longer, so its rule is no
+    coarser).  It walks _LAMBDA_LADDER until two consecutive levels agree
+    within _LAMBDA_TOL of sum w|f| (not of the integral, which may cancel) for
+    every pair, and returns the finer level.
     """
-    times = np.asarray(times, dtype=float)
     lows = np.asarray(lows, dtype=float)
-    dt = np.subtract.outer(times, times)[..., None]
+    i, j = np.nonzero(~np.eye(lows.size, dtype=bool))
+    dt = np.subtract.outer(times, times)[i, j, None]
     tail = _tail(np.min(lows))
     prev, gap = None, math.inf
     for n in _LAMBDA_LADDER:
         rule = gauss_rule(n, 0.0, tail)
         a = airy(lows[:, None] + rule.nodes).ai
-        f = rule.weights * np.exp(-dt * rule.nodes) * a[:, None, :] * a[None, :, :]
+        f = rule.weights * np.exp(-dt * rule.nodes) * a[i] * a[j]
         value = f.sum(axis=-1)
         if prev is not None:
             # Ai underflows to 0 far right, where both levels agree on 0

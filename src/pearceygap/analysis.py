@@ -294,15 +294,18 @@ def proposition_slope(
 # ---------------------------------------------------------------------------
 # ray-node count of a study's Pearcey contours
 
+# both studies' levels, up to the adaptive rule's top, pearcey_process._MAX_NODES
+_RAY_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
 
-def _ray_nodes(log_p, probes: dict, ladder: tuple, tol: float, study: str):
+
+def _ray_nodes(log_p, probes: dict, tol: float, study: str):
     """The ray-node count for every block of a study, and the largest probe
-    gap at it: the finer of the first two consecutive levels of ladder at which
-    log_p(n, point) agrees within tol (absolute, in log P) at every probe
+    gap at it: the finer of the first two consecutive levels of _RAY_LADDER at
+    which log_p(n, point) agrees within tol (absolute, in log P) at every probe
     point.  probes maps a label naming each point to it; if no two levels
     agree, AccuracyError names the point and the gap that did not settle."""
-    prev = {label: log_p(ladder[0], point) for label, point in probes.items()}
-    for coarse, n in zip(ladder, ladder[1:]):
+    prev = {label: log_p(_RAY_LADDER[0], point) for label, point in probes.items()}
+    for coarse, n in zip(_RAY_LADDER, _RAY_LADDER[1:]):
         gaps = {}
         for label, point in probes.items():
             value = log_p(n, point)
@@ -312,7 +315,7 @@ def _ray_nodes(log_p, probes: dict, ladder: tuple, tol: float, study: str):
         if gaps[worst] <= tol:
             return n, gaps[worst]
     raise AccuracyError(
-        f"{study} ray quadrature did not settle by {ladder[-1]} nodes per ray: log P at "
+        f"{study} ray quadrature did not settle by {_RAY_LADDER[-1]} nodes per ray: log P at "
         f"the {worst} moved by {gaps[worst]:.3e} from {coarse} to {n} (tolerance {tol:g})"
     )
 
@@ -327,16 +330,14 @@ def _theorem_params(tau1: float, t1, t2, single_time: bool) -> ScalingParams:
     return ScalingParams.for_theorem(tau1, t1, t2)
 
 
-# The theorem study's conjugated ray rule walks the Airy lambda-rule's ladder,
-# 32, 48, 64, 96, ..., on up to 2048.  Absolute agreement in log P of two consecutive
-# levels, required at the first and the last tau1.  Against a 512-node
-# reference, the worst log P error over the determinants of the default study
-# (certified at m and 2m, and ablated) is 3.4e-6 at 32 nodes per ray, 2.5e-10
-# at 48 and 7.4e-14 at 64; its single-time variant's is 7.9e-8, 6.5e-11 and
-# 3.7e-14.  So 1e-9 (the per-block claim of the adaptive rule, below the 1e-8
-# m -> 2m certificate) rejects 32/48 and accepts 48/64 at the defaults, and
-# the study runs at 64.
-_THEOREM_RAY_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
+# Absolute agreement in log P of two consecutive levels of the theorem study's
+# conjugated ray rule, required at the first and the last tau1.  Against a
+# 512-node reference, the worst log P error over the determinants of the
+# default study (certified at m and 2m, and ablated) is 3.4e-6 at 32 nodes per
+# ray, 2.5e-10 at 48 and 7.4e-14 at 64; its single-time variant's is 7.9e-8,
+# 6.5e-11 and 3.7e-14.  So 1e-9 (the per-block claim of the adaptive rule,
+# below the 1e-8 m -> 2m certificate) rejects 32/48 and accepts 48/64 at the
+# defaults, and the study runs at 64.
 _THEOREM_RAY_TOL = 1e-9
 
 
@@ -395,7 +396,7 @@ def theorem_ratio_study(
         lambda nodes, tau1: conjugated_log_p(
             _theorem_params(tau1, t1, t2, single_time), False, nodes),
         {f"tau1 = {tau1:g}": float(tau1) for tau1 in (tau1_grid[0], tau1_grid[-1])},
-        _THEOREM_RAY_LADDER, _THEOREM_RAY_TOL, "theorem",
+        _THEOREM_RAY_TOL, "theorem",
     )
 
     def ratio_dev(params: ScalingParams, cert: bool) -> float:
@@ -501,8 +502,8 @@ class PdeGrid:
     Coordinates: tau/sigma are the mean/half-difference of the two Pearcey
     times; the windows are E1 = (xi+eta+mu, xi+eta-mu) at tau+sigma and
     E2 = (xi-eta+nu, xi-eta-nu) at tau-sigma, with mu, nu < 0.
-    nodes_per_ray=0 has pde_residual choose the contour's node count once per
-    study (see pde_residual); a positive value fixes it.
+    nodes_per_ray=0 has pde_residual walk 32, 48, 64, 96, ... nodes per ray
+    once per study (48 at the defaults); a positive value fixes the count.
     """
 
     tau: float = 4.0
@@ -607,10 +608,9 @@ def _pde_terms(grid: PdeGrid, log_p) -> dict:
 # the node count: at both default probe points every level from 32 to 384
 # nodes lies within 7e-14 of the 384 value (the rounding floor), while 24
 # nodes are 6e-11 to 9e-11 off, so 1e-12 separates a settled level from an
-# unresolved one.  The pde study doubles its count from 48.  Neither study's
-# ladder goes past the adaptive rule's top, pearcey_process._MAX_NODES.
+# unresolved one.  The pde study walks 32, 48, 64, 96, ... (_RAY_LADDER; 48 at
+# the defaults, where 32 and 48 agree).
 _RAY_TOL = 1e-12
-_PDE_RAY_LADDER = (48, 96, 192, 384, 768, 1536)
 
 
 def _pde_combine(terms: dict, flip: str | None = None) -> tuple[float, float]:
@@ -629,9 +629,9 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
     discretization-noise estimate (the study is inconclusive when the noise
     reaches the residual).  Every block uses one contour radius and one
     ray-node count: grid.nodes_per_ray, or for 0 the count _ray_nodes picks
-    once before the passes.  One memo of log P, keyed by ray-node count,
-    window node count and the six stencil offsets, serves the probe and the
-    three passes, so the points they share are computed once."""
+    once before the passes, walking 32, 48, 64, 96, ... (48 at the defaults).
+    One memo of log P, keyed by ray-node count, window node count and stencil
+    offsets, serves the probe and the three passes: shared points cost once."""
     grid = grid if grid is not None else PdeGrid()
     contour = _pde_contour(grid)
 
@@ -662,7 +662,7 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
         n, ray_convergence = _ray_nodes(
             lambda n, offsets: log_p(n, grid.m, offsets),
             {f"{name} {dict(zip(_PDE_AXES, at))}": at for name, at in probes.items()},
-            _PDE_RAY_LADDER, _RAY_TOL, "pde",
+            _RAY_TOL, "pde",
         )
     at_n = replace(grid, nodes_per_ray=n)
     terms = _pde_terms(at_n, log_p)

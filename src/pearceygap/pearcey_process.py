@@ -306,15 +306,15 @@ def ray_radius_bound(tau_max: float, coord_max: float) -> float:
 # ladder from _MIN_NODES, and find every level they revisit still built
 @lru_cache(maxsize=_MAX_NODES.bit_length() - _MIN_NODES.bit_length() + 1)
 def _ray_system(xray: tuple, yray: tuple, n: int):
-    """X nodes and segment spans plus the Cauchy matrix of both ray systems.
-    It depends only on the ray geometry, so blocks under a fixed-radius
-    contour (one per PDE study and node count) share one build."""
+    """X and Y nodes with their segment spans, and the Cauchy matrix of both
+    ray systems.  It depends only on the ray geometry, so blocks under a
+    fixed-radius contour (one per PDE study and node count) share one build."""
     u, wu, uspan = _signed_rays(xray, n)
     v, wv, vspan = _signed_rays(yray, n)
     m = _cauchy(u, wu, uspan, v, wv)
-    for arr in (u, m):
+    for arr in (u, v, m):
         arr.flags.writeable = False  # shared by every caller of the cache
-    return u, uspan, m
+    return u, uspan, v, vspan, m
 
 
 def _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides):
@@ -322,14 +322,13 @@ def _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides):
     v-side F = exp(ev) of (tau_j, etas), each built once per key in sides."""
     xray = tuple(_x_rays(contour, tau_i, float(np.max(np.abs(xis)))))
     yray = tuple(_y_rays(contour, tau_j, float(np.max(np.abs(etas)))))
+    u, uspan, v, vspan, m = _ray_system(xray, yray, n)
     ukey = ("u", tau_i, xis.tobytes(), xray, yray, n)
     if ukey not in sides:
-        u, uspan, m = _ray_system(xray, yray, n)
         eu = (u[:, None] ** 4 / 4.0 - 0.5 * tau_i * u[:, None] ** 2) + u[:, None] * xis[None, :]
         sides[ukey] = _exp_side(eu, uspan, "u").T @ m
     vkey = ("v", tau_j, etas.tobytes(), yray, n)
     if vkey not in sides:
-        v, _, vspan = _signed_rays(yray, n)
         ev = (-(v[:, None] ** 4) / 4.0 + 0.5 * tau_j * v[:, None] ** 2) - v[:, None] * etas[None, :]
         sides[vkey] = _exp_side(ev, vspan, "v")
     return -(sides[ukey] @ sides[vkey]) / (4.0 * math.pi**2)

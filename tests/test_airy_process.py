@@ -170,9 +170,11 @@ def test_lambda_tail_check_rejects_undecayed_integrand():
 
 
 def test_sized_lambda_rule_sweep():
-    # seeded two-window determinants: every block of the sized rule matches a
-    # 1000-node Gauss rule on the same (0, L) to 1e-10 of its largest entry;
-    # with |t_i - t_j| <= 2 the cut outruns the weight even for deep windows
+    # seeded two-window determinants: every block, as the determinant builds
+    # it (the cross-window blocks by the sized rule, the diagonal ones in
+    # closed form), matches a 1000-node Gauss rule on the same (0, L) to 1e-10
+    # of its largest entry; with |t_i - t_j| <= 2 the cut outruns the weight
+    # even for deep windows
     rng = np.random.default_rng(20101)
     ref_rule = gauss_rule(1000, 0.0, 1.0)
     checked = 0
@@ -184,7 +186,8 @@ def test_sized_lambda_rule_sweep():
         sides, ref_sides = {"grid": (tuple(times), tuple(nodes))}, {}
         for i, (t_i, xs) in enumerate(zip(times, nodes)):
             for j, (t_j, ys) in enumerate(zip(times, nodes)):
-                got = extended_airy_grid(t_i, t_j, xs, ys, sides)
+                block = airy_block_grid if i == j else extended_airy_grid
+                got = block(t_i, t_j, xs, ys, sides)
                 tail = airy_process._tail(min(xs[0], ys[0]))
                 lam = tail * ref_rule.nodes
                 for k, pts in ((i, xs), (j, ys)):
@@ -195,6 +198,22 @@ def test_sized_lambda_rule_sweep():
                 assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
                 checked += 1
     assert checked == 80
+
+
+def test_lambda_rule_is_sized_by_the_cross_window_pairs(monkeypatch):
+    # the diagonal blocks are closed form, so only the (i, j), i != j, pairs
+    # size the rule: here they settle at 48 nodes, while the pairs (i, i),
+    # at each window's own lowest point, would need 64
+    sizes, probe = [], airy_process._lambda_nodes
+
+    def record(times, lows):
+        sizes.append(probe(times, lows))
+        return sizes[-1]
+
+    monkeypatch.setattr(airy_process, "_lambda_nodes", record)
+    query = GapQuery(family="airy", times=(0.2, 0.9), windows=((-0.1, 5.6), (-1.2, 4.7)), m=40)
+    assert math.isfinite(log_gap_probability(query))
+    assert sizes == [48, 48]  # at m and at 2m
 
 
 def test_deep_windows_get_a_longer_tail_cut():

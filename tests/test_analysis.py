@@ -230,7 +230,9 @@ def test_theorem_rejects_bad_grid(grid):
         theorem_ratio_study(grid)
 
 
-def test_pde_residual_default_grid(monkeypatch):
+def _pde_determinants(monkeypatch):
+    """The default pde study's report, and log P of every determinant it
+    computed, keyed by its query."""
     computed = {}
 
     def record(query):
@@ -238,7 +240,15 @@ def test_pde_residual_default_grid(monkeypatch):
         return computed[query]
 
     monkeypatch.setattr(analysis, "log_gap_probability", record)
-    rep = pde_residual(PdeGrid())
+    return pde_residual(PdeGrid()), computed
+
+
+def _at_nodes(query, n):
+    return replace(query, contour=replace(query.contour, nodes_per_ray=n))
+
+
+def test_pde_residual_default_grid(monkeypatch):
+    rep, computed = _pde_determinants(monkeypatch)
     s = rep.summary
     assert not s["inconclusive"]
     assert s["noise_estimate"] < s["normalized_residual"]
@@ -248,15 +258,26 @@ def test_pde_residual_default_grid(monkeypatch):
     assert rep.passed
     names = [r[0] for r in rep.rows]
     assert names == sorted(names[:-1]) + ["pde_total"]
-    # the ray-node count settles at 96: 48 and 96 agree at both probe points
-    assert s["nodes_per_ray"] == 96
+    # the ray-node count settles at 48: 32 and 48 agree at both probe points
+    assert s["nodes_per_ray"] == 48
     assert s["ray_convergence"] <= analysis._RAY_TOL
-    probes = [q for q in computed if q.contour.nodes_per_ray == 48]
+    probes = [q for q in computed if q.contour.nodes_per_ray == 32]
     assert len(probes) == 2
     for q in probes:
-        at_96, at_384 = (replace(q, contour=replace(q.contour, nodes_per_ray=n))
-                         for n in (96, 384))
-        assert abs(computed[at_96] - log_gap_probability(at_384)) <= analysis._RAY_TOL
+        at_48 = computed[_at_nodes(q, 48)]
+        assert abs(at_48 - log_gap_probability(_at_nodes(q, 384))) <= analysis._RAY_TOL
+
+
+def test_pde_study_determinants_match_a_384_node_reference(monkeypatch):
+    # a seeded sample of the study's own determinants, each within the
+    # probe's tolerance in log P of the same determinant at 384 nodes per ray
+    rep, computed = _pde_determinants(monkeypatch)
+    n = rep.summary["nodes_per_ray"]
+    study = sorted((q for q in computed if q.contour.nodes_per_ray == n), key=repr)
+    assert len(study) == 131
+    for k in np.random.default_rng(1710).choice(len(study), size=8, replace=False):
+        q = study[k]
+        assert abs(computed[q] - log_gap_probability(_at_nodes(q, 384))) <= analysis._RAY_TOL
 
 
 def _recorded_run(monkeypatch, grid, log_p=lambda query: 0.0):
@@ -336,15 +357,15 @@ def test_derivative_skips_zero_weight_points(orders):
 
 
 def test_pde_study_computes_each_query_once(monkeypatch):
-    _, study = _recorded_run(monkeypatch, PdeGrid(nodes_per_ray=96))
+    _, study = _recorded_run(monkeypatch, PdeGrid(nodes_per_ray=48))
     # the h and h/2 passes share the base point and +-h along tau and xi
     assert len(study) == len(set(study)) == 130
-    # a constant log P settles at once, at 96 nodes per ray: the probe adds
-    # the base point and the far corner at 48, and the far corner at 96
+    # a constant log P settles at once, at 48 nodes per ray: the probe adds
+    # the base point and the far corner at 32, and the far corner at 48
     _, queries = _recorded_run(monkeypatch, PdeGrid())
     assert len(queries) == len(set(queries)) == 133
     probe = set(queries) - set(study)
-    assert sorted(q.contour.nodes_per_ray for q in probe) == [48, 48, 96]
+    assert sorted(q.contour.nodes_per_ray for q in probe) == [32, 32, 48]
     grid = PdeGrid()
     corner = max(probe, key=lambda q: q.times[1])
     assert corner.times == pytest.approx((grid.tau - grid.sigma,
@@ -358,7 +379,7 @@ def test_pde_fixed_ray_nodes_skip_the_probe(monkeypatch):
 
 
 def test_pde_ray_nodes_that_never_settle_raise(monkeypatch):
-    # log P moving by 1/n at every doubling never agrees within the tolerance
+    # log P moving by 1/n at every level never agrees within the tolerance
     with pytest.raises(AccuracyError, match="far corner|base point"):
         _recorded_run(monkeypatch, PdeGrid(), lambda query: 1.0 / query.contour.nodes_per_ray)
 

@@ -42,7 +42,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "9e357c6e93d70e65e0a69becbd7e7da200aae470391e61b51b75b11a772023f2"
+    assert key == "058bde9fc363b5cd4e8cec1b15b96ee24e368f766b38fd7c96c9420619c4cf0e"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):
@@ -240,22 +240,24 @@ def test_shared_diagonal_block_reads_the_same_warm_as_cold(tmp_path):
 
 
 def test_block_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
-    # the airy record is empty, so only the format tells a diagonal block of
-    # the lambda-rule (pearceygap-cache-5) from one of the closed form
-    query = GapQuery(family="airy", times=(0.0,), windows=((-1.0, 4.0),), m=24, certify=False)
-    x = BlockDiscretization.build(query).nodes[0]
+    # the airy record is empty, so only the format tells a cross-time block
+    # whose lambda-rule the diagonal pairs sized (pearceygap-cache-6: 64
+    # nodes here) from one sized by the cross-window pairs alone (48 nodes)
+    query = GapQuery(family="airy", times=(0.2, 0.9), windows=((-0.1, 5.6), (-1.2, 4.7)),
+                     m=40, certify=False)
+    x = BlockDiscretization.build(query).nodes
     with monkeypatch.context() as patch:
-        patch.setattr(cache_mod, "_FORMAT", b"pearceygap-cache-5")
-        old_key = block_key("airy", 0.0, 0.0, "", x, x)
+        patch.setattr(cache_mod, "_FORMAT", b"pearceygap-cache-6")
+        old_key = block_key("airy", 0.2, 0.9, "", x[0], x[1])
     cache = KernelCache(str(tmp_path))
-    cache.store(old_key, np.zeros((24, 24)))
+    cache.store(old_key, np.zeros((40, 40)))
     set_block_cache(cache)
     try:
         value = log_gap_probability(query)
     finally:
         set_block_cache(None)
         cache.close()
-    assert (cache.hits, cache.misses) == (0, 1)
+    assert (cache.hits, cache.misses) == (0, 4)
     assert value == log_gap_probability(query) < 0.0
 
 

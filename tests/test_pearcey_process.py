@@ -236,14 +236,15 @@ def test_fixed_radius_blocks_share_one_ray_system():
 def test_adaptive_ladder_reuses_each_ray_system(monkeypatch):
     # a fixed radius with adaptive node counts: every block of both
     # determinants (m and 2m) walks the same 64 -> 128 ladder on one ray
-    # geometry, so the Cauchy matrix is built once per level
+    # geometry, so the Cauchy matrix is built once per level; each of the
+    # 2 x 4 blocks looks its ray system up once per level
     query = GapQuery(family="pearcey", times=(3, 4), windows=((-3, 3), (-3.5, 3.5)),
                      contour=PearceyContour(radius=4.5))
     cached = pearcey_process._ray_system
     cached.cache_clear()
     value = log_gap_probability(query)
     info = cached.cache_info()
-    assert (info.misses, info.hits) == (2, 6)
+    assert (info.misses, info.hits) == (2, 14)
     # reuse changes no bit: a fresh build for every call gives the same log P
     monkeypatch.setattr(pearcey_process, "_ray_system", cached.__wrapped__)
     assert log_gap_probability(query) == value
