@@ -8,7 +8,9 @@ Nystrom discretization is the block matrix
 with Gauss-Legendre nodes/weights per interval, and the gap probability is
 det(I - W).  A refinement certificate (m vs 2m nodes) guards every reported
 value; the m -> infinity limit converges geometrically for these analytic
-kernels, so agreement of two dyadic levels is a meaningful error bound.
+kernels, so agreement of two dyadic levels is a meaningful error bound.  A
+non-positive determinant of size at most that bound (1e-8) is below the
+resolvable floor and raises AccuracyError; a larger one raises ValidityError.
 
 Airy and direct Pearcey blocks are products of two sides, one per (time,
 window); each determinant gives its blocks one ``sides`` dict, so a side is
@@ -196,6 +198,13 @@ def _log_det(query: GapQuery, factor: int) -> float:
     balanced, _ = matrix_balance(np.eye(disc.size) - w, permute=False)
     sign, logabs = np.linalg.slogdet(balanced)
     if sign <= 0.0:
+        if logabs <= math.log(_CERT_TOL):
+            # the certificate cannot resolve a |det| this small, so its sign
+            # says nothing about the kernel
+            raise AccuracyError(
+                f"discretized Fredholm determinant {sign * math.exp(logabs):.1e}: "
+                f"P is below the resolvable floor {_CERT_TOL:g}"
+            )
         raise ValidityError(
             "discretized Fredholm determinant is not positive "
             f"(sign {sign:+.0f}); the probability interpretation fails"

@@ -42,7 +42,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "058bde9fc363b5cd4e8cec1b15b96ee24e368f766b38fd7c96c9420619c4cf0e"
+    assert key == "27704f65e49d437b283b7116e2c4adfa341ab8c48b564374df3db53d4e5f4cd5"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):
@@ -241,13 +241,13 @@ def test_shared_diagonal_block_reads_the_same_warm_as_cold(tmp_path):
 
 def test_block_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
     # the airy record is empty, so only the format tells a cross-time block
-    # whose lambda-rule the diagonal pairs sized (pearceygap-cache-6: 64
-    # nodes here) from one sized by the cross-window pairs alone (48 nodes)
+    # whose Ai(x + lambda) at x + lambda > 10 came from scipy
+    # (pearceygap-cache-7) from one summed by the asymptotic series
     query = GapQuery(family="airy", times=(0.2, 0.9), windows=((-0.1, 5.6), (-1.2, 4.7)),
                      m=40, certify=False)
     x = BlockDiscretization.build(query).nodes
     with monkeypatch.context() as patch:
-        patch.setattr(cache_mod, "_FORMAT", b"pearceygap-cache-6")
+        patch.setattr(cache_mod, "_FORMAT", b"pearceygap-cache-7")
         old_key = block_key("airy", 0.2, 0.9, "", x[0], x[1])
     cache = KernelCache(str(tmp_path))
     cache.store(old_key, np.zeros((40, 40)))

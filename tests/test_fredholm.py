@@ -219,6 +219,16 @@ def test_validity_error_when_determinant_negative():
         gap_probability(q)
 
 
+@pytest.mark.parametrize("m", [18, 20])
+def test_sign_flip_below_the_certificate_floor_is_an_accuracy_error(m):
+    # log P of the window (-8, 8) is about -43: slogdet returns a rounding
+    # residue of |det| ~ 1e-16 with a negative sign, which says nothing about
+    # the kernel
+    q = GapQuery(family="airy", times=(0.0,), windows=((-8.0, 8.0),), m=m)
+    with pytest.raises(AccuracyError, match="below the resolvable floor"):
+        log_gap_probability(q)
+
+
 def test_validity_error_when_probability_exceeds_one():
     kernel = lambda ti, tj, x, y: np.full((x.size, y.size), -1.0)
     q = GapQuery(

@@ -1,7 +1,11 @@
+import math
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 
+from pearceygap import specfun
 from pearceygap.exceptions import DomainError
 from pearceygap.specfun import QuadratureRule, airy, airy_derivs_upto, gauss_rule
 
@@ -42,6 +46,58 @@ def test_airy_far_field_still_sane():
     ref_ai, ref_aip = _mpmath_airy(xs)
     assert np.max(np.abs(v.ai / ref_ai - 1.0)) <= 1e-12
     assert np.max(np.abs(v.aip / ref_aip - 1.0)) <= 1e-12
+
+
+def test_airy_series_branch_against_mpmath():
+    # x > 10 is summed from DLMF 9.7.5-9.7.6; both sides of the split included
+    xs = np.concatenate([[10.0, np.nextafter(10.0, 11.0)], np.linspace(10.0, 100.0, 1801)[1:]])
+    v = airy(xs)
+    ref_ai, ref_aip = _mpmath_airy(xs)
+    for lo, hi, tol in ((9.0, 40.0, 5e-14), (40.0, 100.0, 2.5e-13)):
+        band = (xs > lo) & (xs <= hi)
+        assert np.max(np.abs(v.ai[band] / ref_ai[band] - 1.0)) <= tol
+        assert np.max(np.abs(v.aip[band] / ref_aip[band] - 1.0)) <= tol
+
+
+def test_airy_series_term_count_meets_its_bound():
+    # the first neglected term of either series at x = 10 is below 2^-56
+    zeta = 2.0 / 3.0 * 10.0**1.5
+    u, v = specfun._series_coefficients(specfun._SERIES_TERMS + 1)[0]
+    assert max(abs(u), abs(v)) / zeta**specfun._SERIES_TERMS < 2.0**-56
+
+
+def test_airy_underflows_to_exact_zero_without_warning():
+    xs = np.array([110.0, 200.0, 1e10, 1e300, np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = airy(xs)
+    assert np.all(v.ai == 0.0) and np.all(v.aip == 0.0)
+
+
+def test_airy_keeps_shape_and_returns_floats_for_scalars():
+    xs = np.array([[-3.0, 9.5, 10.0], [10.5, 30.0, 200.0]])
+    v = airy(xs)
+    assert v.ai.shape == v.aip.shape == (2, 3)
+    for x, ai, aip in zip(xs.ravel(), v.ai.ravel(), v.aip.ravel()):
+        s = airy(float(x))
+        assert type(s.ai) is float and type(s.aip) is float
+        assert (s.ai, s.aip) == (ai, aip)
+
+
+def test_scipy_airy_never_sees_x_above_10(monkeypatch):
+    # above 10 scipy's airy takes its slow complex-argument path
+    seen = []
+    scipy_airy = specfun.special.airy
+
+    def spy(x):
+        seen.append(np.max(x, initial=-math.inf))
+        return scipy_airy(x)
+
+    monkeypatch.setattr(specfun.special, "airy", spy)
+    airy(np.linspace(-5.0, 60.0, 131))
+    airy(30.0)
+    airy(10.0)
+    assert max(seen) == 10.0
 
 
 def test_positivity_and_sign_for_nonnegative_x():
