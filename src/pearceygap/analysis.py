@@ -20,7 +20,8 @@ import numpy as np
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, PearceyGapError
 from .fredholm import GapQuery, log_gap_probability
-from .pearcey_process import PearceyContour, conjugated_block_grid, ray_radius_bound
+from .pearcey_process import (_RAY_TOL, PearceyContour, _ray_nodes, conjugated_block_grid,
+                              ray_radius_bound)
 from .scaling import ScalingParams, match_tau2, t_from_tau
 from .specfun import airy_derivs_upto, gauss_rule
 
@@ -208,7 +209,7 @@ def _loglog_fit(xs, ys):
 _DEFAULT_POINTS = ((-0.4, 0.7), (0.2, 0.2), (1.0, -0.6), (-1.0, 1.5))
 
 
-def _kernel_residual(params: ScalingParams, points, contour=None) -> float:
+def _kernel_residual(params: ScalingParams, points, contour: PearceyContour) -> float:
     """Max |conjugated Pearcey - extended Airy| over both time orders and
     all four blocks at the given evaluation points."""
     xs = np.array([p[0] for p in points])
@@ -231,6 +232,9 @@ def proposition_slope(
     """Fit the decay order of the conjugated-kernel error against z.
 
     Expected order: 8 when the two times average to zero, 4 otherwise.
+    Every conjugated block uses one ray-node count (summary nodes_per_ray),
+    which _ray_nodes picks once from the residual at the largest and the
+    smallest z; ray_convergence is the gap it settled with.
     """
     _require_finite(t=t, s=s, z_grid=z_grid)
     z_grid = np.sort(np.asarray(z_grid, dtype=float))[::-1]
@@ -240,26 +244,26 @@ def proposition_slope(
         raise DomainError("z grid must lie inside (0, 0.5]")
     if abs(t) > 1.0 or not 0.0 < abs(s) <= 1.0:
         raise DomainError(f"need |t| <= 1 and 0 < |s| <= 1, got t={t}, s={s}")
-    rows = []
-    residuals = []
-    for z in z_grid:
-        params = ScalingParams.from_z(float(z), t, s)
+
+    @functools.cache
+    def residual(n: int, z: float) -> float:
         try:
-            res = _kernel_residual(params, sample_points)
+            return _kernel_residual(ScalingParams.from_z(z, t, s), sample_points,
+                                    PearceyContour(nodes_per_ray=n))
         except PearceyGapError as exc:
-            raise type(exc)(
-                f"kernel evaluation failed at z={z}, points={sample_points}: {exc}"
-            ) from exc
-        residuals.append(res)
-        rows.append((float(z), res))
+            raise type(exc)(f"kernel evaluation failed at z={z}, "
+                            f"points={sample_points}: {exc}") from exc
+
+    n, ray_convergence = _ray_nodes(
+        residual, {f"residual at z = {z:g}": float(z) for z in (z_grid[0], z_grid[-1])},
+        _RAY_TOL, "prop21",
+    )
+    residuals = [residual(n, float(z)) for z in z_grid]
+    rows = [(float(z), res) for z, res in zip(z_grid, residuals)]
     slope, intercept, r2, rms = _loglog_fit(z_grid, residuals)
 
     # node-doubling stability probe at the middle z
-    mid = ScalingParams.from_z(float(z_grid[len(z_grid) // 2]), t, s)
-    fixed = [
-        _kernel_residual(mid, sample_points, PearceyContour(nodes_per_ray=n))
-        for n in (192, 384)
-    ]
+    fixed = [residual(nodes, float(z_grid[len(z_grid) // 2])) for nodes in (192, 384)]
     refine_change = abs(fixed[1] - fixed[0]) / max(abs(fixed[1]), 1e-300)
 
     expected = 8.0 if abs(t) < 1e-12 else 4.0
@@ -272,6 +276,8 @@ def proposition_slope(
         "fit_rms": rms,
         "expected_slope": expected,
         "refine_rel_change": refine_change,
+        "nodes_per_ray": n,
+        "ray_convergence": ray_convergence,
     }
     passed = (
         abs(slope - expected) <= 0.5 and r2 >= 0.99 and refine_change < 0.01
@@ -292,35 +298,6 @@ def proposition_slope(
 
 
 # ---------------------------------------------------------------------------
-# ray-node count of a study's Pearcey contours
-
-# both studies' levels, up to the adaptive rule's top, pearcey_process._MAX_NODES
-_RAY_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
-
-
-def _ray_nodes(log_p, probes: dict, tol: float, study: str):
-    """The ray-node count for every block of a study, and the largest probe
-    gap at it: the finer of the first two consecutive levels of _RAY_LADDER at
-    which log_p(n, point) agrees within tol (absolute, in log P) at every probe
-    point.  probes maps a label naming each point to it; if no two levels
-    agree, AccuracyError names the point and the gap that did not settle."""
-    prev = {label: log_p(_RAY_LADDER[0], point) for label, point in probes.items()}
-    for coarse, n in zip(_RAY_LADDER, _RAY_LADDER[1:]):
-        gaps = {}
-        for label, point in probes.items():
-            value = log_p(n, point)
-            gaps[label] = abs(value - prev[label])
-            prev[label] = value
-        worst = max(gaps, key=gaps.get)
-        if gaps[worst] <= tol:
-            return n, gaps[worst]
-    raise AccuracyError(
-        f"{study} ray quadrature did not settle by {_RAY_LADDER[-1]} nodes per ray: log P at "
-        f"the {worst} moved by {gaps[worst]:.3e} from {coarse} to {n} (tolerance {tol:g})"
-    )
-
-
-# ---------------------------------------------------------------------------
 # statistics convergence order (large tau)
 
 
@@ -328,17 +305,6 @@ def _theorem_params(tau1: float, t1, t2, single_time: bool) -> ScalingParams:
     if single_time:
         return ScalingParams.for_single_time(tau1)
     return ScalingParams.for_theorem(tau1, t1, t2)
-
-
-# Absolute agreement in log P of two consecutive levels of the theorem study's
-# conjugated ray rule, required at the first and the last tau1.  Against a
-# 512-node reference, the worst log P error over the determinants of the
-# default study (certified at m and 2m, and ablated) is 3.4e-6 at 32 nodes per
-# ray, 2.5e-10 at 48 and 7.4e-14 at 64; its single-time variant's is 7.9e-8,
-# 6.5e-11 and 3.7e-14.  So 1e-9 (the per-block claim of the adaptive rule,
-# below the 1e-8 m -> 2m certificate) rejects 32/48 and accepts 48/64 at the
-# defaults, and the study runs at 64.
-_THEOREM_RAY_TOL = 1e-9
 
 
 def theorem_ratio_study(
@@ -395,8 +361,8 @@ def theorem_ratio_study(
     n, ray_convergence = _ray_nodes(
         lambda nodes, tau1: conjugated_log_p(
             _theorem_params(tau1, t1, t2, single_time), False, nodes),
-        {f"tau1 = {tau1:g}": float(tau1) for tau1 in (tau1_grid[0], tau1_grid[-1])},
-        _THEOREM_RAY_TOL, "theorem",
+        {f"log P at the tau1 = {tau1:g}": float(tau1) for tau1 in (tau1_grid[0], tau1_grid[-1])},
+        _RAY_TOL, "theorem",
     )
 
     def ratio_dev(params: ScalingParams, cert: bool) -> float:
@@ -610,7 +576,7 @@ def _pde_terms(grid: PdeGrid, log_p) -> dict:
 # nodes are 6e-11 to 9e-11 off, so 1e-12 separates a settled level from an
 # unresolved one.  The pde study walks 32, 48, 64, 96, ... (_RAY_LADDER; 48 at
 # the defaults, where 32 and 48 agree).
-_RAY_TOL = 1e-12
+_PDE_RAY_TOL = 1e-12
 
 
 def _pde_combine(terms: dict, flip: str | None = None) -> tuple[float, float]:
@@ -661,8 +627,9 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
                                  math.copysign(reach, grid.eta), -reach, -reach)}
         n, ray_convergence = _ray_nodes(
             lambda n, offsets: log_p(n, grid.m, offsets),
-            {f"{name} {dict(zip(_PDE_AXES, at))}": at for name, at in probes.items()},
-            _RAY_TOL, "pde",
+            {f"log P at the {name} {dict(zip(_PDE_AXES, at))}": at
+             for name, at in probes.items()},
+            _PDE_RAY_TOL, "pde",
         )
     at_n = replace(grid, nodes_per_ray=n)
     terms = _pde_terms(at_n, log_p)

@@ -19,12 +19,16 @@ with the determinant's grid, from which the Airy family sizes, at its first
 cross-time block, the one lambda-rule that all those blocks use; its diagonal
 blocks are the static Airy kernel in closed form and need no lambda-rule, so
 a one-time Airy determinant sizes none.
+
+A Pearcey query with nodes_per_ray=0 (or no contour) is sized once per
+determinant, before any block lookup: it walks the ray ladder on its own
+log det at m, and every block, so every block key, takes the settled count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,7 +37,8 @@ from scipy.linalg import matrix_balance
 from . import cache as cache_mod
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, ValidityError
-from .pearcey_process import PearceyContour, conjugated_block_grid, pearcey_block_grid
+from .pearcey_process import (_RAY_TOL, PearceyContour, _ray_nodes, conjugated_block_grid,
+                              pearcey_block_grid)
 from .specfun import gauss_rule
 
 __all__ = [
@@ -211,8 +216,26 @@ def _log_det(query: GapQuery, factor: int) -> float:
         )
     return float(logabs)
 
+
+def _ray_sized(query: GapQuery):
+    """The query at its settled ray-node count and, if walked, its log det at m."""
+    contour = query.contour if query.contour is not None else PearceyContour()
+    if query.family not in ("pearcey", "pearcey-conjugated") or contour.nodes_per_ray:
+        return query, None
+    at = {}
+
+    def log_det(n, _):
+        at[n] = _log_det(replace(query, contour=replace(contour, nodes_per_ray=n)), 1)
+        return at[n]
+
+    n, _ = _ray_nodes(log_det, {"log P": None}, _RAY_TOL, f"{query.family} query")
+    return replace(query, contour=replace(contour, nodes_per_ray=n)), at[n]
+
+
 def _certified_log_det(query: GapQuery) -> float:
-    log_p = _log_det(query, 1)
+    query, log_p = _ray_sized(query)
+    if log_p is None:
+        log_p = _log_det(query, 1)
     if query.certify:
         log_p2 = _log_det(query, 2)
         if abs(math.exp(log_p) - math.exp(log_p2)) > _CERT_TOL:

@@ -3,7 +3,8 @@ and the conjugated/recentred evaluation used for large times.
 
 Two contour modes share one quadrature path: Gauss rules on signed rays, the
 Cauchy matrix wu / (V - U) * wv built in place, the exponent and envelope
-checks, and fu^T M fv, at a fixed node count or adaptively doubled.
+checks, and fu^T M fv, at the contour's node count per ray, which one walk
+(_ray_nodes) sizes once per Fredholm determinant or per study, never per block.
 
 * **direct** -- tensor-product Gauss quadrature over the X ray system (four
   rays anchored at +/-1/2, right pair traversed downward, left pair upward)
@@ -57,6 +58,7 @@ from .exceptions import (
     ContourError,
     DomainError,
     StabilityError,
+    ValidityError,
 )
 from .scaling import t_from_tau, x_from_xi
 from .specfun import ray_rule
@@ -75,10 +77,7 @@ __all__ = [
 _LOG_EPS = math.log(1e14)  # envelope budget along every ray
 _ENDPOINT_DROP = math.log(1e12)  # required decay from peak to ray endpoint
 _EXP_LIMIT = 700.0  # beyond this a float64 exponential overflows
-_RTOL_REFINE = 1e-9
 _IMAG_RTOL = 1e-8  # largest imaginary residue of a kernel grid, relative
-_MIN_NODES = 64
-_MAX_NODES = 2048
 _RECENTER_TAU_MIN = 5.0  # left X-pair drop is justified only past this
 
 
@@ -122,10 +121,10 @@ class PearceyContour:
     (upper/lower).  radius=None derives per-ray truncation radii from each
     block's exponent envelope (its time and largest |coordinate|); a fixed
     radius, e.g. ray_radius_bound over all blocks of a study, truncates every
-    ray there and lets the blocks share one ray system.  nodes_per_ray=0
-    enables adaptive doubling, in either mode.  recenter (z and angles only)
-    switches to recentred contours; the X/Y fields and radius are then
-    unused."""
+    ray there and lets the blocks share one ray system.  nodes_per_ray, in
+    either mode, is >= 4 for a block; 0 has a determinant or a study size it
+    once for all its blocks.  recenter (z and angles only) switches to
+    recentred contours; the X/Y fields and radius are then unused."""
 
     sigma1: float = math.pi / 4.0
     sigma1p: float = math.pi / 4.0
@@ -153,7 +152,7 @@ class PearceyContour:
         if self.radius is not None and self.radius <= 0.0:
             raise ContourError("truncation radius must be positive")
         if self.nodes_per_ray and self.nodes_per_ray < 4:
-            raise ContourError("nodes_per_ray must be 0 (adaptive) or >= 4")
+            raise ContourError("nodes_per_ray must be 0 (sized per determinant) or >= 4")
 
 
 # ---------------------------------------------------------------------------
@@ -222,28 +221,46 @@ def _exp_side(expo: np.ndarray, spans, tag: str) -> np.ndarray:
     return np.exp(expo)
 
 
-def _quadrature(contour: PearceyContour, grid_at) -> np.ndarray:
-    """The real part of grid_at(n) at the contour's node count or, for
-    nodes_per_ray=0, doubled from _MIN_NODES until two levels agree to
-    _RTOL_REFINE relative.  The theorem and pde studies pick one count per
-    study and fix it, so this per-block ladder serves only library callers
-    with nodes_per_ray=0 (among the studies, prop21's kernel residuals and
-    gap queries of the pearcey family)."""
-    if contour.nodes_per_ray:
-        return _to_real(grid_at(contour.nodes_per_ray))
-    n = _MIN_NODES
+def _ray_count(contour: PearceyContour) -> int:
+    if not contour.nodes_per_ray:
+        raise ContourError("a Pearcey block needs nodes_per_ray >= 4; 0 is sized once "
+                           "per Fredholm determinant or per study, not per block")
+    return contour.nodes_per_ray
+
+
+# the ray-node levels a count is chosen from; the top bounds every walk
+_RAY_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
+# absolute agreement of two consecutive levels that settles a walk, in log P
+# (library queries, theorem) or the residual (prop21), below the 1e-8 m -> 2m
+# certificate.  The default theorem study's worst log P error against 512 nodes
+# per ray is 3.4e-6 at 32, 2.5e-10 at 48 and 7.4e-14 at 64: it settles at 64.
+_RAY_TOL = 1e-9
+
+
+def _ray_nodes(value, probes: dict, tol: float, what: str):
+    """The ray-node count for every block of a determinant or a study, and the
+    largest probe gap at it: the finer of the first two consecutive levels of
+    _RAY_LADDER (read at call time) where value(n, point) agrees within tol at
+    every probe point (labelled by the quantity there).  A level at which value
+    raises AccuracyError or ValidityError has not settled (no count mends the
+    other errors); if none settles, AccuracyError names the last failure."""
     prev = None
-    while n <= _MAX_NODES:
-        cur = grid_at(n)
+    for n in _RAY_LADDER:
+        try:
+            cur = {label: value(n, point) for label, point in probes.items()}
+        except (AccuracyError, ValidityError) as exc:
+            prev, failure = None, f"at {n} nodes per ray, {exc}"
+            continue
         if prev is not None:
-            scale = max(float(np.max(np.abs(cur))), 1e-300)
-            if float(np.max(np.abs(cur - prev))) <= _RTOL_REFINE * scale:
-                return _to_real(cur)
-        prev = cur
-        n *= 2
-    raise AccuracyError(
-        f"ray quadrature did not converge by {_MAX_NODES} nodes per ray"
-    )
+            gaps = {label: abs(cur[label] - prev[label]) for label in probes}
+            worst = max(gaps, key=gaps.get)
+            if gaps[worst] <= tol:
+                return n, gaps[worst]
+            failure = (f"{worst} moved by {gaps[worst]:.3e} from {coarse} to {n} "
+                       f"(tolerance {tol:g})")
+        prev, coarse = cur, n
+    raise AccuracyError(f"{what} ray quadrature did not settle by {_RAY_LADDER[-1]} "
+                        f"nodes per ray: {failure}")
 
 
 def _to_real(grid: np.ndarray) -> np.ndarray:
@@ -301,10 +318,7 @@ def ray_radius_bound(tau_max: float, coord_max: float) -> float:
     return max(ray[3] for ray in rays)
 
 
-# one entry per level of the adaptive ladder: blocks that share one ray
-# geometry (a contour with a fixed radius and nodes_per_ray=0) each walk the
-# ladder from _MIN_NODES, and find every level they revisit still built
-@lru_cache(maxsize=_MAX_NODES.bit_length() - _MIN_NODES.bit_length() + 1)
+@lru_cache(maxsize=2)  # the pde probe walks two levels on one shared ray geometry
 def _ray_system(xray: tuple, yray: tuple, n: int):
     """X and Y nodes with their segment spans, and the Cauchy matrix of both
     ray systems.  It depends only on the ray geometry, so blocks under a
@@ -494,17 +508,14 @@ def _tilde_grid(tau_i, tau_j, xis, etas, contour, sides=None):
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     spec = contour.recenter
+    n = _ray_count(contour)
     if spec is None:
         sides = {} if sides is None else sides
-        return _quadrature(
-            contour, lambda n: _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides)
-        )
+        return _to_real(_direct_grid(tau_i, tau_j, xis, etas, contour, n, sides))
     t_i, t_j = t_from_tau(tau_i, spec.z), t_from_tau(tau_j, spec.z)
     xs = x_from_xi(xis, tau_i)
     ys = x_from_xi(etas, tau_j)
-    return _quadrature(
-        contour, lambda n: _recentred_grid(spec, t_i, t_j, xs, ys, False, n)
-    )
+    return _to_real(_recentred_grid(spec, t_i, t_j, xs, ys, False, n))
 
 
 def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
@@ -529,9 +540,7 @@ def conjugated_tilde_grid(z: float, t_i: float, t_j: float, xs, ys,
     contour = contour if contour is not None else PearceyContour()
     rec = contour.recenter or RecenterSpec(z=z)
     spec = RecenterSpec(z=z, u_angle=rec.u_angle, v_angle=rec.v_angle)
-    return _quadrature(
-        contour, lambda n: _recentred_grid(spec, t_i, t_j, xs, ys, True, n)
-    )
+    return _to_real(_recentred_grid(spec, t_i, t_j, xs, ys, True, _ray_count(contour)))
 
 
 def conjugated_gauss_grid(z: float, t_i: float, t_j: float, xs, ys) -> np.ndarray:

@@ -200,11 +200,11 @@ def test_criterion_8_invariance_spot_checks():
 
     # contour-deformation invariance of the direct kernel
     # tau_i > tau_j, so the block is the double-contour part alone
-    base = pearcey_block_grid(2.0, 1.5, 0.7, -0.4)[0, 0]
+    base = pearcey_block_grid(2.0, 1.5, 0.7, -0.4, PearceyContour(nodes_per_ray=128))[0, 0]
     moved = pearcey_block_grid(
         2.0, 1.5, 0.7, -0.4,
         PearceyContour(sigma1=0.48, sigma1p=1.05, sigma2=0.52, sigma2p=1.11,
-                       tau_ang=1.27, tau_angp=1.82),
+                       tau_ang=1.27, tau_angp=1.82, nodes_per_ray=128),
     )[0, 0]
     gap_deform = abs(moved - base)
     assert gap_deform <= 1e-8

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pearceygap import analysis
+from pearceygap import analysis, pearcey_process
 from pearceygap.analysis import (
     PdeGrid,
     PsiOperator,
@@ -190,7 +190,7 @@ def test_theorem_ray_nodes_match_a_512_node_reference(monkeypatch, single_time, 
     rep, dets = _theorem_determinants(monkeypatch, single_time=single_time)
     assert rep.passed
     assert rep.summary["nodes_per_ray"] == 64
-    assert rep.summary["ray_convergence"] <= analysis._THEOREM_RAY_TOL
+    assert rep.summary["ray_convergence"] <= pearcey_process._RAY_TOL
     assert len(dets) == count
     for q in dets:
         ref = replace(q, contour=replace(q.contour, nodes_per_ray=512))
@@ -260,12 +260,12 @@ def test_pde_residual_default_grid(monkeypatch):
     assert names == sorted(names[:-1]) + ["pde_total"]
     # the ray-node count settles at 48: 32 and 48 agree at both probe points
     assert s["nodes_per_ray"] == 48
-    assert s["ray_convergence"] <= analysis._RAY_TOL
+    assert s["ray_convergence"] <= analysis._PDE_RAY_TOL
     probes = [q for q in computed if q.contour.nodes_per_ray == 32]
     assert len(probes) == 2
     for q in probes:
         at_48 = computed[_at_nodes(q, 48)]
-        assert abs(at_48 - log_gap_probability(_at_nodes(q, 384))) <= analysis._RAY_TOL
+        assert abs(at_48 - log_gap_probability(_at_nodes(q, 384))) <= analysis._PDE_RAY_TOL
 
 
 def test_pde_study_determinants_match_a_384_node_reference(monkeypatch):
@@ -277,7 +277,7 @@ def test_pde_study_determinants_match_a_384_node_reference(monkeypatch):
     assert len(study) == 131
     for k in np.random.default_rng(1710).choice(len(study), size=8, replace=False):
         q = study[k]
-        assert abs(computed[q] - log_gap_probability(_at_nodes(q, 384))) <= analysis._RAY_TOL
+        assert abs(computed[q] - log_gap_probability(_at_nodes(q, 384))) <= analysis._PDE_RAY_TOL
 
 
 def _recorded_run(monkeypatch, grid, log_p=lambda query: 0.0):

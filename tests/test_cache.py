@@ -19,6 +19,7 @@ from pearceygap.fredholm import (
     log_gap_probability,
     set_block_cache,
 )
+from pearceygap.pearcey_process import PearceyContour
 
 
 def test_block_key_is_stable_and_discriminating():
@@ -281,3 +282,39 @@ def test_warm_cache_two_time_pearcey(tmp_path):
     assert first == cold
     assert second == first
     assert cache.hits >= 4  # 2x2 block structure replayed from cache
+
+
+def test_pearcey_block_keys_carry_the_ray_count_of_their_determinant(tmp_path, monkeypatch):
+    # A sizes its rays at 48 and B at 64 nodes per ray; A's (4.0, 4.0) block
+    # is B's at 48, which B's walk reads on its way to 64, but B's value is
+    # computed at 64, under a key that A never wrote
+    query_a = GapQuery(family="pearcey", times=(4.0,), windows=((1.5, 4.5),), m=24)
+    query_b = GapQuery(family="pearcey", times=(0.5, 4.0),
+                       windows=((-6.0, 6.0), (1.5, 4.5)), m=24)
+    cold = log_gap_probability(query_b)
+    x = BlockDiscretization.build(query_a).nodes[0]
+    key = {n: block_key("pearcey", 4.0, 4.0, repr(PearceyContour(nodes_per_ray=n)), x, x)
+           for n in (48, 64)}
+    cache = KernelCache(str(tmp_path))
+    found = {}
+    lookup = cache.lookup
+
+    def spy(k):
+        grid = lookup(k)
+        found.setdefault(k, grid is not None)  # the first lookup only
+        return grid
+
+    set_block_cache(cache)
+    try:
+        log_gap_probability(query_a)
+        monkeypatch.setattr(cache, "lookup", spy)
+        warm = log_gap_probability(query_b)
+        misses = cache.misses
+        rerun = log_gap_probability(query_b)
+    finally:
+        set_block_cache(None)
+        cache.close()
+    assert (found.get(key[48]), found.get(key[64])) == (True, False)
+    assert warm == cold
+    assert rerun == cold
+    assert cache.misses == misses  # a warm rerun computes no block

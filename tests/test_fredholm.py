@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pearceygap import airy_process, fredholm
+from pearceygap import airy_process, fredholm, pearcey_process
 from pearceygap.exceptions import AccuracyError, DomainError, ValidityError
 from pearceygap.fredholm import (
     BlockDiscretization,
@@ -328,3 +329,43 @@ def test_hastings_mcleod_refuses_below_floor():
 def test_tracy_widom_at_floor_matches_fredholm():
     q = GapQuery(family="airy", times=(0.0,), windows=((-5.0, 15.0),), m=60)
     assert abs(math.log(tracy_widom_f2(-5.0)) - log_gap_probability(q)) <= 1e-6
+
+
+def _at_rays(query, n, **changes):
+    return replace(query, contour=PearceyContour(nodes_per_ray=n), **changes)
+
+
+def test_pearcey_query_sizes_its_rays_once_per_determinant():
+    # blocks of relative size 1e-9 kept a per-block doubling rule from
+    # settling by 2048 nodes per ray; the determinant settles at 48
+    query = GapQuery(family="pearcey", times=(9.0,), windows=((-2.0, 2.0),), m=40)
+    value = log_gap_probability(query)
+    reference = log_gap_probability(_at_rays(query, 512, m=80, certify=False))
+    assert abs(value - reference) <= 1e-14
+    assert value == pytest.approx(-1.56158e-9, rel=1e-5)
+
+
+def test_pearcey_query_that_does_not_settle_is_an_accuracy_error(monkeypatch):
+    # the window (-30, 30) is past what the rays resolve at these levels; the
+    # walk reports that, not the non-positive determinant of its last level
+    monkeypatch.setattr(pearcey_process, "_RAY_LADDER", (32, 48, 64))
+    query = GapQuery(family="pearcey", times=(0.0,), windows=((-30.0, 30.0),))
+    with pytest.raises(AccuracyError, match="did not settle by 64 nodes per ray"):
+        log_gap_probability(query)
+
+
+def test_seeded_pearcey_sweep():
+    # two-time direct queries, each sized per determinant: within 1e-9 of the
+    # same determinant at 512 nodes per ray, and reflection-symmetric
+    rng = np.random.default_rng(2010)
+    for _ in range(8):
+        times = np.sort(rng.uniform(1.0, 6.0, 2))
+        while times[1] - times[0] < 0.5:
+            times = np.sort(rng.uniform(1.0, 6.0, 2))
+        windows = tuple(tuple(np.sort(rng.uniform(-5.0, 5.0, 2))) for _ in range(2))
+        query = GapQuery(family="pearcey", times=tuple(times), windows=windows, m=20)
+        value = log_gap_probability(query)
+        reference = log_gap_probability(_at_rays(query, 512, m=40, certify=False))
+        assert abs(value - reference) <= 1e-9, query
+        reflected = replace(query, windows=tuple((-b, -a) for a, b in windows))
+        assert abs(log_gap_probability(reflected) - value) <= 1e-12, query

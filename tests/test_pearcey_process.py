@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,11 @@ from pearceygap.pearcey_process import (
 from pearceygap.scaling import ScalingParams, tau_from_z
 
 from oracles import airy_kernel, xi_from_x
+
+
+# a block takes its ray-node count from its contour; 128 nodes per ray is the
+# count the pinned values below were computed at
+_RAYS = PearceyContour(nodes_per_ray=128)
 
 
 def brute_force_tilde(tau_i, tau_j, xi, eta, reach=7.0, n=1200):
@@ -59,20 +65,20 @@ def brute_force_tilde(tau_i, tau_j, xi, eta, reach=7.0, n=1200):
 
 
 def test_tilde_matches_brute_force_quadrature():
-    got = pearcey_block_grid(1.0, 1.0, 0.0, 0.0)[0, 0]
+    got = pearcey_block_grid(1.0, 1.0, 0.0, 0.0, _RAYS)[0, 0]
     ref = brute_force_tilde(1.0, 1.0, 0.0, 0.0)
     assert abs(got - ref) <= 1e-7
 
 
 def test_tilde_matches_brute_force_two_time():
-    got = pearcey_block_grid(2.0, 1.5, 0.7, -0.4)[0, 0]
+    got = pearcey_block_grid(2.0, 1.5, 0.7, -0.4, _RAYS)[0, 0]
     ref = brute_force_tilde(2.0, 1.5, 0.7, -0.4)
     assert abs(got - ref) <= 1e-7
 
 
 def test_tilde_reflection_symmetry():
-    a = pearcey_block_grid(2.0, 1.5, 0.7, -0.4)[0, 0]
-    b = pearcey_block_grid(2.0, 1.5, -0.7, 0.4)[0, 0]
+    a = pearcey_block_grid(2.0, 1.5, 0.7, -0.4, _RAYS)[0, 0]
+    b = pearcey_block_grid(2.0, 1.5, -0.7, 0.4, _RAYS)[0, 0]
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -86,13 +92,13 @@ def test_tilde_fixed_node_counts_converged():
 
 def test_deformation_invariance_direct():
     rng = np.random.default_rng(11)
-    base = pearcey_block_grid(2.0, 1.5, 0.7, -0.4)[0, 0]
+    base = pearcey_block_grid(2.0, 1.5, 0.7, -0.4, _RAYS)[0, 0]
     for _ in range(5):
         a = rng.uniform(np.pi / 8 + 0.06, 3 * np.pi / 8 - 0.06, size=4)
         b = rng.uniform(3 * np.pi / 8 + 0.06, 5 * np.pi / 8 - 0.06, size=2)
         contour = PearceyContour(
             sigma1=a[0], sigma1p=a[1], sigma2=a[2], sigma2p=a[3],
-            tau_ang=b[0], tau_angp=b[1],
+            tau_ang=b[0], tau_angp=b[1], nodes_per_ray=128,
         )
         assert abs(pearcey_block_grid(2.0, 1.5, 0.7, -0.4, contour)[0, 0] - base) <= 1e-9
 
@@ -141,21 +147,21 @@ def test_gauss_term_values_and_domain():
 def test_block_gate_orders():
     t_lo, t_hi, xi, eta = 1.0, 2.5, 0.4, -0.2
     for tau_i, tau_j in ((t_lo, t_hi), (t_hi, t_lo), (t_lo, t_lo)):
-        want = pearcey_process._tilde_grid(tau_i, tau_j, xi, eta, None)[0, 0]
+        want = pearcey_process._tilde_grid(tau_i, tau_j, xi, eta, _RAYS)[0, 0]
         if tau_i < tau_j:
             want -= pearcey_gauss_term(tau_j - tau_i, xi, eta)
-        assert abs(pearcey_block_grid(tau_i, tau_j, xi, eta)[0, 0] - want) <= 1e-14
+        assert abs(pearcey_block_grid(tau_i, tau_j, xi, eta, _RAYS)[0, 0] - want) <= 1e-14
 
 
 def _recentred_contour(z):
-    return PearceyContour(recenter=RecenterSpec(z=z))
+    return PearceyContour(nodes_per_ray=128, recenter=RecenterSpec(z=z))
 
 
 def test_direct_vs_recentred_single_time():
     z = (1.0 / (3.0 * 9.7)) ** (1.0 / 6.0)
     tau = tau_from_z(z, 0.0)
     xis = xi_from_x(tau, np.array([-0.5, 0.3, 1.2]))
-    direct = pearcey_block_grid(tau, tau, xis, xis)
+    direct = pearcey_block_grid(tau, tau, xis, xis, _RAYS)
     recen = pearcey_block_grid(tau, tau, xis, xis, _recentred_contour(z))
     assert np.max(np.abs(recen - direct)) <= 1e-7 * np.max(np.abs(direct))
 
@@ -167,7 +173,7 @@ def test_direct_vs_recentred_two_time(order):
     tau_a, tau_b = tau_from_z(z, ta), tau_from_z(z, tb)
     xa = xi_from_x(tau_a, np.array([-0.5, 0.3, 1.2]))
     xb = xi_from_x(tau_b, np.array([-0.5, 0.3, 1.2]))
-    direct = pearcey_block_grid(tau_a, tau_b, xa, xb)
+    direct = pearcey_block_grid(tau_a, tau_b, xa, xb, _RAYS)
     recen = pearcey_block_grid(tau_a, tau_b, xa, xb, _recentred_contour(z))
     assert np.max(np.abs(recen - direct)) <= 1e-7 * np.max(np.abs(direct))
 
@@ -182,7 +188,7 @@ def test_recentred_deformation_invariance():
         ua = rng.uniform(np.pi / 6 + 0.05, 3 * np.pi / 8 - 0.05)
         va = rng.uniform(3 * np.pi / 8 + 0.02, np.pi / 2 - 0.02)
         contour = PearceyContour(
-            recenter=RecenterSpec(z=z, u_angle=ua, v_angle=va)
+            nodes_per_ray=128, recenter=RecenterSpec(z=z, u_angle=ua, v_angle=va)
         )
         other = pearcey_block_grid(tau, tau, xis, xis, contour)
         assert np.max(np.abs(other - base)) <= 1e-9 * np.max(np.abs(base))
@@ -203,7 +209,7 @@ def test_direct_overflow_raises_stability_error():
     tau = 960.0
     xi = xi_from_x(tau, 0.0)
     with pytest.raises(StabilityError):
-        pearcey_block_grid(tau, tau, xi, xi)
+        pearcey_block_grid(tau, tau, xi, xi, _RAYS)
 
 
 def test_unconjugated_recentred_overflow_raises_stability_error():
@@ -233,21 +239,39 @@ def test_fixed_radius_blocks_share_one_ray_system():
         assert np.array_equal(pearcey_block_grid(*c, contour), got)
 
 
-def test_adaptive_ladder_reuses_each_ray_system(monkeypatch):
-    # a fixed radius with adaptive node counts: every block of both
-    # determinants (m and 2m) walks the same 64 -> 128 ladder on one ray
-    # geometry, so the Cauchy matrix is built once per level; each of the
-    # 2 x 4 blocks looks its ray system up once per level
+def test_determinant_walk_reuses_each_ray_system(monkeypatch):
+    # a fixed radius with nodes_per_ray=0: the determinant walks the ray
+    # ladder at m (32, then 48, where it settles) and runs 2m at 48, all on
+    # one ray geometry, so the Cauchy matrix is built once per level; each of
+    # the 3 x 4 blocks looks its ray system up once
     query = GapQuery(family="pearcey", times=(3, 4), windows=((-3, 3), (-3.5, 3.5)),
                      contour=PearceyContour(radius=4.5))
     cached = pearcey_process._ray_system
     cached.cache_clear()
     value = log_gap_probability(query)
     info = cached.cache_info()
-    assert (info.misses, info.hits) == (2, 14)
+    assert (info.misses, info.hits) == (2, 10)
     # reuse changes no bit: a fresh build for every call gives the same log P
     monkeypatch.setattr(pearcey_process, "_ray_system", cached.__wrapped__)
     assert log_gap_probability(query) == value
+    # and the walk's count gives the same log P as that count fixed
+    fixed = PearceyContour(radius=4.5, nodes_per_ray=48)
+    assert log_gap_probability(replace(query, contour=fixed)) == value
+
+
+def test_block_without_a_ray_count_raises():
+    # 0 is sized once per determinant or per study, never by a block
+    calls = [
+        lambda: pearcey_block_grid(1.0, 2.0, 0.3, -0.2),
+        lambda: pearcey_block_grid(1.0, 2.0, 0.3, -0.2, PearceyContour()),
+        lambda: pearcey_block_grid(1.0, 2.0, 0.3, -0.2,
+                                   PearceyContour(recenter=RecenterSpec(z=0.3))),
+        lambda: conjugated_block_grid(0.3, -0.5, 0.5, 0.3, -0.2),
+        lambda: conjugated_tilde_grid(0.3, -0.5, 0.5, 0.3, -0.2, PearceyContour()),
+    ]
+    for call in calls:
+        with pytest.raises(ContourError, match="needs nodes_per_ray >= 4"):
+            call()
 
 
 def test_pinned_kernel_values():
@@ -264,7 +288,7 @@ def test_pinned_kernel_values():
     ])
     p = ScalingParams.for_theorem(30.0, -0.5, 0.5)
     xa = np.array([-1.0, 2.5, 6.0])
-    conj = conjugated_block_grid(p.z, p.t1, p.t2, xa, xa)
+    conj = conjugated_block_grid(p.z, p.t1, p.t2, xa, xa, _RAYS)
     conj_ref = np.array([
         [-0.16118940531603398, -0.00025843142207109156, 2.6148182237094537e-06],
         [-0.00025712118923993613, -0.025115019339895028, -0.0002053031590030236],
@@ -330,7 +354,7 @@ def test_conjugated_block_equal_mean_time_rate(z, expected_ratio):
     pts = [(-0.4, 0.7), (0.2, 0.2), (1.0, -0.6)]
     p = ScalingParams.from_z(z, 0.0, 0.5)
     res = max(
-        abs(conjugated_block_grid(p.z, p.t1, p.t2, x, y)[0, 0]
+        abs(conjugated_block_grid(p.z, p.t1, p.t2, x, y, _RAYS)[0, 0]
             - airy_block_grid(p.t1, p.t2, x, y)[0, 0])
         for x, y in pts
     )
@@ -344,7 +368,7 @@ def test_conjugated_block_rate_degrades_to_z4_off_centre():
     for z in (0.3, 0.2):
         p = ScalingParams.from_z(z, 0.5, 0.5)
         res[z] = max(
-            abs(conjugated_block_grid(p.z, p.t1, p.t2, x, y)[0, 0]
+            abs(conjugated_block_grid(p.z, p.t1, p.t2, x, y, _RAYS)[0, 0]
                 - airy_block_grid(p.t1, p.t2, x, y)[0, 0])
             for x, y in pts
         )
@@ -368,7 +392,7 @@ def test_conjugated_single_time_approaches_airy_kernel():
     ref = np.array([[airy_kernel(x, y) for y in xs] for x in xs])
     for tau, tol in ((200.0, 2e-4), (800.0, 5e-5)):
         p = ScalingParams.for_single_time(tau)
-        grid = conjugated_tilde_grid(p.z, p.t1, p.t1, xs, xs)
+        grid = conjugated_tilde_grid(p.z, p.t1, p.t1, xs, xs, _RAYS)
         assert np.max(np.abs(grid - ref)) <= tol
 
 
@@ -376,9 +400,9 @@ def test_conjugated_gate_matches_block_composition():
     p = ScalingParams.from_z(0.3, 0.0, 0.5)
     xs = np.array([-0.2, 0.5])
     ys = np.array([0.1, 0.8])
-    fwd = conjugated_block_grid(p.z, p.t2, p.t1, xs, ys)
-    parts = (conjugated_tilde_grid(p.z, p.t2, p.t1, xs, ys)
+    fwd = conjugated_block_grid(p.z, p.t2, p.t1, xs, ys, _RAYS)
+    parts = (conjugated_tilde_grid(p.z, p.t2, p.t1, xs, ys, _RAYS)
              - conjugated_gauss_grid(p.z, p.t2, p.t1, xs, ys))
     assert np.max(np.abs(fwd - parts)) == 0.0
-    rev = conjugated_block_grid(p.z, p.t1, p.t2, xs, ys)
-    assert np.max(np.abs(rev - conjugated_tilde_grid(p.z, p.t1, p.t2, xs, ys))) == 0.0
+    rev = conjugated_block_grid(p.z, p.t1, p.t2, xs, ys, _RAYS)
+    assert np.max(np.abs(rev - conjugated_tilde_grid(p.z, p.t1, p.t2, xs, ys, _RAYS))) == 0.0

@@ -11,6 +11,7 @@ import os
 import types
 
 from pearceygap.fredholm import GapQuery
+from pearceygap.pearcey_process import PearceyContour
 from pearceygap.scaling import ScalingParams
 
 _TRACER = os.path.join(
@@ -33,13 +34,16 @@ def test_tracer_records_the_rows_of_every_block_routine():
         **{name: importlib.import_module(f"pearceygap.{name}") for name in _LAYERS})
     m = 6
     p = ScalingParams.for_theorem(30.0, -0.5, 0.5)
+    # a fixed ray-node count: nodes_per_ray=0 would walk the ray ladder, one
+    # determinant per level
+    rays = PearceyContour(nodes_per_ray=64)
     queries = [
         GapQuery(family="airy", times=(-0.5, 0.5), windows=((-1.0, 4.0),) * 2,
                  m=m, certify=False),
         GapQuery(family="pearcey", times=(3.0, 4.0), windows=((-3.0, 3.0), (-3.5, 3.5)),
-                 m=m, certify=False),
+                 m=m, contour=rays, certify=False),
         GapQuery(family="pearcey-conjugated", times=(p.t1, p.t2),
-                 windows=((-1.0, 6.0),) * 2, m=m, z=p.z, certify=False),
+                 windows=((-1.0, 6.0),) * 2, m=m, z=p.z, contour=rays, certify=False),
     ]
     tracer = tracing.Tracer()
     tracer.install(lib)
