@@ -5,12 +5,12 @@ from time-ordered blocks.
 K-tilde(t_i, t_j; x, y) = int_0^inf e^{-lam (t_i - t_j)} Ai(x+lam) Ai(y+lam) dlam
 is evaluated by one Gauss rule (lam, w) on (0, L), on which a block is a
 product of two sides, K-tilde = A_i diag(w e^{-(t_i - t_j) lam}) A_j^T with
-A = Ai(x + lam).  The caller's ``sides`` dict (one per Fredholm determinant)
-starts with the determinant's grid: its times and each window's points.  A
-convergence probe picks the rule's node count from that grid (see
-_lambda_nodes) when the first block needs it, so every lambda-integral block
-of a determinant shares it.  A side is keyed by its points and L, so Ai is
-evaluated once per window, not twice per block.
+A = Ai(x + lam).  A block sizes its rule from its own address alone: its
+time gap and the lowest points of its two windows fix the cut L (_tail) and
+the node count (_lambda_nodes), so it has one value alone or inside any
+Fredholm determinant.  The caller's ``sides`` dict (one per determinant)
+memoizes each size, so a block and its transpose probe once, and each side
+under its points, L and node count, so Ai is evaluated once per window.
 
 An equal-time block over one window on both sides (a diagonal block of a
 Fredholm determinant) is the static Airy kernel, which airy_block_grid
@@ -54,32 +54,30 @@ def _tail(low: float) -> float:
     (4/3) s^{3/2} - 2s >= (5/6) s^{3/2}.  So s = (1.2 (36 - 2 low))^{2/3}
     keeps the endpoint below e^{-36}, under 1e-14 of the squared peak Ai(-1.02)^2
     = 0.29 that any window below -1 reaches.  The cut stays 30 for lows above
-    about -12.5."""
+    about -12.5; above 18 the base 36 - 2 low is clamped at 0."""
     low = float(low)
-    return max(30.0, (1.2 * (36.0 - 2.0 * low)) ** (2.0 / 3.0) - low)
+    return max(30.0, (1.2 * max(0.0, 36.0 - 2.0 * low)) ** (2.0 / 3.0) - low)
 
 
-def _lambda_nodes(times, lows) -> int:
-    """Node count of the lambda-rule for every block of a determinant whose
-    windows sit at ``times`` and have lowest points ``lows``.
+def _lambda_nodes(dt: float, low_x: float, low_y: float) -> int:
+    """Node count of the lambda-rule of a block with time gap ``dt`` = t_i - t_j
+    whose windows have lowest points ``low_x`` and ``low_y``.
 
-    The probe integrates f = e^{-(t_i - t_j) lam} Ai(a_i + lam) Ai(a_j + lam)
-    for every pair i != j of windows (the (i, i) blocks are closed form) at
-    their lowest points a_i, a_j, where Ai oscillates most, over the longest
-    cut any block uses (a block's own cut is no longer, so its rule is no
-    coarser).  It walks _LAMBDA_LADDER until two consecutive levels agree
-    within _LAMBDA_TOL of sum w|f| (not of the integral, which may cancel) for
-    every pair, and returns the finer level.
+    The probe integrates f = e^{-+dt lam} Ai(low_x + lam) Ai(low_y + lam) in
+    both time orders, so a block and its transpose get one size, over the
+    block's own cut _tail(min(low_x, low_y)), at the lowest points, where Ai
+    oscillates most.  It walks _LAMBDA_LADDER until two consecutive levels
+    agree within _LAMBDA_TOL of sum w|f| (not of the integral, which may
+    cancel) in both orders, and returns the finer level.
     """
-    lows = np.asarray(lows, dtype=float)
-    i, j = np.nonzero(~np.eye(lows.size, dtype=bool))
-    dt = np.subtract.outer(times, times)[i, j, None]
+    lows = np.array([low_x, low_y], dtype=float)
+    dts = np.array([[dt], [-dt]], dtype=float)
     tail = _tail(np.min(lows))
     prev, gap = None, math.inf
     for n in _LAMBDA_LADDER:
         rule = gauss_rule(n, 0.0, tail)
         a = airy(lows[:, None] + rule.nodes).ai
-        f = rule.weights * np.exp(-dt * rule.nodes) * a[i] * a[j]
+        f = rule.weights * np.exp(-dts * rule.nodes) * a * a[::-1]
         value = f.sum(axis=-1)
         if prev is not None:
             # Ai underflows to 0 far right, where both levels agree on 0
@@ -89,18 +87,18 @@ def _lambda_nodes(times, lows) -> int:
                 return n
         prev = value
     raise AccuracyError(
-        f"lambda-rule did not settle by {_LAMBDA_LADDER[-1]} nodes: the probe moved by "
-        f"{gap:.3e} of its scale from {_LAMBDA_LADDER[-2]} to {_LAMBDA_LADDER[-1]} "
-        f"nodes (tolerance {_LAMBDA_TOL:g})"
+        f"lambda-rule of the block with time gap {abs(dt):g} and lowest points {low_x:g}, "
+        f"{low_y:g} did not settle by {_LAMBDA_LADDER[-1]} nodes: the probe moved by {gap:.3e} "
+        f"of its scale from {_LAMBDA_LADDER[-2]} nodes (tolerance {_LAMBDA_TOL:g})"
     )
 
 
-def _airy_side(sides: dict, pts: np.ndarray, lam: np.ndarray, tail: float):
+def _airy_side(sides: dict, pts: np.ndarray, rule, tail: float):
     """Ai(pts + lam) with its peak |Ai| and its endpoint Ai(min pts + tail),
-    built once per (points, tail) in sides."""
-    key = (pts.tobytes(), tail)
+    built once per (points, tail, node count) in sides."""
+    key = (pts.tobytes(), tail, rule.nodes.size)
     if key not in sides:
-        a = airy(pts[:, None] + lam[None, :]).ai
+        a = airy(pts[:, None] + rule.nodes[None, :]).ai
         sides[key] = (a, float(np.max(np.abs(a))), airy(float(np.min(pts)) + tail).ai)
     return sides[key]
 
@@ -108,22 +106,22 @@ def _airy_side(sides: dict, pts: np.ndarray, lam: np.ndarray, tail: float):
 def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray:
     """Matrix of K-tilde entries over xs x ys: the lambda-integral by one
     Gauss rule on (0, L), L = _tail(min(xs, ys)), with the node count
-    _lambda_nodes picks for the grid in ``sides`` (without one, the block's
-    own two windows); the time-weighted product of the two sides."""
+    _lambda_nodes picks for this block's time gap and lowest points (memoized
+    in ``sides``); the time-weighted product of the two sides."""
     if not (np.isfinite(t_i) and np.isfinite(t_j)):
         raise DomainError("times must be finite")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    sides = {"grid": ((t_i, t_j), (xs, ys))} if sides is None else sides
-    if "lambda_nodes" not in sides:
-        times, points = sides["grid"]
-        sides["lambda_nodes"] = _lambda_nodes(times, [np.min(p) for p in points])
-    tail = _tail(min(np.min(xs), np.min(ys)))
-    rule = gauss_rule(sides["lambda_nodes"], 0.0, tail)
-    lam, w = rule.nodes, rule.weights
+    sides = {} if sides is None else sides
     dt = t_i - t_j
-    ax, x_peak, x_end = _airy_side(sides, xs, lam, tail)
-    ay, y_peak, y_end = _airy_side(sides, ys, lam, tail)
+    lows = float(np.min(xs)), float(np.min(ys))
+    size = (abs(dt), *sorted(lows))
+    if size not in sides:
+        sides[size] = _lambda_nodes(dt, *lows)
+    tail = _tail(min(lows))
+    rule = gauss_rule(sides[size], 0.0, tail)
+    ax, x_peak, x_end = _airy_side(sides, xs, rule, tail)
+    ay, y_peak, y_end = _airy_side(sides, ys, rule, tail)
     peak = x_peak * y_peak
     end = x_end * y_end * math.exp(-dt * tail)
     if peak > 0.0 and abs(end) > _TAIL_RTOL * peak:
@@ -131,7 +129,7 @@ def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray
             f"lambda-integrand not decayed at tail_cut={tail}: endpoint/max = "
             f"{abs(end) / peak:.3e} (needs <= {_TAIL_RTOL})"
         )
-    return (ax * (w * np.exp(-dt * lam))[None, :]) @ ay.T
+    return (ax * (rule.weights * np.exp(-dt * rule.nodes))[None, :]) @ ay.T
 
 
 def airy_heat_term(t: float, x, y):

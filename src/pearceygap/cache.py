@@ -25,7 +25,7 @@ from .exceptions import ConcurrencyError
 __all__ = ["KernelCache", "CacheLock", "block_key", "default_root"]
 
 # Bump whenever kernel evaluation or the entry layout changes.
-_FORMAT = b"pearceygap-cache-8"
+_FORMAT = b"pearceygap-cache-9"
 ENV_ROOT = "PEARCEYGAP_CACHE"
 _DEFAULT_DIRNAME = ".pearceygap-cache"
 _DIGEST = 32  # entry layout: see KernelCache

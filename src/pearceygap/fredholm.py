@@ -13,12 +13,12 @@ non-positive determinant of size at most that bound (1e-8) is below the
 resolvable floor and raises AccuracyError; a larger one raises ValidityError.
 
 Airy and direct Pearcey blocks are products of two sides, one per (time,
-window); each determinant gives its blocks one ``sides`` dict, so a side is
-built once, when a block needing it misses the block cache.  The dict starts
-with the determinant's grid, from which the Airy family sizes, at its first
-cross-time block, the one lambda-rule that all those blocks use; its diagonal
-blocks are the static Airy kernel in closed form and need no lambda-rule, so
-a one-time Airy determinant sizes none.
+window); each determinant gives its blocks one empty ``sides`` dict, so a
+side is built once, when a block needing it misses the block cache.  An Airy
+cross-time block sizes its lambda-rule from its own times and points, so its
+value, like its cache key, does not depend on the rest of the determinant;
+the diagonal blocks are the static Airy kernel in closed form and need no
+lambda-rule, so a one-time Airy determinant sizes none.
 
 A Pearcey query with nodes_per_ray=0 (or no contour) is sized once per
 determinant, before any block lookup: it walks the ray ladder on its own
@@ -140,6 +140,7 @@ _BLOCK_CACHE = None
 
 # the fixed data each family's block routine reads besides its times and points
 _RECORDS = {
+    # empty and complete: an Airy block's lambda-rule follows from its keyed times and points
     "airy": lambda q: "",
     "pearcey": lambda q: repr(q.contour),
     "pearcey-conjugated": lambda q: f"{q.contour!r}|z={q.z!r}",
@@ -180,7 +181,7 @@ def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j, sides) -> np.ndarr
 
 
 def _assemble(query: GapQuery, disc: BlockDiscretization) -> np.ndarray:
-    sides: dict = {"grid": (disc.times, disc.nodes)}
+    sides: dict = {}
     sq = [np.sqrt(w) for w in disc.weights]
     rows = []
     for i, t_i in enumerate(disc.times):

@@ -170,44 +170,48 @@ def test_lambda_tail_check_rejects_undecayed_integrand():
 
 
 def test_sized_lambda_rule_sweep():
-    # seeded two-window determinants: every block, as the determinant builds
-    # it (the cross-window blocks by the sized rule, the diagonal ones in
-    # closed form), matches a 1000-node Gauss rule on the same (0, L) to 1e-10
-    # of its largest entry; with |t_i - t_j| <= 2 the cut outruns the weight
-    # even for deep windows
-    rng = np.random.default_rng(20101)
+    # seeded two- and three-window determinants: every block, as the
+    # determinant builds it (each cross-window block by the rule sized for
+    # its own time gap and windows, the diagonal ones in closed form),
+    # matches a 1000-node Gauss rule on the same (0, L) to 1e-10 of its
+    # largest entry; with |t_i - t_j| <= 2 the cut outruns the weight even
+    # for deep windows
     ref_rule = gauss_rule(1000, 0.0, 1.0)
     checked = 0
-    for _ in range(20):
-        m = int(rng.choice([20, 40]))
-        times = rng.uniform(-1.0, 1.0, size=2)
-        lows, widths = rng.uniform(-20.0, 2.0, size=2), rng.uniform(1.0, 14.0, size=2)
-        nodes = [gauss_rule(m, a, a + w).nodes for a, w in zip(lows, widths)]
-        sides, ref_sides = {"grid": (tuple(times), tuple(nodes))}, {}
-        for i, (t_i, xs) in enumerate(zip(times, nodes)):
-            for j, (t_j, ys) in enumerate(zip(times, nodes)):
-                block = airy_block_grid if i == j else extended_airy_grid
-                got = block(t_i, t_j, xs, ys, sides)
-                tail = airy_process._tail(min(xs[0], ys[0]))
-                lam = tail * ref_rule.nodes
-                for k, pts in ((i, xs), (j, ys)):
-                    if (k, tail) not in ref_sides:
-                        ref_sides[k, tail] = airy(pts[:, None] + lam).ai
-                weight = tail * ref_rule.weights * np.exp(-(t_i - t_j) * lam)
-                ref = (ref_sides[i, tail] * weight) @ ref_sides[j, tail].T
-                assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
-                checked += 1
-    assert checked == 80
+    for windows in (2, 3):
+        rng = np.random.default_rng(20101)
+        for _ in range(20):
+            m = int(rng.choice([20, 40]))
+            times = rng.uniform(-1.0, 1.0, size=windows)
+            lows = rng.uniform(-20.0, 2.0, size=windows)
+            widths = rng.uniform(1.0, 14.0, size=windows)
+            nodes = [gauss_rule(m, a, a + w).nodes for a, w in zip(lows, widths)]
+            sides, ref_sides = {}, {}
+            for i, (t_i, xs) in enumerate(zip(times, nodes)):
+                for j, (t_j, ys) in enumerate(zip(times, nodes)):
+                    block = airy_block_grid if i == j else extended_airy_grid
+                    got = block(t_i, t_j, xs, ys, sides)
+                    tail = airy_process._tail(min(xs[0], ys[0]))
+                    lam = tail * ref_rule.nodes
+                    for k, pts in ((i, xs), (j, ys)):
+                        if (k, tail) not in ref_sides:
+                            ref_sides[k, tail] = airy(pts[:, None] + lam).ai
+                    weight = tail * ref_rule.weights * np.exp(-(t_i - t_j) * lam)
+                    ref = (ref_sides[i, tail] * weight) @ ref_sides[j, tail].T
+                    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+                    checked += 1
+    assert checked == 20 * 4 + 20 * 9
 
 
 def test_lambda_rule_is_sized_by_the_cross_window_pairs(monkeypatch):
-    # the diagonal blocks are closed form, so only the (i, j), i != j, pairs
-    # size the rule: here they settle at 48 nodes, while the pairs (i, i),
-    # at each window's own lowest point, would need 64
+    # the diagonal blocks are closed form, so only the cross-window block and
+    # its transpose size the rule, once per determinant: here it settles at 48
+    # nodes, while the pairs (i, i), at each window's own lowest point, would
+    # need 64
     sizes, probe = [], airy_process._lambda_nodes
 
-    def record(times, lows):
-        sizes.append(probe(times, lows))
+    def record(*args):
+        sizes.append(probe(*args))
         return sizes[-1]
 
     monkeypatch.setattr(airy_process, "_lambda_nodes", record)
@@ -235,11 +239,24 @@ def test_deep_windows_get_a_longer_tail_cut():
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def test_tail_cut_for_windows_above_18():
+    # above 18 the base 36 - 2 low turned negative, its 2/3 power complex, and
+    # the comparison with 30 raised TypeError
+    assert airy_process._tail(20.0) == 30.0
+
+
 def test_unsettled_lambda_rule_raises(monkeypatch):
     # at a lowest point of -14 the probe moves by ~0.3 from 32 to 48 nodes
     monkeypatch.setattr(airy_process, "_LAMBDA_LADDER", (32, 48))
     with pytest.raises(AccuracyError, match="did not settle by 48 nodes"):
         extended_airy_grid(0.0, 0.0, [-14.0], [-14.0])
+
+
+def test_unsettled_lambda_rule_names_its_block(monkeypatch):
+    # the error says which window pair could not be resolved
+    monkeypatch.setattr(airy_process, "_LAMBDA_LADDER", (32, 48))
+    with pytest.raises(AccuracyError, match="time gap 1 and lowest points -14, -3 did not"):
+        extended_airy_grid(-0.5, 0.5, [-14.0, -12.0], [-3.0, 1.0])
 
 
 def test_closed_form_diagonal_block_matches_lambda_integral():
@@ -266,7 +283,7 @@ def test_one_time_determinant_sizes_no_lambda_rule(monkeypatch):
         calls.append(np.shape(x))
         return airy_fn(x)
 
-    def no_probe(times, lows):
+    def no_probe(*args):
         raise AssertionError("a one-time determinant sized a lambda-rule")
 
     monkeypatch.setattr(airy_process, "airy", counting)

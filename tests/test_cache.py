@@ -43,7 +43,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "27704f65e49d437b283b7116e2c4adfa341ab8c48b564374df3db53d4e5f4cd5"
+    assert key == "f8b9aee0039c5f6a53c32647929acadc9f6a0ffa5659d8b0ed8f26a2d3d5af9a"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):
@@ -237,6 +237,28 @@ def test_shared_diagonal_block_reads_the_same_warm_as_cold(tmp_path):
         set_block_cache(None)
         cache.close()
     assert cache.hits > hits_before
+    assert warm == cold
+
+
+def test_cross_time_blocks_read_the_same_warm_as_cold(tmp_path):
+    # a cross-time block sizes its lambda-rule from its own times and windows;
+    # when one size served the whole grid, the three-time query's first two
+    # windows were sized for the third one too, and this query read 3.2e-15
+    # off its cold log P
+    fill = GapQuery(family="airy", times=(-0.5, 0.5, 1.0),
+                    windows=((-1.0, 6.0), (-0.5, 4.0), (-6.0, 2.0)), m=40)
+    query = GapQuery(family="airy", times=(-0.5, 0.5), windows=((-1.0, 6.0), (-0.5, 4.0)), m=40)
+    cold = log_gap_probability(query)
+    cache = KernelCache(str(tmp_path))
+    set_block_cache(cache)
+    try:
+        log_gap_probability(fill)
+        hits, misses = cache.hits, cache.misses
+        warm = log_gap_probability(query)
+    finally:
+        set_block_cache(None)
+        cache.close()
+    assert (cache.hits - hits, cache.misses - misses) == (8, 0)  # 4 blocks at m and 2m
     assert warm == cold
 
 

@@ -141,6 +141,15 @@ def test_gap_prints_probability_and_matches_library(tmp_path, monkeypatch, capsy
     assert printed == expected
 
 
+def test_gap_with_windows_above_18(tmp_path, monkeypatch, capsys):
+    # the lambda-rule's cut raised TypeError for lowest points above 18
+    monkeypatch.chdir(tmp_path)
+    assert main(["gap", "--times=-0.5,0.5", "--windows=20:25,20:25", "--no-cache"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "gap.json") as fh:
+        assert json.load(fh)["summary"]["log_probability"] <= 0.0
+
+
 def test_failing_study_exits_1(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(

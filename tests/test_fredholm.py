@@ -105,7 +105,8 @@ def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
     chosen = []
     for factor in (1, 2):
         disc = BlockDiscretization.build(q, factor)
-        chosen.append(airy_process._lambda_nodes(disc.times, [np.min(p) for p in disc.nodes]))
+        dt, lows = disc.times[0] - disc.times[1], [np.min(p) for p in disc.nodes]
+        chosen.append(airy_process._lambda_nodes(dt, *lows))
     monkeypatch.setattr(airy_process, "airy", counting)
     shared = log_gap_probability(q)
     built = [shape for shape in arrays if shape[0] > 2]  # the probe's have a row per window
@@ -116,7 +117,7 @@ def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
     ]
     monkeypatch.setattr(
         fredholm, "airy_block_grid",
-        lambda t_i, t_j, xs, ys, sides: block_grid(t_i, t_j, xs, ys, {"grid": sides["grid"]}),
+        lambda t_i, t_j, xs, ys, sides: block_grid(t_i, t_j, xs, ys, {}),
     )
     assert log_gap_probability(q) == shared
 
