@@ -9,8 +9,8 @@ A = Ai(x + lam).  A block sizes its rule from its own address alone: its
 time gap and the lowest points of its two windows fix the cut L (_tail) and
 the node count (_lambda_nodes), so it has one value alone or inside any
 Fredholm determinant.  The caller's ``sides`` dict (one per determinant)
-memoizes each size, so a block and its transpose probe once, and each side
-under its points, L and node count, so Ai is evaluated once per window.
+memoizes each size (a block and its transpose probe once) and each side (one
+Ai call per window, whose last column the tail check reads).
 
 An equal-time block over one window on both sides (a diagonal block of a
 Fredholm determinant) is the static Airy kernel, which airy_block_grid
@@ -54,7 +54,9 @@ def _tail(low: float) -> float:
     (4/3) s^{3/2} - 2s >= (5/6) s^{3/2}.  So s = (1.2 (36 - 2 low))^{2/3}
     keeps the endpoint below e^{-36}, under 1e-14 of the squared peak Ai(-1.02)^2
     = 0.29 that any window below -1 reaches.  The cut stays 30 for lows above
-    about -12.5; above 18 the base 36 - 2 low is clamped at 0."""
+    about -12.5; above 18 the base 36 - 2 low is clamped at 0.  The check reads
+    the rule's last node lam_n < L: where it passes, low + lam >= 12 on (lam_n,
+    L), so Ai decays faster than e^{2 lam} grows and lam_n bounds L from above."""
     low = float(low)
     return max(30.0, (1.2 * max(0.0, 36.0 - 2.0 * low)) ** (2.0 / 3.0) - low)
 
@@ -94,12 +96,12 @@ def _lambda_nodes(dt: float, low_x: float, low_y: float) -> int:
 
 
 def _airy_side(sides: dict, pts: np.ndarray, rule, tail: float):
-    """Ai(pts + lam) with its peak |Ai| and its endpoint Ai(min pts + tail),
-    built once per (points, tail, node count) in sides."""
+    """A = Ai(pts + lam) with its peak max|A| and its last-node value
+    max|A[:, -1]|, built once per (points, tail, node count) in sides."""
     key = (pts.tobytes(), tail, rule.nodes.size)
     if key not in sides:
         a = airy(pts[:, None] + rule.nodes[None, :]).ai
-        sides[key] = (a, float(np.max(np.abs(a))), airy(float(np.min(pts)) + tail).ai)
+        sides[key] = (a, float(np.max(np.abs(a))), float(np.max(np.abs(a[:, -1]))))
     return sides[key]
 
 
@@ -107,7 +109,8 @@ def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray
     """Matrix of K-tilde entries over xs x ys: the lambda-integral by one
     Gauss rule on (0, L), L = _tail(min(xs, ys)), with the node count
     _lambda_nodes picks for this block's time gap and lowest points (memoized
-    in ``sides``); the time-weighted product of the two sides."""
+    in ``sides``); the time-weighted product of the two sides.  The integrand
+    at the last node, read from the sides, must be below _TAIL_RTOL of its peak."""
     if not (np.isfinite(t_i) and np.isfinite(t_j)):
         raise DomainError("times must be finite")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -123,11 +126,11 @@ def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray
     ax, x_peak, x_end = _airy_side(sides, xs, rule, tail)
     ay, y_peak, y_end = _airy_side(sides, ys, rule, tail)
     peak = x_peak * y_peak
-    end = x_end * y_end * math.exp(-dt * tail)
-    if peak > 0.0 and abs(end) > _TAIL_RTOL * peak:
+    end = x_end * y_end * math.exp(-dt * rule.nodes[-1])
+    if peak > 0.0 and end > _TAIL_RTOL * peak:
         raise AccuracyError(
-            f"lambda-integrand not decayed at tail_cut={tail}: endpoint/max = "
-            f"{abs(end) / peak:.3e} (needs <= {_TAIL_RTOL})"
+            f"lambda-integrand not decayed at the last node {rule.nodes[-1]:.6g} of the cut "
+            f"tail_cut={tail}: endpoint/max = {end / peak:.3e} (needs <= {_TAIL_RTOL})"
         )
     return (ax * (rule.weights * np.exp(-dt * rule.nodes))[None, :]) @ ay.T
 

@@ -228,8 +228,10 @@ def _ray_count(contour: PearceyContour) -> int:
     return contour.nodes_per_ray
 
 
-# the ray-node levels a count is chosen from; the top bounds every walk
-_RAY_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
+# the ray-node levels a count is chosen from; the top, 512, bounds every walk
+# (seeded queries settle at 48-96; levels up to 2048 only made a query that
+# cannot settle refuse later: tau = 0, (-30, 30) took 3 s and 1.1 GB there)
+_RAY_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512)
 # absolute agreement of two consecutive levels that settles a walk, in log P
 # (library queries, theorem) or the residual (prop21), below the 1e-8 m -> 2m
 # certificate.  The default theorem study's worst log P error against 512 nodes

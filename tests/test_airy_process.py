@@ -163,9 +163,14 @@ def test_block_gate_fires_only_for_ascending_times():
 
 def test_lambda_tail_check_rejects_undecayed_integrand():
     # with t_i - t_j = -8 the weight e^{8 lam} outgrows the Airy decay by the
-    # tail cut (endpoint/max ~ 1.4e8); at -6 the integrand has decayed
+    # tail cut (endpoint/max ~ 1.4e8), also for a deep window whose longer cut
+    # (36.2 at low -17) is built for |t_i - t_j| <= 2; at -6 the integrand
+    # has decayed
     with pytest.raises(AccuracyError, match="not decayed"):
         airy_block_grid(-4.0, 4.0, [0.0], [0.0])
+    with pytest.raises(AccuracyError, match="not decayed"):
+        airy_block_grid(-4.0, 4.0, gauss_rule(20, -17.0, -10.0).nodes,
+                        gauss_rule(20, -16.5, -9.5).nodes)
     assert np.isfinite(airy_block_grid(-3.0, 3.0, [0.0], [0.0])).all()
 
 

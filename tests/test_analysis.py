@@ -90,8 +90,25 @@ def test_proposition_slope_centered_times():
     assert rep.summary["expected_slope"] == 8.0
     assert abs(rep.summary["slope"] - 8.0) <= 0.5
     assert rep.summary["r2"] >= 0.99
-    assert rep.summary["refine_rel_change"] < 0.01
+    assert rep.summary["nodes_per_ray"] == 64
+    assert rep.summary["ray_convergence"] <= pearcey_process._RAY_TOL
     assert rep.passed
+
+
+def test_proposition_slope_evaluates_no_residual_above_its_count(monkeypatch):
+    # the ray walk probes the largest, middle and smallest z, so every
+    # residual is taken at a ladder level up to the settled count
+    counts, kernel_residual = [], analysis._kernel_residual
+
+    def spy(params, points, contour):
+        counts.append(contour.nodes_per_ray)
+        return kernel_residual(params, points, contour)
+
+    monkeypatch.setattr(analysis, "_kernel_residual", spy)
+    rep = proposition_slope(0.5, 0.3)
+    assert set(counts) <= set(pearcey_process._RAY_LADDER)
+    assert max(counts) == rep.summary["nodes_per_ray"]
+    assert "refine_rel_change" not in rep.summary
 
 
 def test_proposition_slope_offset_times():
@@ -201,8 +218,8 @@ def test_theorem_ray_nodes_that_never_settle_raise(monkeypatch):
     # log P moving by 1/n at every level never agrees within the tolerance
     monkeypatch.setattr(analysis, "log_gap_probability",
                         lambda query: 1.0 / query.contour.nodes_per_ray)
-    with pytest.raises(AccuracyError, match=r"by 2048 nodes per ray: log P at the "
-                       r"tau1 = 30 moved by 1\.628e-04 from 1536 to 2048"):
+    with pytest.raises(AccuracyError, match=r"by 512 nodes per ray: log P at the "
+                       r"tau1 = 30 moved by 6\.510e-04 from 384 to 512"):
         theorem_ratio_study(np.geomspace(30.0, 960.0, 6))
 
 

@@ -93,12 +93,16 @@ def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
     # determinant chose, for its two cross-time blocks, and sharing them
     # leaves log P bit-equal to building both sides of every block afresh at
     # that size; each diagonal block is the closed form, one Airy call on its
-    # window's points
-    arrays, airy, block_grid = [], airy_process.airy, fredholm.airy_block_grid
+    # window's points; the lambda-tail check reads the sides' last columns, so
+    # no one-point Airy call is made
+    arrays, scalars = [], []
+    airy, block_grid = airy_process.airy, fredholm.airy_block_grid
 
     def counting(x):
         if np.ndim(x):
             arrays.append(np.shape(x))
+        else:
+            scalars.append(x)
         return airy(x)
 
     q = GapQuery(family="airy", times=(-0.5, 0.5), windows=windows, m=40)
@@ -115,6 +119,7 @@ def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
         for m, n in ((40, chosen[0]), (80, chosen[1]))
         for shape in [(m,)] + [(m, n)] * per_level + [(m,)]
     ]
+    assert scalars == []
     monkeypatch.setattr(
         fredholm, "airy_block_grid",
         lambda t_i, t_j, xs, ys, sides: block_grid(t_i, t_j, xs, ys, {}),
@@ -353,6 +358,22 @@ def test_pearcey_query_that_does_not_settle_is_an_accuracy_error(monkeypatch):
     query = GapQuery(family="pearcey", times=(0.0,), windows=((-30.0, 30.0),))
     with pytest.raises(AccuracyError, match="did not settle by 64 nodes per ray"):
         log_gap_probability(query)
+
+
+def test_pearcey_query_refuses_by_the_ladder_top(monkeypatch):
+    # the tau = 0 window (-30, 30) never settles; the walk stops at 512 nodes
+    # per ray and never builds a larger ray system
+    counts, ray_system = [], pearcey_process._ray_system
+
+    def spy(xray, yray, n):
+        counts.append(n)
+        return ray_system(xray, yray, n)
+
+    monkeypatch.setattr(pearcey_process, "_ray_system", spy)
+    query = GapQuery(family="pearcey", times=(0.0,), windows=((-30.0, 30.0),))
+    with pytest.raises(AccuracyError, match="did not settle by 512 nodes per ray"):
+        log_gap_probability(query)
+    assert counts and max(counts) <= 512
 
 
 def test_seeded_pearcey_sweep():
