@@ -9,8 +9,12 @@ A = Ai(x + lam).  A block sizes its rule from its own address alone: its
 time gap and the lowest points of its two windows fix the cut L (_tail) and
 the node count (_lambda_nodes), so it has one value alone or inside any
 Fredholm determinant.  The caller's ``sides`` dict (one per determinant)
-memoizes each size (a block and its transpose probe once) and each side (one
-Ai call per window, whose last column the tail check reads).
+memoizes each size (a block and its transpose probe once) and each side
+(whose last column the tail check reads).  Airy calls are batched: the probe
+evaluates its first four ladder levels in one call, and a block's missing
+sides share one, so a two-time determinant level makes four (two diagonal
+blocks, one probe, one pair of sides).  specfun.airy is elementwise, so
+batching moves no value.
 
 An equal-time block over one window on both sides (a diagonal block of a
 Fredholm determinant) is the static Airy kernel, which airy_block_grid
@@ -44,6 +48,8 @@ _LAMBDA_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512)
 # at least 1e-7, and the finer level of every pair accepted at 1e-11 is within
 # 1.5e-12 of the reference.
 _LAMBDA_TOL = 1e-11
+# ladder levels (32 to 96 nodes) whose probe points share one Airy call
+_PROBE_BATCH = 4
 
 
 def _tail(low: float) -> float:
@@ -75,10 +81,13 @@ def _lambda_nodes(dt: float, low_x: float, low_y: float) -> int:
     lows = np.array([low_x, low_y], dtype=float)
     dts = np.array([[dt], [-dt]], dtype=float)
     tail = _tail(np.min(lows))
+    head = [gauss_rule(n, 0.0, tail).nodes for n in _LAMBDA_LADDER[:_PROBE_BATCH]]
+    batch = np.split(airy(lows[:, None] + np.concatenate(head)).ai,
+                     np.cumsum(_LAMBDA_LADDER[:_PROBE_BATCH - 1]), axis=1)
     prev, gap = None, math.inf
-    for n in _LAMBDA_LADDER:
+    for level, n in enumerate(_LAMBDA_LADDER):
         rule = gauss_rule(n, 0.0, tail)
-        a = airy(lows[:, None] + rule.nodes).ai
+        a = batch[level] if level < _PROBE_BATCH else airy(lows[:, None] + rule.nodes).ai
         f = rule.weights * np.exp(-dts * rule.nodes) * a * a[::-1]
         value = f.sum(axis=-1)
         if prev is not None:
@@ -95,14 +104,19 @@ def _lambda_nodes(dt: float, low_x: float, low_y: float) -> int:
     )
 
 
-def _airy_side(sides: dict, pts: np.ndarray, rule, tail: float):
-    """A = Ai(pts + lam) with its peak max|A| and its last-node value
-    max|A[:, -1]|, built once per (points, tail, node count) in sides."""
-    key = (pts.tobytes(), tail, rule.nodes.size)
-    if key not in sides:
+def _airy_sides(sides: dict, xs: np.ndarray, ys: np.ndarray, rule, tail: float):
+    """Sides A = Ai(pts + lam) of xs and ys, each with its peak max|A| and its
+    last-node value max|A[:, -1]|, built once per (points, tail, node count)
+    in sides; the sides still missing share one Airy call."""
+    keys = [(pts.tobytes(), tail, rule.nodes.size) for pts in (xs, ys)]
+    todo = {key: pts for key, pts in zip(keys, (xs, ys)) if key not in sides}
+    if todo:
+        pts = np.concatenate(list(todo.values()))
         a = airy(pts[:, None] + rule.nodes[None, :]).ai
-        sides[key] = (a, float(np.max(np.abs(a))), float(np.max(np.abs(a[:, -1]))))
-    return sides[key]
+        cuts = np.cumsum([p.size for p in todo.values()])[:-1]
+        for key, part in zip(todo, np.split(a, cuts)):
+            sides[key] = (part, float(np.max(np.abs(part))), float(np.max(np.abs(part[:, -1]))))
+    return sides[keys[0]], sides[keys[1]]
 
 
 def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray:
@@ -123,8 +137,7 @@ def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray
         sides[size] = _lambda_nodes(dt, *lows)
     tail = _tail(min(lows))
     rule = gauss_rule(sides[size], 0.0, tail)
-    ax, x_peak, x_end = _airy_side(sides, xs, rule, tail)
-    ay, y_peak, y_end = _airy_side(sides, ys, rule, tail)
+    (ax, x_peak, x_end), (ay, y_peak, y_end) = _airy_sides(sides, xs, ys, rule, tail)
     peak = x_peak * y_peak
     end = x_end * y_end * math.exp(-dt * rule.nodes[-1])
     if peak > 0.0 and end > _TAIL_RTOL * peak:

@@ -9,9 +9,10 @@ The ODE is integrated downward from s0 = 8 where the Airy asymptotics are
 accurate far below double precision; the two tail integrals ride along as
 extra state components (I' = -J, J' = -q^2).  scipy supplies both the
 boundary data (special.airy) and the integrator.  The module calls scipy's
-airy directly on purpose, not ``specfun.airy`` with its asymptotic branch for
-x > 10: the Tracy-Widom oracle that one-time Airy gap probabilities are
-checked against thereby stays independent of that branch.
+airy directly on purpose, not ``specfun.airy`` with its Taylor anchors on
+[-10, 10] and its asymptotic series above 10: the Tracy-Widom oracle that
+one-time Airy gap probabilities are checked against thereby stays
+independent of those branches.
 
 The route is unstable (Bornemann, Markov Process. Related Fields 16 (2010)):
 against Airy Fredholm determinants log F2 is off by 5.5e-7 at s = -5, 4.1e-4

@@ -1,14 +1,18 @@
 """Airy function and its derivatives, Gauss-Legendre rules on intervals and
 on rays.
 
-Ai and Ai' have two branches, split at x = 10.  At x <= 10 they come from
-``scipy.special.airy``.  At x > 10 scipy leaves its real-argument routine
-for the complex AMOS routines, which also compute Bi and Bi' and cost
-microseconds per point, so there they come from the asymptotic series
-DLMF 9.7.5-9.7.6 instead, truncated after 23 terms.  For real x > 0 the
-remainder is below the first neglected term (DLMF 9.7(iv)), which at x = 10
-is below 2^-56; the error that is left is the rounding of zeta inside
-e^{-zeta}, as in scipy.
+Ai and Ai' have three branches.  At x < -10 they come from
+``scipy.special.airy``.  On -10 <= x <= 10 they are Taylor sums about the
+nearest of 81 anchors spaced 0.25 apart: the anchor values are filled at
+import by Taylor steps backward from the series value at x = 10 (Ai's stable
+direction), and the coefficients follow from Ai'' = x Ai by the recurrence
+(k+2)(k+1) c_{k+2} = x0 c_k + c_{k-1}; 14 terms reach rounding at
+|x - x0| <= 0.125.  At x > 10 they come from the asymptotic series
+DLMF 9.7.5-9.7.6, truncated after 23 terms.  For real x > 0 the remainder is
+below the first neglected term (DLMF 9.7(iv)), which at x = 10 is below
+2^-56; the error that is left is the rounding of zeta inside e^{-zeta}, as in
+scipy.  Each branch is elementwise, so a point's value does not depend on the
+batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -77,11 +81,15 @@ def ray_rule(vertex: complex, angle: float, radius: float, n: int):
     return vertex + rule.nodes * d, rule.weights * d
 
 
-# scipy's own split point: above it special.airy takes the complex AMOS path,
-# so points x <= 10 stay bit-for-bit what scipy gives
+# scipy's own split point: above it special.airy takes the complex AMOS path
 _SERIES_FROM = 10.0
 # terms of the series: the first neglected one is below 2^-56 at zeta(10)
 _SERIES_TERMS = 23
+# the Taylor branch covers [_TAYLOR_FROM, _SERIES_FROM] from anchors this far apart
+_TAYLOR_FROM, _ANCHOR_STEP = -10.0, 0.25
+# Taylor terms kept per anchor (the first neglected one at |x - x0| <= 0.125 is
+# below 1e-16 of the local Ai or Ai' scale), and per import-time step of 0.25
+_TAYLOR_TERMS, _STEP_TERMS = 14, 24
 
 
 def _series_coefficients(n: int):
@@ -94,49 +102,87 @@ def _series_coefficients(n: int):
                  for k in reversed(range(n)))
 
 
-_SERIES = _series_coefficients(_SERIES_TERMS)
+# shape (terms, 2, 1): Horner steps run on one stacked (2, n) array
+_SERIES = np.array(_series_coefficients(_SERIES_TERMS))[:, :, None]
 
 
-def _airy_series(x: np.ndarray):
-    """Ai and Ai' at x > 10 by DLMF 9.7.5-9.7.6, Horner's rule in 1/zeta."""
+def _airy_series(x: np.ndarray) -> np.ndarray:
+    """Rows Ai, Ai' at x > 10 by DLMF 9.7.5-9.7.6, Horner's rule in 1/zeta."""
     # zeta overflows to inf only where e^{-zeta} is 0 anyway
     with np.errstate(over="ignore"):
         zeta = 2.0 * x * np.sqrt(x) / 3.0
-    r = 1.0 / zeta
-    su, sv = np.full_like(r, _SERIES[0][0]), np.full_like(r, _SERIES[0][1])
-    for cu, cv in _SERIES[1:]:
-        su *= r
-        su += cu
-        sv *= r
-        sv += cv
+    # r stacked to the shape of s, so no step broadcasts it
+    r = np.stack([1.0 / zeta] * 2)
+    s = np.empty_like(r)
+    s[:] = _SERIES[0]
+    for c in _SERIES[1:]:
+        s *= r
+        s += c
     q = np.sqrt(np.sqrt(x))
     e = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    return e / q * su, -q * e * sv
+    s *= np.stack([e / q, -q * e])
+    return s
+
+
+def _taylor_table() -> np.ndarray:
+    """Taylor coefficients of Ai and Ai' about each anchor, shape
+    (_TAYLOR_TERMS, 2, anchors), from anchor x = 10 (the series value) down."""
+    anchors = _TAYLOR_FROM + _ANCHOR_STEP * np.arange(
+        round((_SERIES_FROM - _TAYLOR_FROM) / _ANCHOR_STEP) + 1)
+    table = np.empty((_TAYLOR_TERMS, 2, anchors.size))
+    c = _airy_series(np.array([_SERIES_FROM]))[:, 0].tolist()
+    for a in reversed(range(anchors.size)):
+        x0 = float(anchors[a])
+        for k in range(2, _STEP_TERMS + 1):
+            c.append((x0 * c[k - 2] + (c[k - 3] if k > 2 else 0.0)) / (k * (k - 1)))
+        dc = [(k + 1) * c[k + 1] for k in range(_STEP_TERMS)]
+        table[:, 0, a], table[:, 1, a] = c[:_TAYLOR_TERMS], dc[:_TAYLOR_TERMS]
+        ai = aip = 0.0
+        for k in reversed(range(_STEP_TERMS)):
+            ai, aip = ai * -_ANCHOR_STEP + c[k], aip * -_ANCHOR_STEP + dc[k]
+        c = [ai, aip]
+    return table
+
+
+_TAYLOR = _taylor_table()
+
+
+def _airy_taylor(x: np.ndarray) -> np.ndarray:
+    """Rows Ai, Ai' on -10 <= x <= 10: one gather of the nearest anchor's
+    coefficients, then Horner's rule in h = x - x0 (exact, |h| <= 0.125)."""
+    i = np.rint((x - _TAYLOR_FROM) / _ANCHOR_STEP).astype(np.intp)
+    h = np.stack([x - (_TAYLOR_FROM + _ANCHOR_STEP * i)] * 2)
+    c = np.take(_TAYLOR, i, axis=2)
+    s = c[-1].copy()
+    for k in range(_TAYLOR_TERMS - 2, -1, -1):
+        s *= h
+        s += c[k]
+    return s
 
 
 def airy(x) -> AiryValue:
-    """Airy function value and first derivative at ``x`` (scalar or array).
-
-    Points x <= 10 go to ``scipy.special.airy``; points x > 10 are summed
-    from the asymptotic series DLMF 9.7.5-9.7.6 (23 terms, remainder below
-    the first neglected term, < 2^-56 at x = 10).
-    """
+    """Airy function value and first derivative at ``x`` (scalar or array),
+    each point from its branch: scipy below -10, the Taylor anchors on
+    [-10, 10], the asymptotic series above 10.  Scalars take the array path."""
     scalar = np.isscalar(x)
     xa = float(x) if scalar else np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
+    xv = np.ravel(xa)
+    # bounds with 0 thrown in, so an empty array passes; a nan or inf spoils them
+    lo, hi = xv.min(initial=0.0), xv.max(initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("airy: non-finite argument")
-    xv = np.asarray(xa)
-    far = xv > _SERIES_FROM
-    if not far.any():
-        ai, aip, _, _ = special.airy(xa)
+    if _TAYLOR_FROM <= lo and hi <= _SERIES_FROM:
+        ai, aip = _airy_taylor(xv)
     else:
         ai, aip = np.empty_like(xv), np.empty_like(xv)
-        near = ~far
-        ai[near], aip[near], _, _ = special.airy(xv[near])
-        ai[far], aip[far] = _airy_series(xv[far])
+        low, high = xv < _TAYLOR_FROM, xv > _SERIES_FROM
+        for part, branch in ((low, lambda v: special.airy(v)[:2]), (high, _airy_series),
+                             (~(low | high), _airy_taylor)):
+            if np.count_nonzero(part):
+                ai[part], aip[part] = branch(xv[part])
     if scalar:
-        return AiryValue(x=xa, ai=float(ai), aip=float(aip))
-    return AiryValue(x=xa, ai=ai, aip=aip)
+        return AiryValue(x=xa, ai=float(ai[0]), aip=float(aip[0]))
+    return AiryValue(x=xa, ai=ai.reshape(xa.shape), aip=aip.reshape(xa.shape))
 
 
 def airy_derivs_upto(x, kmax: int):

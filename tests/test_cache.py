@@ -43,7 +43,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "f8b9aee0039c5f6a53c32647929acadc9f6a0ffa5659d8b0ed8f26a2d3d5af9a"
+    assert key == "1355202ffd72d19fd446a01fe67d097cb22fefb276ad2d906e1d79b81f45a3c5"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):

@@ -83,26 +83,24 @@ def test_geometric_refinement_decay():
     assert d2 <= 0.3 * d1
 
 
-@pytest.mark.parametrize("windows, per_level", [
+@pytest.mark.parametrize("windows, side_rows", [
     (((-1.0, 6.0), (-1.0, 6.0)), 1),
     (((-1.0, 6.0), (-0.5, 4.0)), 2),
 ])
-def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
+def test_airy_sides_built_once_per_window(monkeypatch, windows, side_rows):
     # both windows share one lambda-tail length, so each certificate level
-    # evaluates one side per distinct window, at the one lambda-rule size its
-    # determinant chose, for its two cross-time blocks, and sharing them
-    # leaves log P bit-equal to building both sides of every block afresh at
-    # that size; each diagonal block is the closed form, one Airy call on its
-    # window's points; the lambda-tail check reads the sides' last columns, so
-    # no one-point Airy call is made
-    arrays, scalars = [], []
+    # makes four Airy calls: the closed-form diagonal block of each window on
+    # its points, the lambda-probe's first four ladder levels at the two
+    # lowest points in one call, and the sides of the distinct windows for the
+    # two cross-time blocks in one call, at the size the probe chose; sharing
+    # the sides leaves log P bit-equal to building both sides of every block
+    # afresh at that size, and the lambda-tail check reads the sides' last
+    # columns, so no one-point Airy call is made
+    shapes = []
     airy, block_grid = airy_process.airy, fredholm.airy_block_grid
 
     def counting(x):
-        if np.ndim(x):
-            arrays.append(np.shape(x))
-        else:
-            scalars.append(x)
+        shapes.append(np.shape(x))
         return airy(x)
 
     q = GapQuery(family="airy", times=(-0.5, 0.5), windows=windows, m=40)
@@ -111,15 +109,15 @@ def test_airy_sides_built_once_per_window(monkeypatch, windows, per_level):
         disc = BlockDiscretization.build(q, factor)
         dt, lows = disc.times[0] - disc.times[1], [np.min(p) for p in disc.nodes]
         chosen.append(airy_process._lambda_nodes(dt, *lows))
+    probe = (2, sum(airy_process._LAMBDA_LADDER[:airy_process._PROBE_BATCH]))
     monkeypatch.setattr(airy_process, "airy", counting)
     shared = log_gap_probability(q)
-    built = [shape for shape in arrays if shape[0] > 2]  # the probe's have a row per window
-    assert built == [
+    assert shapes == [
         shape
         for m, n in ((40, chosen[0]), (80, chosen[1]))
-        for shape in [(m,)] + [(m, n)] * per_level + [(m,)]
+        for shape in [(m,), probe, (side_rows * m, n), (m,)]
     ]
-    assert scalars == []
+    assert len(shapes) <= 8
     monkeypatch.setattr(
         fredholm, "airy_block_grid",
         lambda t_i, t_j, xs, ys, sides: block_grid(t_i, t_j, xs, ys, {}),
@@ -374,6 +372,34 @@ def test_pearcey_query_refuses_by_the_ladder_top(monkeypatch):
     with pytest.raises(AccuracyError, match="did not settle by 512 nodes per ray"):
         log_gap_probability(query)
     assert counts and max(counts) <= 512
+
+
+def test_seeded_airy_stationarity_sweep():
+    # the extended Airy kernel depends on its times only through t_i - t_j, so
+    # shifting both times leaves log P bit-equal wherever the shift keeps the
+    # rounded time gap; where it rounds the gap differently, log P may move
+    # by a few ulps
+    rng = np.random.default_rng(2010)
+    for _ in range(4):
+        t1 = rng.uniform(-1.0, 0.5)
+        t2 = rng.uniform(t1 + 0.5, 1.0)
+        windows = tuple((rng.uniform(-3.0, 0.0), rng.uniform(2.0, 8.0)) for _ in range(2))
+        value = log_gap_probability(GapQuery(family="airy", times=(t1, t2), windows=windows, m=20))
+        for shift in (0.125, 0.3, -0.37):
+            shifted = GapQuery(family="airy", times=(t1 + shift, t2 + shift), windows=windows, m=20)
+            if (t1 + shift) - (t2 + shift) == t1 - t2:
+                assert log_gap_probability(shifted) == value, shifted
+            else:
+                assert abs(log_gap_probability(shifted) - value) <= 1e-14, shifted
+
+
+def test_seeded_one_time_airy_sweep_against_tracy_widom():
+    # a one-time window (s, s + 14) at m = 40 against log F2(s) from the
+    # Painleve II oracle, which evaluates Ai with scipy and not with specfun
+    rng = np.random.default_rng(2010)
+    for s in rng.uniform(-4.0, 2.0, 6):
+        query = GapQuery(family="airy", times=(0.0,), windows=((s, s + 14.0),), m=40)
+        assert abs(log_gap_probability(query) - math.log(tracy_widom_f2(s))) <= 1e-7, s
 
 
 def test_seeded_pearcey_sweep():

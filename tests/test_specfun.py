@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import mpmath
@@ -66,6 +65,23 @@ def test_airy_series_term_count_meets_its_bound():
     assert max(abs(u), abs(v)) / zeta**specfun._SERIES_TERMS < 2.0**-56
 
 
+def test_airy_taylor_term_count_meets_its_bound():
+    # the first neglected Taylor term at the largest step |x - x0| = 0.125 is
+    # below 1e-16 of the local scale: |Ai| or |Ai'| for x0 > 0, the modulus
+    # (DLMF 9.8.3-9.8.4) for x0 <= 0
+    x0 = specfun._TAYLOR_FROM + specfun._ANCHOR_STEP * np.arange(81)
+    c = specfun._TAYLOR[:, 0]
+    n = specfun._TAYLOR_TERMS
+    c_n = (x0 * c[n - 2] + c[n - 3]) / (n * (n - 1))
+    c_n1 = (x0 * c[n - 1] + c[n - 2]) / ((n + 1) * n)
+    ai, aip, bi, bip = specfun.special.airy(x0)
+    neg = x0 <= 0.0
+    scale = np.where(neg, np.hypot(ai, bi), np.abs(ai))
+    dscale = np.where(neg, np.hypot(aip, bip), np.abs(aip))
+    assert np.max(np.abs(c_n) * 0.125**n / scale) < 1e-16
+    assert np.max(np.abs((n + 1) * c_n1) * 0.125**n / dscale) < 1e-16
+
+
 def test_airy_underflows_to_exact_zero_without_warning():
     xs = np.array([110.0, 200.0, 1e10, 1e300, np.finfo(float).max])
     with warnings.catch_warnings():
@@ -84,20 +100,63 @@ def test_airy_keeps_shape_and_returns_floats_for_scalars():
         assert (s.ai, s.aip) == (ai, aip)
 
 
-def test_scipy_airy_never_sees_x_above_10(monkeypatch):
-    # above 10 scipy's airy takes its slow complex-argument path
+def test_scipy_airy_sees_only_x_below_minus_10(monkeypatch):
+    # on [-10, 10] the Taylor anchors and above 10 the series stand in for scipy
     seen = []
     scipy_airy = specfun.special.airy
 
     def spy(x):
-        seen.append(np.max(x, initial=-math.inf))
+        seen.append(np.asarray(x))
         return scipy_airy(x)
 
     monkeypatch.setattr(specfun.special, "airy", spy)
     airy(np.linspace(-5.0, 60.0, 131))
     airy(30.0)
     airy(10.0)
-    assert max(seen) == 10.0
+    airy(-10.0)
+    assert seen == []
+    airy(np.linspace(-25.0, 60.0, 171))
+    airy(np.nextafter(-10.0, -11.0))
+    assert len(seen) == 2
+    assert max(np.max(x) for x in seen) == np.nextafter(-10.0, -11.0)
+
+
+def _scaled_errors(xs, ai, aip):
+    """Errors of Ai and Ai' against mpmath at 30 digits, divided by |Ai|, |Ai'|
+    for x > 0 and by the moduli M, N of DLMF 9.8.3-9.8.4 (the envelopes of
+    the oscillation) for x <= 0."""
+    ref = []
+    with mpmath.workdps(30):
+        for x in xs:
+            x = mpmath.mpf(float(x))
+            a, ap = mpmath.airyai(x), mpmath.airyai(x, derivative=1)
+            scale, dscale = abs(a), abs(ap)
+            if x <= 0:
+                scale = mpmath.sqrt(a**2 + mpmath.airybi(x) ** 2)
+                dscale = mpmath.sqrt(ap**2 + mpmath.airybi(x, derivative=1) ** 2)
+            ref.append([float(a), float(ap), float(scale), float(dscale)])
+    ref = np.array(ref).T
+    return np.abs(ai - ref[0]) / ref[2], np.abs(aip - ref[1]) / ref[3]
+
+
+def test_airy_taylor_branch_against_mpmath():
+    # the anchors, the midpoints between them (the largest Taylor steps), and
+    # both sides of the two splits
+    anchors = specfun._TAYLOR_FROM + specfun._ANCHOR_STEP * np.arange(81)
+    assert anchors[-1] == specfun._SERIES_FROM
+    seams = [np.nextafter(b, b + d) for b in (-10.0, 10.0) for d in (-1.0, 1.0)]
+    xs = np.concatenate([anchors, anchors[:-1] + 0.125, [0.0], seams])
+    v = airy(xs)
+    ours = _scaled_errors(xs, v.ai, v.aip)
+    scipy_ai, scipy_aip, _, _ = specfun.special.airy(xs)
+    theirs = _scaled_errors(xs, scipy_ai, scipy_aip)
+    taylor = (xs >= -10.0) & (xs <= 10.0)  # all but the outer neighbours of the splits
+    for err, ref in zip(ours, theirs):
+        assert np.max(err[taylor]) <= 1e-14
+        assert np.max(err) <= np.max(ref)
+    v0 = airy(0.0)
+    assert abs(v0.ai - AI_ZERO) <= 1e-14 * AI_ZERO
+    assert abs(v0.aip - AIP_ZERO) <= 1e-14 * abs(AIP_ZERO)
 
 
 def test_positivity_and_sign_for_nonnegative_x():
@@ -199,9 +258,24 @@ def test_gauss_rule_rejects_bad_interval():
 
 
 def test_airy_vector_matches_scalar():
-    xs = np.array([-4.2, -0.5, 0.0, 1.5, 6.0])
+    xs = np.array([-30.0, -10.5, -10.0, -4.2, -0.5, 0.0, 1.5, 6.0, 10.0, 10.5, 30.0])
     v = airy(xs)
     for i, x in enumerate(xs):
         s = airy(float(x))
-        assert abs(v.ai[i] - s.ai) <= 1e-15
-        assert abs(v.aip[i] - s.aip) <= 1e-15
+        assert (s.ai, s.aip) == (v.ai[i], v.aip[i])
+
+
+def test_airy_of_a_concatenation_is_the_concatenation():
+    # each branch is elementwise, so batching points moves no value: parts
+    # within one branch, across two and across all three
+    rng = np.random.default_rng(2010)
+    xs = np.concatenate([rng.uniform(-40.0, 60.0, 400), rng.uniform(-10.0, 10.0, 200),
+                         [-10.0, 10.0, np.nextafter(-10.0, -11.0), np.nextafter(10.0, 11.0)]])
+    rng.shuffle(xs)
+    parts = [xs[xs < -10.0], xs[(xs >= -10.0) & (xs <= 10.0)], xs[xs > 10.0]]
+    parts += np.split(xs, [1, 7, 150, 451])
+    for chunks in (parts[:3], parts[3:]):
+        whole = airy(np.concatenate(chunks))
+        pieces = [airy(c) for c in chunks]
+        assert np.array_equal(whole.ai, np.concatenate([p.ai for p in pieces]))
+        assert np.array_equal(whole.aip, np.concatenate([p.aip for p in pieces]))
