@@ -1,4 +1,4 @@
-"""Kernel block cache: content addressing, payload integrity, advisory lock."""
+"""Kernel block cache: content addressing, pack integrity, advisory lock."""
 
 import hashlib
 import os
@@ -43,7 +43,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "1355202ffd72d19fd446a01fe67d097cb22fefb276ad2d906e1d79b81f45a3c5"
+    assert key == "97aaf0aefa6847f0b2f11d9fc8aaaaa3a76142dd3ea857aec9cce28f00a19f8c"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):
@@ -54,8 +54,16 @@ def test_default_root_precedence(tmp_path, monkeypatch):
     assert default_root(str(tmp_path / "flag")) == str(tmp_path / "flag")
 
 
-def _entry(root, key):
-    return os.path.join(str(root), key + ".blk")
+def _pack(root):
+    """Path of the one pack in root."""
+    (name,) = [n for n in os.listdir(str(root)) if n.endswith(".pack")]
+    return os.path.join(str(root), name)
+
+
+def _names(root):
+    """The root's files, each pack as "*.pack" and each part as "*.part"."""
+    return sorted(n if n == "lock" else "*" + os.path.splitext(n)[1]
+                  for n in os.listdir(str(root)))
 
 
 def test_store_lookup_roundtrip(tmp_path):
@@ -64,10 +72,13 @@ def test_store_lookup_roundtrip(tmp_path):
     key = "a" * 64
     assert cache.lookup(key) is None
     cache.store(key, grid)
-    out = cache.lookup(key)
+    out = cache.lookup(key)  # from the session's own entries
     assert out is not None
     assert np.array_equal(out, grid)
     assert (cache.misses, cache.hits) == (1, 1)
+    cache.close()
+    assert np.array_equal(cache.lookup(key), grid)  # from the published pack
+    assert (cache.misses, cache.hits) == (1, 2)
     cache.close()
 
 
@@ -78,7 +89,10 @@ def test_non_square_roundtrip_is_bit_exact_and_writable(tmp_path):
     grid[0, :3] = (-0.0, np.finfo(float).tiny / 4, -np.finfo(float).max)
     key = "f" * 64
     cache.store(key, grid.T)  # a non-contiguous view is stored in C order
-    assert os.path.getsize(_entry(tmp_path, key)) == 32 + 16 + 8 * 3 * 7
+    assert cache.lookup(key).tobytes() == np.ascontiguousarray(grid.T).tobytes()
+    cache.close()
+    # one entry, then the footer: a key, its (offset, length), the count, a digest
+    assert os.path.getsize(_pack(tmp_path)) == (32 + 16 + 8 * 3 * 7) + (32 + 16) + 8 + 32
     out = cache.lookup(key)
     assert out.shape == (7, 3) and out.dtype == np.float64
     assert out.tobytes() == np.ascontiguousarray(grid.T).tobytes()
@@ -88,48 +102,102 @@ def test_non_square_roundtrip_is_bit_exact_and_writable(tmp_path):
     cache.close()
 
 
-def _truncate_in_payload(path):
+def test_lookup_searches_every_pack(tmp_path):
+    # keys that differ only in their trailing zero bytes, which an "S32"
+    # comparison ignores, in packs from three sessions
+    keys = ["ab" + "00" * 31, "00" * 32, "ab" + "00" * 30 + "01"]
+    cache = KernelCache(str(tmp_path))
+    for k, key in enumerate(keys[:2]):
+        cache.store(key, np.full((2, 3), float(k)))
+        cache.close()
+    cache.store("ff" * 32, np.full((2, 3), 9.0))
+    cache.close()
+    assert _names(tmp_path) == ["*.pack"] * 3 + ["lock"]
+    for k, key in enumerate(keys[:2]):
+        assert np.array_equal(cache.lookup(key), np.full((2, 3), float(k)))
+    assert cache.lookup(keys[2]) is None
+    assert np.array_equal(cache.lookup("ff" * 32), np.full((2, 3), 9.0))
+    assert (cache.hits, cache.misses) == (3, 1)
+    cache.close()
+    # a session that stores nothing writes no file
+    assert _names(tmp_path) == ["*.pack"] * 3 + ["lock"]
+
+
+_KEY = "b" * 64
+
+
+def _rewrite(path, edit):
     with open(path, "r+b") as fh:
-        fh.truncate(os.path.getsize(path) - 5)
+        raw = bytearray(fh.read())
+        edit(raw)
+        fh.seek(0)
+        fh.truncate()
+        fh.write(raw)
 
 
 def _empty(path):
     open(path, "wb").close()
 
 
+def _truncate_in_payload(path):
+    # cuts the entry's last value and the whole footer
+    with open(path, "r+b") as fh:
+        fh.truncate(32 + 16 + 8 * 25 - 5)
+
+
 def _flip_header_shape(path):
     # (5, 5) -> (5, 4) under a digest that matches, so only the length disagrees
-    with open(path, "r+b") as fh:
-        rest = bytearray(fh.read()[32:])
-        rest[8:16] = (4).to_bytes(8, "little")
-        fh.seek(0)
-        fh.write(hashlib.sha256(rest).digest() + rest)
+    def edit(raw):
+        raw[40:48] = (4).to_bytes(8, "little")
+        raw[:32] = hashlib.sha256(bytes.fromhex(_KEY) + raw[32:48 + 8 * 25]).digest()
+
+    _rewrite(path, edit)
 
 
-@pytest.mark.parametrize("damage", [_empty, _truncate_in_payload, _flip_header_shape])
+def _flip_value_byte(path):
+    def edit(raw):
+        raw[48 + 8 * 24] ^= 1
+
+    _rewrite(path, edit)
+
+
+def _flip_footer_key_byte(path):
+    def edit(raw):
+        raw[-(32 + 8 + 16 + 32)] ^= 1
+
+    _rewrite(path, edit)
+
+
+@pytest.mark.parametrize("damage", [_empty, _truncate_in_payload, _flip_header_shape,
+                                    _flip_value_byte, _flip_footer_key_byte])
 def test_damaged_entry_is_a_miss_and_deleted(tmp_path, damage):
     cache = KernelCache(str(tmp_path))
-    key = "b" * 64
-    cache.store(key, np.ones((5, 5)))
-    path = _entry(tmp_path, key)
+    grid = np.arange(25.0).reshape(5, 5)
+    cache.store(_KEY, grid)
+    cache.close()
+    path = _pack(tmp_path)
     damage(path)
-    assert cache.lookup(key) is None
+    assert cache.lookup(_KEY) is None
     assert not os.path.exists(path)
     assert (cache.hits, cache.misses) == (0, 1)
-    cache.store(key, np.ones((5, 5)))
-    assert np.array_equal(cache.lookup(key), np.ones((5, 5)))
+    cache.store(_KEY, grid)
+    cache.close()
+    assert cache.lookup(_KEY).tobytes() == grid.tobytes()
+    assert (cache.hits, cache.misses) == (1, 1)
     cache.close()
 
 
 def test_truncated_entry_is_a_miss(tmp_path):
     cache = KernelCache(str(tmp_path))
-    key = "b" * 64
-    cache.store(key, np.ones((5, 5)))
-    with open(_entry(tmp_path, key), "r+b") as fh:
+    cache.store(_KEY, np.ones((5, 5)))
+    cache.close()
+    with open(_pack(tmp_path), "r+b") as fh:
         fh.truncate(40)  # inside the shape header
-    assert cache.lookup(key) is None
-    cache.store(key, np.ones((5, 5)))
-    assert np.array_equal(cache.lookup(key), np.ones((5, 5)))
+    assert cache.lookup(_KEY) is None
+    assert _names(tmp_path) == ["lock"]
+    cache.store(_KEY, np.ones((5, 5)))
+    cache.close()
+    assert np.array_equal(cache.lookup(_KEY), np.ones((5, 5)))
     cache.close()
 
 
@@ -138,15 +206,35 @@ def test_checksum_mismatch_deletes_entry(tmp_path):
     key = "c" * 64
     grid = np.full((4, 4), 0.25)
     cache.store(key, grid)
-    path = _entry(tmp_path, key)
-    # graft a valid entry with a different payload under the stored key's name
     cache.store("d" * 64, grid + 1.0)
-    os.replace(_entry(tmp_path, "d" * 64), path)
-    # the digest inside matches its own payload, so tamper with raw bytes too
+    cache.close()
+    path = _pack(tmp_path)
     with open(path, "r+b") as fh:
-        fh.seek(-8, os.SEEK_END)
+        fh.seek(32 + 16 + 8 * 15)  # c's last value
         fh.write(b"\x00" * 8)
     assert cache.lookup(key) is None
+    assert not os.path.exists(path)
+    assert cache.lookup("d" * 64) is None  # the pack's other keys drop out too
+    assert (cache.hits, cache.misses) == (0, 2)
+    cache.close()
+
+
+def test_entry_filed_under_another_key_is_a_miss(tmp_path):
+    # b's valid entry in the place the footer gives for a: the digest covers
+    # the key, so it is not served as a's block
+    a, b = "a" * 64, "b" * 64
+    cache = KernelCache(str(tmp_path))
+    cache.store(a, np.zeros((4, 4)))
+    cache.store(b, np.ones((4, 4)))
+    cache.close()
+    path = _pack(tmp_path)
+    size = 32 + 16 + 8 * 16
+
+    def graft(raw):
+        raw[:size] = raw[size:2 * size]
+
+    _rewrite(path, graft)
+    assert cache.lookup(a) is None
     assert not os.path.exists(path)
     cache.close()
 
@@ -174,7 +262,8 @@ def test_cache_locks_its_root_at_first_use(tmp_path):
     cache.close()
     with CacheLock(root):
         pass
-    assert os.path.exists(os.path.join(root, "lock"))  # the file stays
+    # the lock file stays, and a session that stores nothing writes no other
+    assert os.listdir(root) == ["lock"]
 
 
 def test_lock_conflict_and_release(tmp_path):
@@ -200,6 +289,62 @@ def test_stale_lock_is_reclaimed(tmp_path):
     assert os.path.exists(os.path.join(root, "lock"))
     with CacheLock(root):
         pass
+
+
+def test_session_that_dies_before_close_publishes_no_pack(tmp_path):
+    # a process that stored its blocks and exited without close()
+    root = str(tmp_path)
+    query = GapQuery(family="airy", times=(-0.5, 0.5), windows=((-1.0, 4.0),) * 2, m=20,
+                     certify=False)
+    holder = (
+        "import os, sys; from pearceygap.cache import KernelCache; "
+        "from pearceygap.fredholm import GapQuery, log_gap_probability, set_block_cache; "
+        "set_block_cache(KernelCache(sys.argv[1])); "
+        "log_gap_probability(GapQuery(family='airy', times=(-0.5, 0.5), "
+        "windows=((-1.0, 4.0),) * 2, m=20, certify=False)); os._exit(0)"
+    )
+    src = os.path.dirname(os.path.dirname(pearceygap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", holder, root], check=True, env=env)
+    assert _names(root) == ["*.part", "lock"]
+    (stale,) = [n for n in os.listdir(root) if n != "lock"]
+    assert os.path.getsize(os.path.join(root, stale)) > 0
+    cold = log_gap_probability(query)
+    cache = KernelCache(root)
+    set_block_cache(cache)
+    try:
+        assert cache.lookup("e" * 64) is None  # the first touch sweeps the root
+        assert _names(root) == ["lock"]
+        value = log_gap_probability(query)
+    finally:
+        set_block_cache(None)
+        cache.close()
+    assert (cache.hits, cache.misses) == (0, 5)  # 4 blocks recomputed
+    assert value == cold
+    assert _names(root) == ["*.pack", "lock"]
+
+
+def test_one_session_writes_one_pack_and_a_second_reads_it_all(tmp_path):
+    query = GapQuery(family="pearcey", times=(3.0, 4.0), windows=((-3.0, 3.0), (-3.5, 3.5)),
+                     m=16, certify=False)
+    cold = log_gap_probability(query)
+    values = []
+    for session in range(2):
+        cache = KernelCache(str(tmp_path))
+        set_block_cache(cache)
+        try:
+            values.append(log_gap_probability(query))
+        finally:
+            set_block_cache(None)
+            cache.close()
+        if session == 0:
+            stored = cache.misses
+            assert stored >= 4
+            names = os.listdir(str(tmp_path))
+            assert _names(tmp_path) == ["*.pack", "lock"]
+    assert (cache.hits, cache.misses) == (stored, 0)
+    assert os.listdir(str(tmp_path)) == names
+    assert values == [cold, cold]
 
 
 def test_warm_cache_reproduces_cold_value(tmp_path):
