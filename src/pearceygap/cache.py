@@ -206,7 +206,7 @@ class _Pack:
     def find(self, kb: bytes) -> tuple[int, int] | None:
         """(offset, length) of key kb's entry, or None."""
         i = int(self.keys.searchsorted(kb))
-        # an "S32" comparison ignores trailing zero bytes; the raw bytes do not
+        # i is where kb would go; kb is there only if the raw bytes match
         if i < len(self.keys) and self.footer[_KEY * i:_KEY * (i + 1)] == kb:
             return _SPAN.unpack_from(self.footer, _KEY * len(self.keys) + _SPAN.size * i)
         return None

@@ -103,8 +103,9 @@ def test_non_square_roundtrip_is_bit_exact_and_writable(tmp_path):
 
 
 def test_lookup_searches_every_pack(tmp_path):
-    # keys that differ only in their trailing zero bytes, which an "S32"
-    # comparison ignores, in packs from three sessions
+    # keys that end in zero bytes, which numpy strips from an "S32" scalar,
+    # and a key that differs from one of them only in its last byte, in packs
+    # from three sessions
     keys = ["ab" + "00" * 31, "00" * 32, "ab" + "00" * 30 + "01"]
     cache = KernelCache(str(tmp_path))
     for k, key in enumerate(keys[:2]):
