@@ -65,16 +65,16 @@ class PsiOperator:
 
 @dataclass
 class StudyReport:
-    """Result of one study: input echo, per-point table, fitted summary, and
-    a pass/fail/inconclusive verdict.  Wall-clock and environment metadata are
-    attached by the command-line layer, segregated from the data rows."""
+    """Result of one study: per-point table, fitted summary, and a
+    pass/fail/inconclusive verdict.  Wall-clock and environment metadata are
+    attached by the command-line layer, segregated from the data rows; the
+    study's inputs are the parameters that layer called it with."""
 
     name: str
     columns: tuple
     rows: list
     summary: dict
     passed: bool | None  # None marks an inconclusive outcome
-    inputs: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -182,12 +182,6 @@ def identity_grid_study(x_grid=(-1.0, -0.5, 0.0, 0.5, 1.0), y_grid=(-1.0, -0.5, 
         rows=rows,
         summary=summary,
         passed=worst1 <= tolerance and worst2 <= tolerance,
-        inputs={
-            "x_grid": [float(v) for v in x_grid],
-            "y_grid": [float(v) for v in y_grid],
-            "s_grid": [float(v) for v in s_grid],
-            "tolerance": tolerance,
-        },
     )
 
 
@@ -281,12 +275,6 @@ def proposition_slope(
         rows=rows,
         summary=summary,
         passed=passed,
-        inputs={
-            "t": t,
-            "s": s,
-            "z_grid": [float(z) for z in z_grid],
-            "sample_points": [list(p) for p in sample_points],
-        },
     )
 
 
@@ -437,16 +425,6 @@ def theorem_ratio_study(
         rows=[tuple(r[c] for c in columns) for r in rows],
         summary=summary,
         passed=passed,
-        inputs={
-            "tau1_grid": [float(v) for v in tau1_grid],
-            "t1": t1,
-            "t2": t2,
-            "airy_windows": [list(w) for w in airy_windows],
-            "m": m,
-            "single_time": single_time,
-            "ablate": ablate,
-            "certify": certify,
-        },
     )
 
 
@@ -669,5 +647,4 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
         rows=rows,
         summary=summary,
         passed=passed,
-        inputs={f.name: getattr(grid, f.name) for f in dataclass_fields(grid)},
     )

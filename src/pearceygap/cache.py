@@ -98,7 +98,7 @@ class KernelCache:
         self._own = {}  # key bytes -> (offset, length) in the .part file
 
     def _begin(self) -> None:
-        """First touch of a session: lock the root, sweep it, open its packs."""
+        """First touch of a session: lock the root, sweep it, read its packs' footers."""
         if self._lock is not None:
             return
         self._lock = CacheLock(self.root).acquire()
@@ -149,7 +149,7 @@ class KernelCache:
             span = pack.find(kb)
             if span is None:
                 continue
-            grid = _read_entry(pack.fd, kb, *span)
+            grid = pack.read(kb, *span)
             if grid is not None:
                 self.hits += 1
                 return grid
@@ -176,32 +176,34 @@ class KernelCache:
 
 
 class _Pack:
-    """A published pack, open for one session.  Its footer stays raw bytes and
-    is binary-searched, so opening a pack does no work per entry."""
+    """A published pack, as one session reads it.  Its footer stays raw bytes
+    and is binary-searched, so opening a pack does no work per entry.  Its file
+    is open only from the first entry it reads to close(), so a session holds
+    no file for a pack it does not read from."""
 
-    def __init__(self, path: str, fd: int, footer: bytes, count: int):
-        self.path, self.fd, self.footer = path, fd, footer
+    def __init__(self, path: str, footer: bytes, count: int):
+        self.path, self.footer = path, footer
         self.keys = np.frombuffer(footer, "S32", count)
+        self._fd = None
 
     @classmethod
     def open(cls, path: str) -> "_Pack | None":
         """The pack at path, or None when its footer fails its digest."""
         fd = os.open(path, os.O_RDONLY)
-        pack = None
         try:
             size = os.fstat(fd).st_size
             trailer = os.pread(fd, _TRAILER, max(size - _TRAILER, 0))
-            if len(trailer) == _TRAILER:
-                (count,) = _COUNT.unpack_from(trailer)
-                length = count * (_KEY + _SPAN.size) + _TRAILER
-                footer = os.pread(fd, length, size - length) if length <= size else b""
-                if (len(footer) == length and hashlib.sha256(
-                        memoryview(footer)[:-_DIGEST]).digest() == footer[-_DIGEST:]):
-                    pack = cls(path, fd, footer, count)
+            if len(trailer) < _TRAILER:
+                return None
+            (count,) = _COUNT.unpack_from(trailer)
+            length = count * (_KEY + _SPAN.size) + _TRAILER
+            footer = os.pread(fd, length, size - length) if length <= size else b""
         finally:
-            if pack is None:
-                os.close(fd)
-        return pack
+            os.close(fd)
+        if (len(footer) == length and hashlib.sha256(
+                memoryview(footer)[:-_DIGEST]).digest() == footer[-_DIGEST:]):
+            return cls(path, footer, count)
+        return None
 
     def find(self, kb: bytes) -> tuple[int, int] | None:
         """(offset, length) of key kb's entry, or None."""
@@ -211,8 +213,16 @@ class _Pack:
             return _SPAN.unpack_from(self.footer, _KEY * len(self.keys) + _SPAN.size * i)
         return None
 
+    def read(self, kb: bytes, offset: int, length: int) -> np.ndarray | None:
+        """Key kb's grid from the entry at offset, or None if it fails a check."""
+        if self._fd is None:
+            self._fd = os.open(self.path, os.O_RDONLY)
+        return _read_entry(self._fd, kb, offset, length)
+
     def close(self) -> None:
-        os.close(self.fd)
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
 
 def _digest(kb: bytes, head: bytes, data) -> bytes:

@@ -65,8 +65,6 @@ def _gap_study(family: str, times, windows, nodes: int, certify: bool) -> StudyR
         rows=[(prob, logp, nodes)],
         summary={"probability": prob, "log_probability": logp, "nodes": nodes},
         passed=True,
-        inputs={"family": family, "times": times, "windows": windows, "nodes": nodes,
-                "certify": certify},
     )
 
 
@@ -96,7 +94,6 @@ def _oracle_study(s_min: float, s_max: float, step: float) -> StudyReport:
         rows=rows,
         summary=summary,
         passed=check < 1e-6 and summary["monotone"],
-        inputs={"s_min": s_min, "s_max": s_max, "step": step},
     )
 
 
@@ -289,10 +286,15 @@ def parse_config(text: str, base: StudyConfig | None = None) -> StudyConfig:
 # dispatch
 
 
+def _params(config: StudyConfig) -> dict:
+    """The keyword arguments of config's study: its section's fields, in order."""
+    section = _STUDIES[config.kind][0]
+    return {f.metadata["param"]: getattr(config, f.name) for f in fields(config)
+            if f.metadata["section"] == section}
+
+
 def _dispatch(config: StudyConfig) -> StudyReport:
-    section, _, study = _STUDIES[config.kind]
-    return study(**{f.metadata["param"]: getattr(config, f.name) for f in fields(config)
-                    if f.metadata["section"] == section})
+    return _STUDIES[config.kind][2](**_params(config))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +325,7 @@ def _write_json(report: StudyReport, path: str, config: StudyConfig) -> None:
         "study": report.name,
         "verdict": report.verdict,
         "config": _encoded(config),
-        "inputs": report.inputs,
+        "inputs": _params(config),
         "summary": report.summary,
         "columns": report.columns,
         "rows": report.rows,

@@ -28,7 +28,7 @@ log det at m, and every block, so every block key, takes the settled count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,6 @@ from .specfun import gauss_rule
 
 __all__ = [
     "GapQuery",
-    "BlockDiscretization",
     "gap_probability",
     "log_gap_probability",
     "set_block_cache",
@@ -111,31 +110,6 @@ class GapQuery:
         object.__setattr__(self, "z", z)
 
 
-@dataclass(frozen=True)
-class BlockDiscretization:
-    """Nodes and weights of the block Nystrom grid (empty windows skipped)."""
-
-    times: tuple
-    nodes: tuple = field(repr=False)
-    weights: tuple = field(repr=False)
-
-    @classmethod
-    def build(cls, query: GapQuery, factor: int = 1) -> "BlockDiscretization":
-        times, nodes, weights = [], [], []
-        for t, w in zip(query.times, query.windows):
-            if w is None:
-                continue
-            rule = gauss_rule(factor * query.m, w[0], w[1])
-            times.append(t)
-            nodes.append(rule.nodes)
-            weights.append(rule.weights)
-        return cls(times=tuple(times), nodes=tuple(nodes), weights=tuple(weights))
-
-    @property
-    def size(self) -> int:
-        return sum(n.size for n in self.nodes)
-
-
 _BLOCK_CACHE = None
 
 # the fixed data each family's block routine reads besides its times and points
@@ -180,28 +154,22 @@ def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j, sides) -> np.ndarr
     return grid
 
 
-def _assemble(query: GapQuery, disc: BlockDiscretization) -> np.ndarray:
-    sides: dict = {}
-    sq = [np.sqrt(w) for w in disc.weights]
-    rows = []
-    for i, t_i in enumerate(disc.times):
-        row = []
-        for j, t_j in enumerate(disc.times):
-            K = _block(query, t_i, t_j, disc.nodes[i], disc.nodes[j], sides)
-            row.append(sq[i][:, None] * K * sq[j][None, :])
-        rows.append(row)
-    return np.block(rows)
-
-
 def _log_det(query: GapQuery, factor: int) -> float:
-    disc = BlockDiscretization.build(query, factor)
-    if disc.size == 0:
+    # one Gauss rule per observed window; a None window drops its time
+    rules = [(t, gauss_rule(factor * query.m, *win))
+             for t, win in zip(query.times, query.windows) if win is not None]
+    if not rules:
         return 0.0
-    w = _assemble(query, disc)
+    sides: dict = {}
+    sq = [np.sqrt(rule.weights) for _, rule in rules]
+    w = np.block([[sq_i[:, None] * _block(query, t_i, t_j, r_i.nodes, r_j.nodes, sides)
+                   * sq_j[None, :]
+                   for (t_j, r_j), sq_j in zip(rules, sq)]
+                  for (t_i, r_i), sq_i in zip(rules, sq)])
     # diagonal similarity balancing preserves the determinant exactly but
     # tames the huge gauge-induced dynamic range of unconjugated kernels
     # (cross-time blocks can span e^{+-60} and defeat plain LU pivoting)
-    balanced, _ = matrix_balance(np.eye(disc.size) - w, permute=False)
+    balanced, _ = matrix_balance(np.eye(len(w)) - w, permute=False)
     sign, logabs = np.linalg.slogdet(balanced)
     if sign <= 0.0:
         if logabs <= math.log(_CERT_TOL):

@@ -41,11 +41,10 @@ class AiryValue:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes/weights affinely mapped onto ``domain``."""
+    """Gauss-Legendre nodes/weights affinely mapped onto an interval."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float]
 
     def __post_init__(self):
         if self.nodes.shape != self.weights.shape:
@@ -69,7 +68,7 @@ def gauss_rule(m: int, a: float, b: float) -> QuadratureRule:
     x, w = _leggauss(int(m))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=mid + half * x, weights=half * w, domain=(a, b))
+    return QuadratureRule(nodes=mid + half * x, weights=half * w)
 
 
 def ray_rule(vertex: complex, angle: float, radius: float, n: int):

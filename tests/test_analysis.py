@@ -17,8 +17,9 @@ from pearceygap.analysis import (
     theorem_ratio_study,
 )
 from pearceygap.exceptions import AccuracyError, DomainError
-from pearceygap.fredholm import BlockDiscretization, log_gap_probability
+from pearceygap.fredholm import log_gap_probability
 from pearceygap.pearcey_process import _x_rays, _y_rays
+from pearceygap.specfun import gauss_rule
 
 
 def test_psi_operator_coefficients():
@@ -320,9 +321,8 @@ def test_pde_study_radius_covers_every_block(monkeypatch):
     free = replace(queries[0].contour, radius=None)
     block_radii = []
     for q in queries:
-        disc = BlockDiscretization.build(q)
-        for tau, nodes in zip(disc.times, disc.nodes):
-            coord = float(np.max(np.abs(nodes)))
+        for tau, w in zip(q.times, q.windows):
+            coord = float(np.max(np.abs(gauss_rule(q.m, *w).nodes)))
             rays = _x_rays(free, tau, coord) + _y_rays(free, tau, coord)
             block_radii.extend(ray[3] for ray in rays)
     assert max(block_radii) <= radius

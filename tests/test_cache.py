@@ -13,13 +13,9 @@ import pearceygap
 from pearceygap import cache as cache_mod
 from pearceygap.cache import CacheLock, KernelCache, block_key, default_root
 from pearceygap.exceptions import ConcurrencyError
-from pearceygap.fredholm import (
-    BlockDiscretization,
-    GapQuery,
-    log_gap_probability,
-    set_block_cache,
-)
+from pearceygap.fredholm import GapQuery, log_gap_probability, set_block_cache
 from pearceygap.pearcey_process import PearceyContour
+from pearceygap.specfun import gauss_rule
 
 
 def test_block_key_is_stable_and_discriminating():
@@ -122,6 +118,28 @@ def test_lookup_searches_every_pack(tmp_path):
     cache.close()
     # a session that stores nothing writes no file
     assert _names(tmp_path) == ["*.pack"] * 3 + ["lock"]
+
+
+def test_root_with_more_packs_than_open_files_serves_a_hit(tmp_path):
+    # a session opens a pack's file only to read an entry from it, so a
+    # process limited to 64 open files reads a root of 80 packs
+    root = str(tmp_path)
+    keys = [f"{k:064x}" for k in range(80)]
+    for k, key in enumerate(keys):
+        cache = KernelCache(root)
+        cache.store(key, np.full((1, 1), float(k)))
+        cache.close()
+    assert _names(root) == ["*.pack"] * 80 + ["lock"]
+    reader = (
+        "import resource, sys; from pearceygap.cache import KernelCache; "
+        "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE); "
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard)); "
+        "cache = KernelCache(sys.argv[1]); grid = cache.lookup(sys.argv[2]); cache.close(); "
+        "sys.exit(0 if grid is not None and grid.tolist() == [[0.0]] else 1)"
+    )
+    src = os.path.dirname(os.path.dirname(pearceygap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", reader, root, keys[0]], check=True, env=env)
 
 
 _KEY = "b" * 64
@@ -414,7 +432,7 @@ def test_block_of_the_previous_format_is_a_miss(tmp_path, monkeypatch):
     # (pearceygap-cache-7) from one summed by the asymptotic series
     query = GapQuery(family="airy", times=(0.2, 0.9), windows=((-0.1, 5.6), (-1.2, 4.7)),
                      m=40, certify=False)
-    x = BlockDiscretization.build(query).nodes
+    x = [gauss_rule(query.m, *w).nodes for w in query.windows]
     with monkeypatch.context() as patch:
         patch.setattr(cache_mod, "_FORMAT", b"pearceygap-cache-7")
         old_key = block_key("airy", 0.2, 0.9, "", x[0], x[1])
@@ -460,7 +478,7 @@ def test_pearcey_block_keys_carry_the_ray_count_of_their_determinant(tmp_path, m
     query_b = GapQuery(family="pearcey", times=(0.5, 4.0),
                        windows=((-6.0, 6.0), (1.5, 4.5)), m=24)
     cold = log_gap_probability(query_b)
-    x = BlockDiscretization.build(query_a).nodes[0]
+    x = gauss_rule(query_a.m, *query_a.windows[0]).nodes
     key = {n: block_key("pearcey", 4.0, 4.0, repr(PearceyContour(nodes_per_ray=n)), x, x)
            for n in (48, 64)}
     cache = KernelCache(str(tmp_path))

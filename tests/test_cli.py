@@ -18,6 +18,8 @@ from pearceygap.cli import StudyConfig, main, parse_config, run, serialize_confi
 from pearceygap.exceptions import DomainError
 from pearceygap.fredholm import GapQuery, log_gap_probability
 
+from test_acceptance import _CLI_CASES
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -349,6 +351,35 @@ def test_json_separates_metadata_from_data(tmp_path, monkeypatch):
     assert "elapsed_seconds" in doc["metadata"]
     assert len(doc["rows"]) == 2
     assert all(len(row) == len(doc["columns"]) for row in doc["rows"])
+
+
+# each study's keyword names, in the order of its config section's fields
+_STUDY_PARAMS = {
+    "gap": ("family", "times", "windows", "nodes", "certify"),
+    "identities": ("x_grid", "y_grid", "s_grid", "tolerance"),
+    "prop21": ("t", "s", "z_grid"),
+    "theorem": ("tau1_grid", "t1", "t2", "airy_windows", "m", "single_time", "ablate",
+                "certify"),
+    "pde": ("tau", "sigma", "xi", "eta", "mu", "nu", "h", "m", "nodes_per_ray"),
+    "oracle-painleve": ("s_min", "s_max", "step"),
+}
+
+
+@pytest.mark.parametrize("name, argv", _CLI_CASES, ids=[c[0] for c in _CLI_CASES])
+def test_json_inputs_are_the_config_section_as_dispatched(name, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv + ["--no-cache", "--csv", "out.csv", "--json", "out.json"])
+    assert code in (0, 1, 2)
+    doc = json.loads((tmp_path / "out.json").read_text())
+    kinds = {f.metadata["key"]: f.type for f in fields(StudyConfig)}
+    section = {"oracle-painleve": "oracle"}.get(name, name)
+    texts = [(key, text) for key, text in doc["config"].items()
+             if key.startswith(section + ".")]
+    assert len(texts) == len(_STUDY_PARAMS[name])
+    expected = {param: cli._CODECS[kinds[key]][0](text)
+                for param, (key, text) in zip(_STUDY_PARAMS[name], texts)}
+    # the JSON text tells 1 from 1.0 and true, and keeps the key order
+    assert json.dumps(doc["inputs"]) == json.dumps(expected)
 
 
 def test_json_writes_numpy_numbers_as_plain_numbers(tmp_path, monkeypatch):

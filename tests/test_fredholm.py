@@ -6,15 +6,11 @@ import pytest
 
 from pearceygap import airy_process, fredholm, pearcey_process
 from pearceygap.exceptions import AccuracyError, DomainError, ValidityError
-from pearceygap.fredholm import (
-    BlockDiscretization,
-    GapQuery,
-    gap_probability,
-    log_gap_probability,
-)
+from pearceygap.fredholm import GapQuery, gap_probability, log_gap_probability
 from pearceygap.painleve import hastings_mcleod, tracy_widom_f2
 from pearceygap.pearcey_process import PearceyContour, RecenterSpec
 from pearceygap.scaling import ScalingParams
+from pearceygap.specfun import gauss_rule
 
 from oracles import map_windows
 
@@ -28,11 +24,15 @@ def test_empty_windows_give_probability_one():
 
 
 def test_none_window_equals_dropping_the_time():
-    full = GapQuery(family="airy", times=(0.2,), windows=((0.0, 5.0),), m=40)
-    padded = GapQuery(
-        family="airy", times=(-0.4, 0.2), windows=(None, (0.0, 5.0)), m=40
-    )
-    assert abs(gap_probability(full) - gap_probability(padded)) <= 1e-10
+    # a None window adds no row at m nor at 2m, so the certified value is the
+    # one of the query without that time, bit for bit
+    for times, windows, m in [((-0.4, 0.2), (None, (0.0, 5.0)), 40),
+                              ((-0.4, 0.2, 0.9), ((-1.0, 4.0), None, (0.0, 5.0)), 30)]:
+        padded = GapQuery(family="airy", times=times, windows=windows, m=m)
+        kept = [(t, w) for t, w in zip(times, windows) if w is not None]
+        dropped = GapQuery(family="airy", times=tuple(t for t, _ in kept),
+                           windows=tuple(w for _, w in kept), m=m)
+        assert log_gap_probability(padded) == log_gap_probability(dropped)
 
 
 def test_rank_one_kernel_exact_determinant():
@@ -106,8 +106,8 @@ def test_airy_sides_built_once_per_window(monkeypatch, windows, side_rows):
     q = GapQuery(family="airy", times=(-0.5, 0.5), windows=windows, m=40)
     chosen = []
     for factor in (1, 2):
-        disc = BlockDiscretization.build(q, factor)
-        dt, lows = disc.times[0] - disc.times[1], [np.min(p) for p in disc.nodes]
+        dt = q.times[0] - q.times[1]
+        lows = [np.min(gauss_rule(factor * q.m, *w).nodes) for w in q.windows]
         chosen.append(airy_process._lambda_nodes(dt, *lows))
     probe = (2, sum(airy_process._LAMBDA_LADDER[:airy_process._PROBE_BATCH]))
     monkeypatch.setattr(airy_process, "airy", counting)
@@ -286,17 +286,6 @@ def test_conjugated_cache_record_is_independent_of_the_number_type_of_z():
         for z in (0.3, np.float64(0.3))
     }
     assert records == {"None|z=0.3"}
-
-
-def test_block_discretization_skips_empty_windows():
-    q = GapQuery(
-        family="airy", times=(-0.5, 0.5), windows=(None, (0.0, 2.0)), m=12
-    )
-    disc = BlockDiscretization.build(q)
-    assert disc.size == 12
-    assert disc.times == (0.5,)
-    disc2 = BlockDiscretization.build(q, factor=2)
-    assert disc2.size == 24
 
 
 def test_tracy_widom_values():
