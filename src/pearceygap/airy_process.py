@@ -32,14 +32,13 @@ import math
 
 import numpy as np
 
+from . import specfun
 from .exceptions import AccuracyError, DomainError
-from .specfun import airy, gauss_rule
+from .specfun import airy, gauss_rule, walk_ladder
 
 __all__ = ["extended_airy_grid", "airy_heat_term", "airy_block_grid"]
 
 _TAIL_RTOL = 1e-14
-# node counts the lambda-rule's probe walks, up to its hard top
-_LAMBDA_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512)
 # Largest probe gap between two consecutive levels, relative to sum w|f|, that
 # counts as settled.  Calibrated on 1,200 seeded pairs (lowest points in
 # [-40, 2] or [-20, 2], time differences in [-4, 4] or [-2, 2]) against a
@@ -74,34 +73,29 @@ def _lambda_nodes(dt: float, low_x: float, low_y: float) -> int:
     The probe integrates f = e^{-+dt lam} Ai(low_x + lam) Ai(low_y + lam) in
     both time orders, so a block and its transpose get one size, over the
     block's own cut _tail(min(low_x, low_y)), at the lowest points, where Ai
-    oscillates most.  It walks _LAMBDA_LADDER until two consecutive levels
+    oscillates most.  walk_ladder settles it where two consecutive levels
     agree within _LAMBDA_TOL of sum w|f| (not of the integral, which may
-    cancel) in both orders, and returns the finer level.
+    cancel) in both orders.
     """
     lows = np.array([low_x, low_y], dtype=float)
     dts = np.array([[dt], [-dt]], dtype=float)
     tail = _tail(np.min(lows))
-    head = [gauss_rule(n, 0.0, tail).nodes for n in _LAMBDA_LADDER[:_PROBE_BATCH]]
-    batch = np.split(airy(lows[:, None] + np.concatenate(head)).ai,
-                     np.cumsum(_LAMBDA_LADDER[:_PROBE_BATCH - 1]), axis=1)
-    prev, gap = None, math.inf
-    for level, n in enumerate(_LAMBDA_LADDER):
+    head = specfun._LADDER[:_PROBE_BATCH]
+    batch = dict(zip(head, np.split(
+        airy(lows[:, None] + np.concatenate([gauss_rule(n, 0.0, tail).nodes for n in head])).ai,
+        np.cumsum(head[:-1]), axis=1)))
+
+    def probe(n):
         rule = gauss_rule(n, 0.0, tail)
-        a = batch[level] if level < _PROBE_BATCH else airy(lows[:, None] + rule.nodes).ai
+        a = batch[n] if n in batch else airy(lows[:, None] + rule.nodes).ai
         f = rule.weights * np.exp(-dts * rule.nodes) * a * a[::-1]
-        value = f.sum(axis=-1)
-        if prev is not None:
-            # Ai underflows to 0 far right, where both levels agree on 0
-            scale = np.maximum(np.abs(f).sum(axis=-1), np.finfo(float).tiny)
-            gap = float(np.max(np.abs(value - prev) / scale))
-            if gap <= _LAMBDA_TOL:
-                return n
-        prev = value
-    raise AccuracyError(
-        f"lambda-rule of the block with time gap {abs(dt):g} and lowest points {low_x:g}, "
-        f"{low_y:g} did not settle by {_LAMBDA_LADDER[-1]} nodes: the probe moved by {gap:.3e} "
-        f"of its scale from {_LAMBDA_LADDER[-2]} nodes (tolerance {_LAMBDA_TOL:g})"
-    )
+        # Ai underflows to 0 far right, where both levels agree on 0
+        scale = np.maximum(np.abs(f).sum(axis=-1), np.finfo(float).tiny)
+        return dict(zip(("the probe", "the transposed probe"),
+                        zip(f.sum(axis=-1).tolist(), scale.tolist())))
+
+    return walk_ladder(probe, _LAMBDA_TOL, f"lambda-rule of the block with time gap "
+                       f"{abs(dt):g} and lowest points {low_x:g}, {low_y:g}", "nodes")[0]
 
 
 def _airy_sides(sides: dict, xs: np.ndarray, ys: np.ndarray, rule, tail: float):

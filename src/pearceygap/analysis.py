@@ -20,10 +20,9 @@ import numpy as np
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, PearceyGapError
 from .fredholm import GapQuery, log_gap_probability
-from .pearcey_process import (_RAY_TOL, PearceyContour, _ray_nodes, conjugated_block_grid,
-                              ray_radius_bound)
+from .pearcey_process import _RAY_TOL, PearceyContour, conjugated_block_grid, ray_radius_bound
 from .scaling import ScalingParams, match_tau2, t_from_tau
-from .specfun import airy_derivs_upto, gauss_rule
+from .specfun import airy_derivs_upto, gauss_rule, walk_ladder
 
 __all__ = [
     "PsiOperator",
@@ -227,7 +226,7 @@ def proposition_slope(
 
     Expected order: 8 when the two times average to zero, 4 otherwise.
     Every conjugated block uses one ray-node count (summary nodes_per_ray),
-    which _ray_nodes picks once from the residual at the largest, the middle
+    which walk_ladder picks once from the residual at the largest, the middle
     and the smallest z, so it checks the reported residuals (AccuracyError if
     they do not settle); ray_convergence is the gap it settled with.
     """
@@ -251,7 +250,9 @@ def proposition_slope(
 
     probes = {f"residual at z = {z:g}": float(z)
               for z in (z_grid[0], z_grid[len(z_grid) // 2], z_grid[-1])}
-    n, ray_convergence = _ray_nodes(residual, probes, _RAY_TOL, "prop21")
+    n, ray_convergence = walk_ladder(
+        lambda n: {label: (residual(n, z), 1.0) for label, z in probes.items()},
+        _RAY_TOL, "prop21 ray quadrature", "nodes per ray")
     residuals = [residual(n, float(z)) for z in z_grid]
     rows = [(float(z), res) for z, res in zip(z_grid, residuals)]
     slope, intercept, r2, rms = _loglog_fit(z_grid, residuals)
@@ -306,7 +307,7 @@ def theorem_ratio_study(
     second-time matching rule and refits: the law must visibly break.
 
     Every conjugated block uses one ray-node count (summary nodes_per_ray),
-    which _ray_nodes picks once from the study's own uncertified query at the
+    which walk_ladder picks once from the study's own uncertified query at the
     first and the last tau1; ray_convergence is the gap it settled with.
     """
     _require_finite(tau1_grid=tau1_grid, t1=t1, t2=t2)
@@ -339,12 +340,11 @@ def theorem_ratio_study(
             contour=PearceyContour(nodes_per_ray=n), certify=cert,
         ))
 
-    n, ray_convergence = _ray_nodes(
-        lambda nodes, tau1: conjugated_log_p(
-            _theorem_params(tau1, t1, t2, single_time), False, nodes),
-        {f"log P at the tau1 = {tau1:g}": float(tau1) for tau1 in (tau1_grid[0], tau1_grid[-1])},
-        _RAY_TOL, "theorem",
-    )
+    n, ray_convergence = walk_ladder(
+        lambda n: {f"log P at the tau1 = {tau1:g}": (conjugated_log_p(
+            _theorem_params(float(tau1), t1, t2, single_time), False, n), 1.0)
+            for tau1 in (tau1_grid[0], tau1_grid[-1])},
+        _RAY_TOL, "theorem ray quadrature", "nodes per ray")
 
     def ratio_dev(params: ScalingParams, cert: bool) -> float:
         """R = P_pearcey / P_airy - 1 over the shared windows."""
@@ -439,8 +439,8 @@ class PdeGrid:
     Coordinates: tau/sigma are the mean/half-difference of the two Pearcey
     times; the windows are E1 = (xi+eta+mu, xi+eta-mu) at tau+sigma and
     E2 = (xi-eta+nu, xi-eta-nu) at tau-sigma, with mu, nu < 0.
-    nodes_per_ray=0 has pde_residual walk 32, 48, 64, 96, ... nodes per ray
-    once per study (48 at the defaults); a positive value fixes the count.
+    nodes_per_ray=0 has pde_residual size the count once per study on the
+    node ladder (48 at the defaults); a positive value fixes the count.
     """
 
     tau: float = 4.0
@@ -545,8 +545,7 @@ def _pde_terms(grid: PdeGrid, log_p) -> dict:
 # the node count: at both default probe points every level from 32 to 384
 # nodes lies within 7e-14 of the 384 value (the rounding floor), while 24
 # nodes are 6e-11 to 9e-11 off, so 1e-12 separates a settled level from an
-# unresolved one.  The pde study walks 32, 48, 64, 96, ... (_RAY_LADDER; 48 at
-# the defaults, where 32 and 48 agree).
+# unresolved one.  At the defaults 32 and 48 agree, so the study settles at 48.
 _PDE_RAY_TOL = 1e-12
 
 
@@ -565,8 +564,8 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
     with a step-halving consistency check, a sign-flip ablation, and a
     discretization-noise estimate (the study is inconclusive when the noise
     reaches the residual).  Every block uses one contour radius and one
-    ray-node count: grid.nodes_per_ray, or for 0 the count _ray_nodes picks
-    once before the passes, walking 32, 48, 64, 96, ... (48 at the defaults).
+    ray-node count: grid.nodes_per_ray, or for 0 the count walk_ladder picks
+    once before the passes (48 at the defaults).
     One memo of log P, keyed by ray-node count, window node count and stencil
     offsets, serves the probe and the three passes: shared points cost once."""
     grid = grid if grid is not None else PdeGrid()
@@ -596,12 +595,10 @@ def pde_residual(grid: PdeGrid | None = None) -> StudyReport:
         probes = {"base point": (0.0,) * len(_PDE_AXES),
                   "far corner": (reach, reach, math.copysign(reach, grid.xi),
                                  math.copysign(reach, grid.eta), -reach, -reach)}
-        n, ray_convergence = _ray_nodes(
-            lambda n, offsets: log_p(n, grid.m, offsets),
-            {f"log P at the {name} {dict(zip(_PDE_AXES, at))}": at
-             for name, at in probes.items()},
-            _PDE_RAY_TOL, "pde",
-        )
+        n, ray_convergence = walk_ladder(
+            lambda n: {f"log P at the {name} {dict(zip(_PDE_AXES, at))}":
+                       (log_p(n, grid.m, at), 1.0) for name, at in probes.items()},
+            _PDE_RAY_TOL, "pde ray quadrature", "nodes per ray")
     at_n = replace(grid, nodes_per_ray=n)
     terms = _pde_terms(at_n, log_p)
     total, scale = _pde_combine(terms)

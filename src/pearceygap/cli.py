@@ -185,8 +185,8 @@ class StudyConfig:
     pde_nodes: int = _key(PdeGrid.m, "pde.nodes", "nodes", "quadrature nodes per window",
                           param="m")
     pde_nodes_per_ray: int = _key(PdeGrid.nodes_per_ray, "pde.nodes_per_ray", "nodes-per-ray",
-                                  "contour nodes per ray (0: chosen once per study, walking "
-                                  "32, 48, 64, 96, ... until log P settles; 48 at the defaults)")
+                                  "contour nodes per ray (0: chosen once per study until "
+                                  "log P settles; 48 at the defaults)")
     oracle_s_min: float = _key(-5.0, "oracle.s_min", "s-min",
                                "reference table lower end (the oracle floor is -5)")
     oracle_s_max: float = _key(6.0, "oracle.s_max", "s-max", "reference table upper end")

@@ -28,6 +28,7 @@ log det at m, and every block, so every block key, takes the settled count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -37,9 +38,8 @@ from scipy.linalg import matrix_balance
 from . import cache as cache_mod
 from .airy_process import airy_block_grid
 from .exceptions import AccuracyError, DomainError, ValidityError
-from .pearcey_process import (_RAY_TOL, PearceyContour, _ray_nodes, conjugated_block_grid,
-                              pearcey_block_grid)
-from .specfun import gauss_rule
+from .pearcey_process import _RAY_TOL, PearceyContour, conjugated_block_grid, pearcey_block_grid
+from .specfun import gauss_rule, walk_ladder
 
 __all__ = [
     "GapQuery",
@@ -97,8 +97,8 @@ class GapQuery:
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise DomainError(f"window {w} is not a finite interval a < b")
             windows.append((a, b))
-        if self.m < 2:
-            raise DomainError(f"need at least 2 nodes per window, got m={self.m}")
+        if not isinstance(self.m, numbers.Integral) or self.m < 2:
+            raise DomainError(f"m must be an integer >= 2 (nodes per window), got m={self.m!r}")
         # a float, so that the block cache record reads the same for any number type
         z = None if self.z is None else float(self.z)
         if self.family == "pearcey-conjugated" and not (z is not None and 0.0 < z < 1.0):
@@ -193,11 +193,11 @@ def _ray_sized(query: GapQuery):
         return query, None
     at = {}
 
-    def log_det(n, _):
+    def log_det(n):
         at[n] = _log_det(replace(query, contour=replace(contour, nodes_per_ray=n)), 1)
-        return at[n]
+        return {"log P": (at[n], 1.0)}
 
-    n, _ = _ray_nodes(log_det, {"log P": None}, _RAY_TOL, f"{query.family} query")
+    n, _ = walk_ladder(log_det, _RAY_TOL, f"{query.family} query ray quadrature", "nodes per ray")
     return replace(query, contour=replace(contour, nodes_per_ray=n)), at[n]
 
 
@@ -214,7 +214,7 @@ def _certified_log_det(query: GapQuery) -> float:
                 f"P(m={2 * query.m}) = {math.exp(log_p2):.15g}"
             )
         log_p = log_p2  # the finer value is the better one; report it
-    if log_p > 1e-8:
+    if log_p > _CERT_TOL:
         raise ValidityError(
             f"gap probability exceeds 1 (log {log_p:.3e}); kernel assembly invalid"
         )

@@ -4,7 +4,7 @@ and the conjugated/recentred evaluation used for large times.
 Two contour modes share one quadrature path: Gauss rules on signed rays, the
 Cauchy matrix wu / (V - U) * wv built in place, the exponent and envelope
 checks, and fu^T M fv, at the contour's node count per ray, which one walk
-(_ray_nodes) sizes once per Fredholm determinant or per study, never per block.
+(walk_ladder) sizes once per Fredholm determinant or per study, never per block.
 
 * **direct** -- tensor-product Gauss quadrature over the X ray system (four
   rays anchored at +/-1/2, right pair traversed downward, left pair upward)
@@ -47,6 +47,7 @@ left X pair upward, Y upward.  They are pinned by the realness, deformation
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,7 +59,6 @@ from .exceptions import (
     ContourError,
     DomainError,
     StabilityError,
-    ValidityError,
 )
 from .scaling import t_from_tau, x_from_xi
 from .specfun import ray_rule
@@ -151,8 +151,11 @@ class PearceyContour:
                 )
         if self.radius is not None and self.radius <= 0.0:
             raise ContourError("truncation radius must be positive")
-        if self.nodes_per_ray and self.nodes_per_ray < 4:
-            raise ContourError("nodes_per_ray must be 0 (sized per determinant) or >= 4")
+        n = self.nodes_per_ray
+        if not isinstance(n, numbers.Integral) or (n and n < 4):
+            raise ContourError(f"nodes_per_ray must be an integer, 0 or >= 4, got {n!r}")
+        # an int, so that the block cache record reads the same for any integer type
+        object.__setattr__(self, "nodes_per_ray", int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -228,41 +231,11 @@ def _ray_count(contour: PearceyContour) -> int:
     return contour.nodes_per_ray
 
 
-# the ray-node levels a count is chosen from; the top, 512, bounds every walk
-# (seeded queries settle at 48-96; levels up to 2048 only made a query that
-# cannot settle refuse later: tau = 0, (-30, 30) took 3 s and 1.1 GB there)
-_RAY_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512)
 # absolute agreement of two consecutive levels that settles a walk, in log P
 # (library queries, theorem) or the residual (prop21), below the 1e-8 m -> 2m
 # certificate.  The default theorem study's worst log P error against 512 nodes
 # per ray is 3.4e-6 at 32, 2.5e-10 at 48 and 7.4e-14 at 64: it settles at 64.
 _RAY_TOL = 1e-9
-
-
-def _ray_nodes(value, probes: dict, tol: float, what: str):
-    """The ray-node count for every block of a determinant or a study, and the
-    largest probe gap at it: the finer of the first two consecutive levels of
-    _RAY_LADDER (read at call time) where value(n, point) agrees within tol at
-    every probe point (labelled by the quantity there).  A level at which value
-    raises AccuracyError or ValidityError has not settled (no count mends the
-    other errors); if none settles, AccuracyError names the last failure."""
-    prev = None
-    for n in _RAY_LADDER:
-        try:
-            cur = {label: value(n, point) for label, point in probes.items()}
-        except (AccuracyError, ValidityError) as exc:
-            prev, failure = None, f"at {n} nodes per ray, {exc}"
-            continue
-        if prev is not None:
-            gaps = {label: abs(cur[label] - prev[label]) for label in probes}
-            worst = max(gaps, key=gaps.get)
-            if gaps[worst] <= tol:
-                return n, gaps[worst]
-            failure = (f"{worst} moved by {gaps[worst]:.3e} from {coarse} to {n} "
-                       f"(tolerance {tol:g})")
-        prev, coarse = cur, n
-    raise AccuracyError(f"{what} ray quadrature did not settle by {_RAY_LADDER[-1]} "
-                        f"nodes per ray: {failure}")
 
 
 def _to_real(grid: np.ndarray) -> np.ndarray:

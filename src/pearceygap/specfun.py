@@ -1,5 +1,5 @@
 """Airy function and its derivatives, Gauss-Legendre rules on intervals and
-on rays.
+on rays, and the ladder walk that sizes every adaptive quadrature.
 
 Ai and Ai' have three branches.  At x < -10 they come from
 ``scipy.special.airy``.  On -10 <= x <= 10 they are Taylor sums about the
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-from .exceptions import DomainError
+from .exceptions import AccuracyError, DomainError, ValidityError
 
 __all__ = ["AiryValue", "QuadratureRule", "airy", "airy_derivs_upto", "gauss_rule", "ray_rule"]
 
@@ -78,6 +78,40 @@ def ray_rule(vertex: complex, angle: float, radius: float, n: int):
     rule = gauss_rule(n, 0.0, radius)
     d = complex(math.cos(angle), math.sin(angle))
     return vertex + rule.nodes * d, rule.weights * d
+
+
+# the node counts every adaptive quadrature is sized from; the top, 512, bounds
+# every walk (seeded queries settle at 48-96; up to 2048 a Pearcey query that
+# cannot settle only refused later: tau = 0, (-30, 30) took 3 s and 1.1 GB)
+_LADDER = (32, 48, 64, 96, 128, 192, 256, 384, 512)
+
+
+def walk_ladder(measure, tol: float, what: str, unit: str):
+    """The node count of an adaptive quadrature, and the largest gap at it: the
+    finer of the first two consecutive levels of _LADDER (read at call time)
+    where measure(n), label -> (value, scale), agrees within tol of the finer
+    level's scale at every label.  A level at which measure raises
+    AccuracyError or ValidityError has not settled (no count mends the other
+    errors); if none settles, AccuracyError names ``what``, the top level in
+    ``unit`` and the last failure."""
+    prev = None
+    for n in _LADDER:
+        try:
+            cur = measure(n)
+        except (AccuracyError, ValidityError) as exc:
+            prev, failure = None, f"at {n} {unit}, {exc}"
+            continue
+        if prev is not None:
+            gaps = {label: abs(value - prev[label][0]) / scale
+                    for label, (value, scale) in cur.items()}
+            # a nan gap is the worst: it never settles
+            worst = max(gaps, key=lambda label: (math.isnan(gaps[label]), gaps[label]))
+            if gaps[worst] <= tol:
+                return n, gaps[worst]
+            failure = (f"{worst} moved by {gaps[worst]:.3e} from {coarse} to {n} "
+                       f"(tolerance {tol:g})")
+        prev, coarse = cur, n
+    raise AccuracyError(f"{what} did not settle by {_LADDER[-1]} {unit}: {failure}")
 
 
 # scipy's own split point: above it special.airy takes the complex AMOS path

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pearceygap import airy_process
+from pearceygap import airy_process, specfun
 from pearceygap.airy_process import airy_block_grid, airy_heat_term, extended_airy_grid
 from pearceygap.exceptions import AccuracyError, ContourError, DomainError
 from pearceygap.fredholm import GapQuery, log_gap_probability
@@ -252,14 +252,14 @@ def test_tail_cut_for_windows_above_18():
 
 def test_unsettled_lambda_rule_raises(monkeypatch):
     # at a lowest point of -14 the probe moves by ~0.3 from 32 to 48 nodes
-    monkeypatch.setattr(airy_process, "_LAMBDA_LADDER", (32, 48))
+    monkeypatch.setattr(specfun, "_LADDER", (32, 48))
     with pytest.raises(AccuracyError, match="did not settle by 48 nodes"):
         extended_airy_grid(0.0, 0.0, [-14.0], [-14.0])
 
 
 def test_unsettled_lambda_rule_names_its_block(monkeypatch):
     # the error says which window pair could not be resolved
-    monkeypatch.setattr(airy_process, "_LAMBDA_LADDER", (32, 48))
+    monkeypatch.setattr(specfun, "_LADDER", (32, 48))
     with pytest.raises(AccuracyError, match="time gap 1 and lowest points -14, -3 did not"):
         extended_airy_grid(-0.5, 0.5, [-14.0, -12.0], [-3.0, 1.0])
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pearceygap import analysis, pearcey_process
+from pearceygap import analysis, pearcey_process, specfun
 from pearceygap.analysis import (
     PdeGrid,
     PsiOperator,
@@ -107,7 +107,7 @@ def test_proposition_slope_evaluates_no_residual_above_its_count(monkeypatch):
 
     monkeypatch.setattr(analysis, "_kernel_residual", spy)
     rep = proposition_slope(0.5, 0.3)
-    assert set(counts) <= set(pearcey_process._RAY_LADDER)
+    assert set(counts) <= set(specfun._LADDER)
     assert max(counts) == rep.summary["nodes_per_ray"]
     assert "refine_rel_change" not in rep.summary
 

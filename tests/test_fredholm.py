@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pearceygap import airy_process, fredholm, pearcey_process
+from pearceygap import airy_process, fredholm, pearcey_process, specfun
 from pearceygap.exceptions import AccuracyError, DomainError, ValidityError
 from pearceygap.fredholm import GapQuery, gap_probability, log_gap_probability
 from pearceygap.painleve import hastings_mcleod, tracy_widom_f2
@@ -109,7 +109,7 @@ def test_airy_sides_built_once_per_window(monkeypatch, windows, side_rows):
         dt = q.times[0] - q.times[1]
         lows = [np.min(gauss_rule(factor * q.m, *w).nodes) for w in q.windows]
         chosen.append(airy_process._lambda_nodes(dt, *lows))
-    probe = (2, sum(airy_process._LAMBDA_LADDER[:airy_process._PROBE_BATCH]))
+    probe = (2, sum(specfun._LADDER[:airy_process._PROBE_BATCH]))
     monkeypatch.setattr(airy_process, "airy", counting)
     shared = log_gap_probability(q)
     assert shapes == [
@@ -279,6 +279,14 @@ def test_query_validation(kwargs):
         GapQuery(**kwargs)
 
 
+def test_query_node_count_must_be_an_integer():
+    # m=40.5 certified 40 nodes against 81 and reported the value as m=40.5
+    query = GapQuery(family="airy", times=(0.0,), windows=((-1.0, 6.0),), m=20)
+    with pytest.raises(DomainError, match="m must be an integer .* got m=40.5"):
+        replace(query, m=40.5)
+    assert log_gap_probability(replace(query, m=np.int64(20))) == log_gap_probability(query)
+
+
 def test_conjugated_cache_record_is_independent_of_the_number_type_of_z():
     records = {
         fredholm._RECORDS["pearcey-conjugated"](
@@ -341,7 +349,7 @@ def test_pearcey_query_sizes_its_rays_once_per_determinant():
 def test_pearcey_query_that_does_not_settle_is_an_accuracy_error(monkeypatch):
     # the window (-30, 30) is past what the rays resolve at these levels; the
     # walk reports that, not the non-positive determinant of its last level
-    monkeypatch.setattr(pearcey_process, "_RAY_LADDER", (32, 48, 64))
+    monkeypatch.setattr(specfun, "_LADDER", (32, 48, 64))
     query = GapQuery(family="pearcey", times=(0.0,), windows=((-30.0, 30.0),))
     with pytest.raises(AccuracyError, match="did not settle by 64 nodes per ray"):
         log_gap_probability(query)

@@ -119,6 +119,15 @@ def test_contour_band_validation(field, angle):
         PearceyContour(**{field: angle})
 
 
+def test_contour_nodes_per_ray_must_be_an_integer():
+    # 48.5 failed later, in the ray assembly, with a bare TypeError
+    with pytest.raises(ContourError, match="nodes_per_ray must be an integer, .* got 48.5"):
+        PearceyContour(nodes_per_ray=48.5)
+    # a numpy integer is taken as the same count, so the cache record reads the same
+    assert repr(PearceyContour(nodes_per_ray=np.int64(48))) == repr(
+        PearceyContour(nodes_per_ray=48))
+
+
 def test_recenter_band_validation():
     with pytest.raises(ContourError):
         RecenterSpec(z=0.3, u_angle=math.pi / 6 - 0.01)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from pearceygap import specfun
-from pearceygap.exceptions import DomainError
+from pearceygap.exceptions import AccuracyError, ContourError, DomainError, ValidityError
 from pearceygap.specfun import QuadratureRule, airy, airy_derivs_upto, gauss_rule
 
 from oracles import airy_deriv
@@ -279,3 +280,42 @@ def test_airy_of_a_concatenation_is_the_concatenation():
         pieces = [airy(c) for c in chunks]
         assert np.array_equal(whole.ai, np.concatenate([p.ai for p in pieces]))
         assert np.array_equal(whole.aip, np.concatenate([p.aip for p in pieces]))
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("measure, expected", [
+    # 48 and 64 disagree, 64 and 96 agree, and so do the later pairs
+    pytest.param(lambda n: {"x": (1.0 / n if n < 64 else 0.0, 1.0)}, (96, 0.0),
+                 id="finer-level-of-first-agreeing-pair"),
+    # 32 and 64 agree but are not consecutive once 48 fails
+    pytest.param(lambda n: _raise(AccuracyError("floor")) if n == 48 else {"x": (0.0, 1.0)},
+                 (96, 0.0), id="accuracy-error-resets-the-pair"),
+    pytest.param(lambda n: _raise(ValidityError("sign")) if n == 48 else {"x": (0.0, 1.0)},
+                 (96, 0.0), id="validity-error-resets-the-pair"),
+    pytest.param(lambda n: _raise(ContourError("rays collide")) if n == 48 else {"x": (0.0, 1.0)},
+                 (ContourError, "rays collide"), id="other-errors-propagate"),
+    # 32 -> 48 moves by 16: within 1e-9 of 48's scale 2e10, not of 32's scale 1
+    pytest.param(lambda n: {"x": (float(n), 2e10 if n == 48 else 1.0)}, (48, 16.0 / 2e10),
+                 id="gap-relative-to-the-finer-scale"),
+    pytest.param(lambda n: {"y": (0.1 / n, 1.0), "x": (1.0 / n, 1.0)},
+                 (AccuracyError, r"^demo quadrature did not settle by 512 nodes per ray: x moved "
+                                 r"by 6\.510e-04 from 384 to 512 \(tolerance 1e-09\)$"),
+                 id="unsettled-names-worst-label-pair-tolerance-top-and-unit"),
+    pytest.param(lambda n: {"x": (0.0, 1.0), "y": (math.nan, 1.0)},
+                 (AccuracyError, "y moved by nan from 384 to 512"), id="nan-gap-never-settles"),
+    pytest.param(lambda n: _raise(ValidityError("sign")),
+                 (AccuracyError, "by 512 nodes per ray: at 512 nodes per ray, sign$"),
+                 id="unsettled-names-the-last-failing-level"),
+])
+def test_walk_ladder(measure, expected):
+    def walk():
+        return specfun.walk_ladder(measure, 1e-9, "demo quadrature", "nodes per ray")
+
+    if isinstance(expected[0], type):
+        with pytest.raises(expected[0], match=expected[1]):
+            walk()
+    else:
+        assert walk() == expected
