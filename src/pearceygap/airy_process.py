@@ -49,6 +49,8 @@ _TAIL_RTOL = 1e-14
 _LAMBDA_TOL = 1e-11
 # ladder levels (32 to 96 nodes) whose probe points share one Airy call
 _PROBE_BATCH = 4
+# the largest exponent whose exponential is a float64
+_EXP_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _tail(low: float) -> float:
@@ -118,7 +120,9 @@ def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray
     Gauss rule on (0, L), L = _tail(min(xs, ys)), with the node count
     _lambda_nodes picks for this block's time gap and lowest points (memoized
     in ``sides``); the time-weighted product of the two sides.  The integrand
-    at the last node, read from the sides, must be below _TAIL_RTOL of its peak."""
+    at the last node, read from the sides, must be below _TAIL_RTOL of its peak.
+    Times so far apart that the weight e^{|t_i - t_j| lam} overflows on the
+    cut are a DomainError, raised before the rule is sized."""
     if not (np.isfinite(t_i) and np.isfinite(t_j)):
         raise DomainError("times must be finite")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -126,10 +130,19 @@ def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray
     sides = {} if sides is None else sides
     dt = t_i - t_j
     lows = float(np.min(xs)), float(np.min(ys))
+    tail = _tail(min(lows))
+    # from the ladder's second level on, the probe's weight e^{|dt| lam} overflows
+    # at the last node: no two levels could agree, so the rule cannot be sized
+    lam = gauss_rule(specfun._LADDER[1], 0.0, tail).nodes[-1]
+    if abs(dt) * lam > _EXP_LOG_MAX:
+        raise DomainError(
+            f"time gap {abs(dt):g} too large for the lambda-integral: its weight "
+            f"e^(|t_i - t_j| lam) overflows double precision at lam = {lam:.6g} "
+            f"on the cut (0, {tail:g})"
+        )
     size = (abs(dt), *sorted(lows))
     if size not in sides:
         sides[size] = _lambda_nodes(dt, *lows)
-    tail = _tail(min(lows))
     rule = gauss_rule(sides[size], 0.0, tail)
     (ax, x_peak, x_end), (ay, y_peak, y_end) = _airy_sides(sides, xs, ys, rule, tail)
     peak = x_peak * y_peak

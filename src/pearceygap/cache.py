@@ -27,7 +27,7 @@ from .exceptions import ConcurrencyError
 __all__ = ["KernelCache", "CacheLock", "block_key", "default_root"]
 
 # Bump whenever kernel evaluation or the entry or pack layout changes.
-_FORMAT = b"pearceygap-cache-11"
+_FORMAT = b"pearceygap-cache-12"
 ENV_ROOT = "PEARCEYGAP_CACHE"
 _DEFAULT_DIRNAME = ".pearceygap-cache"
 _DIGEST = 32  # entry and pack layout: see KernelCache

@@ -6,6 +6,17 @@ Cauchy matrix wu / (V - U) * wv built in place, the exponent and envelope
 checks, and fu^T M fv, at the contour's node count per ray, which one walk
 (walk_ladder) sizes once per Fredholm determinant or per study, never per block.
 
+Both modes fold the contour's conjugate symmetry where it holds.  The
+exponents have real coefficients and real points, so where the u and the v
+ray system are each their own mirror image in the real axis (a ray at angle
+-a for each ray at a, with its weight's sign flipped), the sum over the
+mirrored u rays is the conjugate of the sum over the others, and a block is
+2 Re of the upper u rays' share against the full v system.  The v side's
+exponential runs on its first ray only: the mirrored ray's rows are its
+conjugate.  The product is taken in real arithmetic, so a folded block is
+real by construction; every collision, overflow and envelope check runs on
+the half system, which covers the mirrored half exactly.
+
 * **direct** -- tensor-product Gauss quadrature over the X ray system (four
   rays anchored at +/-1/2, right pair traversed downward, left pair upward)
   and the Y ray system (two near-vertical rays through 0, traversed upward).
@@ -18,6 +29,10 @@ checks, and fu^T M fv, at the contour's node count per ray, which one walk
   once.  A block is a product of two sides, K-tilde_ij = G_i F_j
   with G_i = exp(eu_i)^T M and F_j = exp(ev_j); each side, checked, is built
   once per key in the caller's ``sides`` dict (one per Fredholm determinant).
+  The fold needs sigma1 == sigma1p, sigma2 == sigma2p and tau_ang == tau_angp,
+  as on the default contour and every study's; a contour without that
+  symmetry sums all four X rays in complex arithmetic, and only there
+  _to_real checks that the imaginary part is rounding.
 
 * **recentred** -- change of variables U = A_i (1 + 3 u z^4),
   V = A_j (1 + 3 v z^4) placing O(1)-length contours through the saddle
@@ -31,17 +46,8 @@ checks, and fu^T M fv, at the contour's node count per ray, which one walk
   a conjugated block also takes off h = z^4 x (x + 6 t^2)/4, and a raw
   recentred block takes phi off again.  The left X-pair's contribution is
   exponentially small (e^{-3 tau^2/4}-sized) and is dropped; the mode
-  therefore requires tau >= 5.
-
-Every block routine is addressed by its two times and its points plus the
-family's fixed data: pearcey_block_grid(tau_i, tau_j, xis, etas, contour) and
-conjugated_block_grid(z, t_i, t_j, xs, ys, contour), both gated on the first
-time being the smaller.  One entry is grid[0, 0]; the K-tilde part alone is
-the block with tau_i >= tau_j.
-
-Orientations (the source figures only draw arrows): right X pair downward,
-left X pair upward, Y upward.  They are pinned by the realness, deformation
--invariance and small-z limit tests.
+  therefore requires tau >= 5.  Its u and v rays are always a mirror pair
+  each, so it always folds: one u ray, and the v exponential on one ray.
 """
 
 from __future__ import annotations
@@ -174,54 +180,59 @@ def _ray_radius(coeffs, margin: float) -> float:
 
 
 def _signed_rays(ray_list, n):
-    """Assemble [(vertex, angle, sign, radius), ...] into node/weight arrays
-    plus slices marking each ray's segment (for envelope checks)."""
-    nodes, weights, spans = [], [], []
-    start = 0
+    """Assemble [(vertex, angle, sign, radius), ...] into node and weight
+    arrays, n nodes per ray in the list's order."""
+    nodes, weights = [], []
     for vertex, angle, sign, radius in ray_list:
         nd, wt = ray_rule(vertex, angle, radius, n)
         nodes.append(nd)
         weights.append(sign * wt)
-        spans.append((start, start + n))
-        start += n
-    return np.concatenate(nodes), np.concatenate(weights), spans
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _cauchy(big_u, wu, uspan, big_v, wv) -> np.ndarray:
+def _cauchy(big_u, wu, big_v, wv, n: int) -> np.ndarray:
     """The Cauchy matrix wu / (V - U) * wv at the pole coordinates U, V of the
-    nodes.  It is built in place and the collision check runs one u ray at a
-    time, so the build makes no temporary of the matrix's size."""
+    nodes.  It is built in place and the collision check runs one u ray (n
+    rows) at a time, so the build makes no temporary of the matrix's size."""
     m = np.empty((big_u.size, big_v.size), dtype=complex)
     np.subtract(big_v[None, :], big_u[:, None], out=m)
-    if min(float(np.min(np.abs(m[a:b]))) for a, b in uspan) < 1e-12:
+    if min(float(np.min(np.abs(m[a:a + n]))) for a in range(0, big_u.size, n)) < 1e-12:
         raise ContourError("u and v contours collide (|V - U| < 1e-12 at nodes)")
     np.divide(wu[:, None], m, out=m)
     m *= wv[None, :]
     return m
 
 
-def _exp_side(expo: np.ndarray, spans, tag: str) -> np.ndarray:
-    """exp(expo) (rows: nodes, columns: points) after the exponent check and
-    then the envelope check: every ray segment must drop by _ENDPOINT_DROP
-    from its running max."""
-    re_expo = expo.real
-    peak = float(np.max(re_expo))
+def _exp_side(expo: np.ndarray, n: int, tag: str) -> np.ndarray:
+    """exp(expo) (rows: n nodes per ray, columns: points) after the exponent
+    check and then the envelope check: along every ray, each point's exponent
+    must drop by _ENDPOINT_DROP from its peak to the ray's endpoint."""
+    re_expo = expo.real.reshape(-1, n, expo.shape[1])
+    top = np.max(re_expo, axis=1)  # (rays, points)
+    peak = float(np.max(top))
     if peak > _EXP_LIMIT:
         raise StabilityError(
             f"{tag}-side exponent reaches {peak:.0f} (> {_EXP_LIMIT:.0f}); "
             "value not representable in double precision - use the "
             "conjugated family"
         )
-    for a, b in spans:
-        seg = re_expo[a:b]
-        drop = float(np.min(np.max(seg, axis=0) - seg[-1, :]))
-        if drop < _ENDPOINT_DROP:
-            raise AccuracyError(
-                f"{tag}-ray envelope not decayed at truncation (drop {drop:.1f} "
-                f"< {_ENDPOINT_DROP:.1f}); a wider radius or recentred contours "
-                "advised"
-            )
+    drop = float(np.min(top - re_expo[:, -1, :]))
+    if drop < _ENDPOINT_DROP:
+        raise AccuracyError(
+            f"{tag}-ray envelope not decayed at truncation (drop {drop:.1f} "
+            f"< {_ENDPOINT_DROP:.1f}); a wider radius or recentred contours "
+            "advised"
+        )
     return np.exp(expo)
+
+
+def _fold_product(g: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
+    """Re(G F) for a u side G = exp(eu)^T M whose n-column halves G_1, G_2
+    belong to a conjugate pair of v rays, and the v side E = exp(ev) on the
+    pair's first ray, so that F = [E; conj(E)]:
+    Re(G F) = (Re G_1 + Re G_2) Re E - (Im G_1 - Im G_2) Im E."""
+    return ((g.real[:, :n] + g.real[:, n:]) @ e.real
+            - (g.imag[:, :n] - g.imag[:, n:]) @ e.imag)
 
 
 def _ray_count(contour: PearceyContour) -> int:
@@ -265,13 +276,14 @@ def _direct_radius(contour: PearceyContour, quartic: float, angle: float,
 
 
 def _x_rays(contour: PearceyContour, tau_i: float, coord_max: float):
-    """Right pair downward, left pair upward, vertices at +/-1/2."""
+    """Right pair downward, left pair upward, vertices at +/-1/2: the upper
+    right and upper left rays first, then the lower right and lower left."""
     s1, s1p = contour.sigma1, contour.sigma1p
     s2, s2p = math.pi - contour.sigma2, -(math.pi - contour.sigma2p)
     return [
         (vertex, angle, sign, _direct_radius(contour, +1.0, angle, tau_i, coord_max))
-        for vertex, angle, sign in ((0.5 + 0.0j, s1, -1.0), (0.5 + 0.0j, -s1p, +1.0),
-                                    (-0.5 + 0.0j, s2, +1.0), (-0.5 + 0.0j, s2p, -1.0))
+        for vertex, angle, sign in ((0.5 + 0.0j, s1, -1.0), (-0.5 + 0.0j, s2, +1.0),
+                                    (0.5 + 0.0j, -s1p, +1.0), (-0.5 + 0.0j, s2p, -1.0))
     ]
 
 
@@ -293,34 +305,47 @@ def ray_radius_bound(tau_max: float, coord_max: float) -> float:
     return max(ray[3] for ray in rays)
 
 
+def _folds(contour: PearceyContour) -> bool:
+    """Whether the X and the Y ray system are each their own mirror image in
+    the real axis, so that a direct block is 2 Re of its upper X rays' share."""
+    return (contour.sigma1 == contour.sigma1p and contour.sigma2 == contour.sigma2p
+            and contour.tau_ang == contour.tau_angp)
+
+
 @lru_cache(maxsize=2)  # the pde probe walks two levels on one shared ray geometry
 def _ray_system(xray: tuple, yray: tuple, n: int):
-    """X and Y nodes with their segment spans, and the Cauchy matrix of both
-    ray systems.  It depends only on the ray geometry, so blocks under a
-    fixed-radius contour (one per PDE study and node count) share one build."""
-    u, wu, uspan = _signed_rays(xray, n)
-    v, wv, vspan = _signed_rays(yray, n)
-    m = _cauchy(u, wu, uspan, v, wv)
+    """X and Y nodes and the Cauchy matrix of both ray systems.  It depends
+    only on the ray geometry, so blocks under a fixed-radius contour (one per
+    PDE study and node count) share one build."""
+    u, wu = _signed_rays(xray, n)
+    v, wv = _signed_rays(yray, n)
+    m = _cauchy(u, wu, v, wv, n)
     for arr in (u, v, m):
         arr.flags.writeable = False  # shared by every caller of the cache
-    return u, uspan, v, vspan, m
+    return u, v, m
 
 
 def _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides):
     """-G F / (4 pi^2) from the u-side G = exp(eu)^T M of (tau_i, xis) and the
-    v-side F = exp(ev) of (tau_j, etas), each built once per key in sides."""
-    xray = tuple(_x_rays(contour, tau_i, float(np.max(np.abs(xis)))))
+    v-side F = exp(ev) of (tau_j, etas), each built once per key in sides.
+    A folding contour takes the upper X rays only and the v-side on the first
+    Y ray only (the second's rows are its conjugate): -Re(G F) / (2 pi^2)."""
+    fold = _folds(contour)
+    xray = _x_rays(contour, tau_i, float(np.max(np.abs(xis))))
+    xray = tuple(xray[:2] if fold else xray)
     yray = tuple(_y_rays(contour, tau_j, float(np.max(np.abs(etas)))))
-    u, uspan, v, vspan, m = _ray_system(xray, yray, n)
+    u, v, m = _ray_system(xray, yray, n)
     ukey = ("u", tau_i, xis.tobytes(), xray, yray, n)
     if ukey not in sides:
         eu = (u[:, None] ** 4 / 4.0 - 0.5 * tau_i * u[:, None] ** 2) + u[:, None] * xis[None, :]
-        sides[ukey] = _exp_side(eu, uspan, "u").T @ m
-    vkey = ("v", tau_j, etas.tobytes(), yray, n)
+        sides[ukey] = _exp_side(eu, n, "u").T @ m
+    vkey = ("v", tau_j, etas.tobytes(), yray, n, fold)
     if vkey not in sides:
-        ev = (-(v[:, None] ** 4) / 4.0 + 0.5 * tau_j * v[:, None] ** 2) - v[:, None] * etas[None, :]
-        sides[vkey] = _exp_side(ev, vspan, "v")
-    return -(sides[ukey] @ sides[vkey]) / (4.0 * math.pi**2)
+        w = v[:n, None] if fold else v[:, None]
+        sides[vkey] = _exp_side((-(w**4) / 4.0 + 0.5 * tau_j * w**2) - w * etas[None, :], n, "v")
+    if fold:
+        return -_fold_product(sides[ukey], sides[vkey], n) / (2.0 * math.pi**2)
+    return _to_real(-(sides[ukey] @ sides[vkey]) / (4.0 * math.pi**2))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +423,7 @@ def _gauss_scalars(z: float, t_i: float, t_j: float):
 
 def _recentred_rays(spec: RecenterSpec, dt: float, cs_u, cs_v, xmax: float, ymax: float):
     """Signed (u, v) ray systems through the separated vertices, for the
-    Airy-time difference dt = t_j - t_i."""
+    Airy-time difference dt = t_j - t_i: each a ray and its mirror image."""
     u0, v0 = 0.4 + max(0.0, dt), -0.4
 
     def radius(angle, cubic, lin):
@@ -440,12 +465,15 @@ def _recentred_grid(spec, t_i, t_j, xs, ys, conjugated, n):
     xmax = float(np.max(np.abs(xs)))
     ymax = float(np.max(np.abs(ys)))
     u_rays, v_rays = _recentred_rays(spec, t_j - t_i, cs_u, cs_v, xmax, ymax)
-    u, wu, uspan = _signed_rays(u_rays, n)
-    v, wv, vspan = _signed_rays(v_rays, n)
+    # both ray pairs are conjugate: the u side runs on its first ray, the v
+    # side's exponential on its first ray, and the sum is 2 Re of that share
+    u, wu = _signed_rays(u_rays[:1], n)
+    v, wv = _signed_rays(v_rays, n)
     # V - U in original variables, kept in the well-scaled z*O(1) form
-    m = _cauchy(cs_u["B"] * u, wu, uspan, spec.z * (t_j - t_i) + cs_v["B"] * v, wv)
+    m = _cauchy(cs_u["B"] * u, wu, spec.z * (t_j - t_i) + cs_v["B"] * v, wv, n)
 
     # exponent matrices: columns are x (resp. y) points
+    v = v[:n]
     eu = -(_quartic(cs_u, u)[:, None] + (cs_u["q0"] + cs_u["q1"] * u)[:, None] * xs[None, :])
     ev = +(_quartic(cs_v, v)[:, None] + (cs_v["q0"] + cs_v["q1"] * v)[:, None] * ys[None, :])
     if conjugated:
@@ -458,7 +486,7 @@ def _recentred_grid(spec, t_i, t_j, xs, ys, conjugated, n):
     pref = -cs_u["B"] * cs_v["B"] / (4.0 * math.pi**2)
     if conjugated:
         pref *= (3.0 * cs_u["tau"]) ** (1.0 / 12.0) * (3.0 * cs_v["tau"]) ** (1.0 / 12.0)
-    return pref * (_exp_side(eu, uspan, "u").T @ m @ _exp_side(ev, vspan, "v"))
+    return 2.0 * pref * _fold_product(_exp_side(eu, n, "u").T @ m, _exp_side(ev, n, "v"), n)
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +513,11 @@ def _tilde_grid(tau_i, tau_j, xis, etas, contour, sides=None):
     spec = contour.recenter
     n = _ray_count(contour)
     if spec is None:
-        sides = {} if sides is None else sides
-        return _to_real(_direct_grid(tau_i, tau_j, xis, etas, contour, n, sides))
+        return _direct_grid(tau_i, tau_j, xis, etas, contour, n, {} if sides is None else sides)
     t_i, t_j = t_from_tau(tau_i, spec.z), t_from_tau(tau_j, spec.z)
     xs = x_from_xi(xis, tau_i)
     ys = x_from_xi(etas, tau_j)
-    return _to_real(_recentred_grid(spec, t_i, t_j, xs, ys, False, n))
+    return _recentred_grid(spec, t_i, t_j, xs, ys, False, n)
 
 
 def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
@@ -515,7 +542,7 @@ def conjugated_tilde_grid(z: float, t_i: float, t_j: float, xs, ys,
     contour = contour if contour is not None else PearceyContour()
     rec = contour.recenter or RecenterSpec(z=z)
     spec = RecenterSpec(z=z, u_angle=rec.u_angle, v_angle=rec.v_angle)
-    return _to_real(_recentred_grid(spec, t_i, t_j, xs, ys, True, _ray_count(contour)))
+    return _recentred_grid(spec, t_i, t_j, xs, ys, True, _ray_count(contour))
 
 
 def conjugated_gauss_grid(z: float, t_i: float, t_j: float, xs, ys) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent references the tests compare the library against: the static
 Airy kernel in quotient form, the double-contour representation of the
 extended Airy kernel, Airy derivatives of any order, and the forward space
-map from Airy to Pearcey coordinates with the window map built on it."""
+map from Airy to Pearcey coordinates with the window map built on it; and the
+seeded two-time Pearcey queries that several tests share."""
 
 from __future__ import annotations
 
@@ -149,3 +150,17 @@ def map_windows(airy_windows, tau1: float, tau2: float | None = None):
     if len(airy_windows) > 2:
         raise DomainError("window mapping is defined for at most two time slices")
     return [_map_one(w, taus[i]) for i, w in enumerate(airy_windows)]
+
+
+def seeded_pearcey_draws():
+    """Eight seeded two-time Pearcey queries, as (ascending times, windows):
+    times in (1, 6) at least 0.5 apart, windows inside (-5, 5)."""
+    rng = np.random.default_rng(2010)
+    draws = []
+    for _ in range(8):
+        times = np.sort(rng.uniform(1.0, 6.0, 2))
+        while times[1] - times[0] < 0.5:
+            times = np.sort(rng.uniform(1.0, 6.0, 2))
+        windows = tuple(tuple(np.sort(rng.uniform(-5.0, 5.0, 2))) for _ in range(2))
+        draws.append((tuple(times), windows))
+    return draws

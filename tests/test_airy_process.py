@@ -264,6 +264,25 @@ def test_unsettled_lambda_rule_names_its_block(monkeypatch):
         extended_airy_grid(-0.5, 0.5, [-14.0, -12.0], [-3.0, 1.0])
 
 
+def test_times_too_far_apart_are_a_domain_error():
+    # e^{|t_i - t_j| lam} overflows on the cut (0, 30) for a time gap of 24:
+    # refused before the lambda-rule is sized, in both time orders and in a
+    # determinant, instead of a walk of nan gaps or an overflow warning
+    xs = np.linspace(-1.0, 6.0, 5)
+    for t_i, t_j in ((-12.0, 12.0), (12.0, -12.0)):
+        with pytest.raises(DomainError, match=r"time gap 24 too large"):
+            airy_block_grid(t_i, t_j, xs, xs)
+    query = GapQuery(family="airy", times=(-12.0, 12.0), windows=((-1.0, 6.0), (-1.0, 6.0)))
+    with pytest.raises(DomainError, match=r"time gap 24 too large"):
+        log_gap_probability(query)
+    # the refusal starts where the weight overflows at the probe's nodes, not
+    # at the cut: a gap a little past log(max float) / 30 still has a value
+    # where Ai(40 + lam) outweighs it
+    high = np.linspace(40.0, 40.5, 5)
+    gap = 1.00003 * math.log(np.finfo(float).max) / 30.0
+    assert np.all(np.isfinite(airy_block_grid(0.0, gap, high, high)))
+
+
 def test_closed_form_diagonal_block_matches_lambda_integral():
     # seeded windows (s, s + L): the closed form against the lambda-integral
     # to 1e-11 of the block's largest entry, near the diagonal included,

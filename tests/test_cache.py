@@ -39,7 +39,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "97aaf0aefa6847f0b2f11d9fc8aaaaa3a76142dd3ea857aec9cce28f00a19f8c"
+    assert key == "d97747ad0a9b5a73cb0f350495e0c0cb4375ce2c372c4d7d887b79f6af5d314a"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):

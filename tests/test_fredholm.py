@@ -12,7 +12,7 @@ from pearceygap.pearcey_process import PearceyContour, RecenterSpec
 from pearceygap.scaling import ScalingParams
 from pearceygap.specfun import gauss_rule
 
-from oracles import map_windows
+from oracles import map_windows, seeded_pearcey_draws
 
 
 def test_empty_windows_give_probability_one():
@@ -402,13 +402,8 @@ def test_seeded_one_time_airy_sweep_against_tracy_widom():
 def test_seeded_pearcey_sweep():
     # two-time direct queries, each sized per determinant: within 1e-9 of the
     # same determinant at 512 nodes per ray, and reflection-symmetric
-    rng = np.random.default_rng(2010)
-    for _ in range(8):
-        times = np.sort(rng.uniform(1.0, 6.0, 2))
-        while times[1] - times[0] < 0.5:
-            times = np.sort(rng.uniform(1.0, 6.0, 2))
-        windows = tuple(tuple(np.sort(rng.uniform(-5.0, 5.0, 2))) for _ in range(2))
-        query = GapQuery(family="pearcey", times=tuple(times), windows=windows, m=20)
+    for times, windows in seeded_pearcey_draws():
+        query = GapQuery(family="pearcey", times=times, windows=windows, m=20)
         value = log_gap_probability(query)
         reference = log_gap_probability(_at_rays(query, 512, m=40, certify=False))
         assert abs(value - reference) <= 1e-9, query

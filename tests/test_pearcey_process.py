@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from pearceygap.exceptions import (
 )
 from pearceygap import pearcey_process
 from pearceygap.analysis import PdeGrid, _pde_contour
+from pearceygap.cli import _TAU1_DEFAULT
 from pearceygap.fredholm import GapQuery, log_gap_probability
 from pearceygap.pearcey_process import (
     PearceyContour,
@@ -24,8 +26,9 @@ from pearceygap.pearcey_process import (
     pearcey_gauss_term,
 )
 from pearceygap.scaling import ScalingParams, tau_from_z
+from pearceygap.specfun import gauss_rule
 
-from oracles import airy_kernel, xi_from_x
+from oracles import airy_kernel, seeded_pearcey_draws, xi_from_x
 
 
 # a block takes its ray-node count from its contour; 128 nodes per ray is the
@@ -266,6 +269,97 @@ def test_determinant_walk_reuses_each_ray_system(monkeypatch):
     # and the walk's count gives the same log P as that count fixed
     fixed = PearceyContour(radius=4.5, nodes_per_ray=48)
     assert log_gap_probability(replace(query, contour=fixed)) == value
+
+
+def _four_ray_direct(tau_i, tau_j, xis, etas, n):
+    """The direct K-tilde grid summed over all four X rays and both Y rays,
+    with the sum of its terms' magnitudes, the scale of its rounding."""
+    contour = PearceyContour(nodes_per_ray=n)
+    u, wu = pearcey_process._signed_rays(
+        pearcey_process._x_rays(contour, tau_i, np.max(np.abs(xis))), n)
+    v, wv = pearcey_process._signed_rays(
+        pearcey_process._y_rays(contour, tau_j, np.max(np.abs(etas))), n)
+    u, v = u[:, None], v[:, None]
+    fu = np.exp(u**4 / 4 - tau_i * u**2 / 2 + u * xis)
+    fv = np.exp(-(v**4) / 4 + tau_j * v**2 / 2 - v * etas)
+    cauchy = wu[:, None] / (v.T - u) * wv
+    pref = -1.0 / (4 * math.pi**2)
+    return pref * (fu.T @ cauchy @ fv), abs(pref) * (np.abs(fu).T @ np.abs(cauchy) @ np.abs(fv))
+
+
+def _two_ray_conjugated(z, t_i, t_j, xs, ys, n):
+    """The conjugated recentred K-tilde grid summed over both u rays and both
+    v rays, with the sum of its terms' magnitudes."""
+    cu, cv = pearcey_process._side_coeffs(z, t_i), pearcey_process._side_coeffs(z, t_j)
+    u_rays, v_rays = pearcey_process._recentred_rays(
+        RecenterSpec(z=z), t_j - t_i, cu, cv, np.max(np.abs(xs)), np.max(np.abs(ys)))
+    u, wu = pearcey_process._signed_rays(u_rays, n)
+    v, wv = pearcey_process._signed_rays(v_rays, n)
+    quartic, conj_h = pearcey_process._quartic, pearcey_process._conj_h
+    fu = np.exp(-(quartic(cu, u)[:, None] + (cu["q0"] + cu["q1"] * u)[:, None] * xs)
+                - conj_h(z, xs, t_i))
+    fv = np.exp(quartic(cv, v)[:, None] + (cv["q0"] + cv["q1"] * v)[:, None] * ys
+                + conj_h(z, ys, t_j))
+    cauchy = wu[:, None] / ((z * (t_j - t_i) + cv["B"] * v)[None, :] - (cu["B"] * u)[:, None]) * wv
+    pref = -cu["B"] * cv["B"] / (4 * math.pi**2) * (9 * cu["tau"] * cv["tau"]) ** (1 / 12)
+    return pref * (fu.T @ cauchy @ fv), abs(pref) * (np.abs(fu).T @ np.abs(cauchy) @ np.abs(fv))
+
+
+def test_folded_direct_blocks_match_the_four_ray_sum():
+    # every block of the seeded sweep's queries at both of its window node
+    # counts.  The error is relative to the sum of the terms' magnitudes: the
+    # blocks cancel by up to 3e3, so against the block itself any float64 sum,
+    # this unfolded one too, is off by up to 3e-13 from an 80-bit one
+    for times, windows in seeded_pearcey_draws():
+        for m in (20, 40):
+            pts = [gauss_rule(m, a, b).nodes for a, b in windows]
+            for (tau_i, xis), (tau_j, etas) in itertools.product(zip(times, pts), repeat=2):
+                got = pearcey_process._tilde_grid(tau_i, tau_j, xis, etas,
+                                                  PearceyContour(nodes_per_ray=48))
+                ref, scale = _four_ray_direct(tau_i, tau_j, xis, etas, 48)
+                assert np.max(np.abs(got - ref.real) / scale) <= 1e-14
+
+
+def test_folded_conjugated_blocks_match_the_two_ray_sum():
+    # every block of the default theorem study: its tau1 grid, the Airy
+    # times -0.5 and 0.5, window (-1, 6) at m = 30, 64 nodes per ray
+    xs = gauss_rule(30, -1.0, 6.0).nodes
+    for tau1 in _TAU1_DEFAULT:
+        p = ScalingParams.for_theorem(tau1, -0.5, 0.5)
+        for t_i, t_j in itertools.product((p.t1, p.t2), repeat=2):
+            got = conjugated_tilde_grid(p.z, t_i, t_j, xs, xs, PearceyContour(nodes_per_ray=64))
+            ref, scale = _two_ray_conjugated(p.z, t_i, t_j, xs, xs, 64)
+            assert np.max(np.abs(got - ref.real) / scale) <= 1e-14
+
+
+def test_default_contour_folds_its_x_rays(monkeypatch):
+    # one ray of each conjugate X pair against both Y rays: the Cauchy
+    # matrix has 2n rows, not 4n
+    built, build = [], pearcey_process._ray_system.__wrapped__
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(pearcey_process, "_ray_system", spy)
+    pearcey_block_grid(2.0, 1.5, 0.7, -0.4, PearceyContour(nodes_per_ray=48))
+    ((u, v, cauchy),) = built
+    assert cauchy.shape == (2 * 48, 2 * 48)
+
+
+@pytest.mark.parametrize("field", ["sigma1p", "sigma2p", "tau_angp"])
+def test_asymmetric_contour_checks_its_imaginary_residue(field, monkeypatch):
+    # a contour that is not its own mirror image sums all four X rays, whose
+    # imaginary residue _to_real checks; the folded sum is real by construction
+    checked = []
+    to_real = pearcey_process._to_real
+    monkeypatch.setattr(pearcey_process, "_to_real", lambda g: checked.append(g) or to_real(g))
+    folded = pearcey_block_grid(2.0, 1.5, 0.7, -0.4, _RAYS)
+    assert not checked
+    angle = getattr(_RAYS, field) + 0.05
+    skewed = pearcey_block_grid(2.0, 1.5, 0.7, -0.4, replace(_RAYS, **{field: angle}))
+    assert len(checked) == 1
+    assert abs(skewed[0, 0] - folded[0, 0]) <= 1e-9
 
 
 def test_block_without_a_ray_count_raises():
