@@ -145,12 +145,13 @@ def extended_airy_grid(t_i: float, t_j: float, xs, ys, sides=None) -> np.ndarray
         sides[size] = _lambda_nodes(dt, *lows)
     rule = gauss_rule(sides[size], 0.0, tail)
     (ax, x_peak, x_end), (ay, y_peak, y_end) = _airy_sides(sides, xs, ys, rule, tail)
-    peak = x_peak * y_peak
-    end = x_end * y_end * math.exp(-dt * rule.nodes[-1])
-    if peak > 0.0 and end > _TAIL_RTOL * peak:
+    # in logs: for lows above about 36 the product of the two end values underflows
+    log_end = (math.log(x_end / x_peak) + math.log(y_end / y_peak) - dt * rule.nodes[-1]
+               if x_end > 0.0 and y_end > 0.0 else -math.inf)
+    if log_end > math.log(_TAIL_RTOL):
         raise AccuracyError(
             f"lambda-integrand not decayed at the last node {rule.nodes[-1]:.6g} of the cut "
-            f"tail_cut={tail}: endpoint/max = {end / peak:.3e} (needs <= {_TAIL_RTOL})"
+            f"tail_cut={tail}: endpoint/max = e^{log_end:.4g} (needs <= {_TAIL_RTOL})"
         )
     return (ax * (rule.weights * np.exp(-dt * rule.nodes))[None, :]) @ ay.T
 

@@ -202,11 +202,10 @@ def _loglog_fit(xs, ys):
 _DEFAULT_POINTS = ((-0.4, 0.7), (0.2, 0.2), (1.0, -0.6), (-1.0, 1.5))
 
 
-def _kernel_residual(params: ScalingParams, points, contour: PearceyContour) -> float:
+def _kernel_residual(params: ScalingParams, contour: PearceyContour) -> float:
     """Max |conjugated Pearcey - extended Airy| over both time orders and
-    all four blocks at the given evaluation points."""
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    all four blocks at the evaluation points (x, y) of _DEFAULT_POINTS."""
+    xs, ys = np.array(_DEFAULT_POINTS).T
     worst = 0.0
     for t_i in (params.t1, params.t2):
         for t_j in (params.t1, params.t2):
@@ -220,7 +219,6 @@ def proposition_slope(
     t: float,
     s: float,
     z_grid=tuple(float(z) for z in np.geomspace(0.35, 0.15, 6)),
-    sample_points=_DEFAULT_POINTS,
 ) -> StudyReport:
     """Fit the decay order of the conjugated-kernel error against z.
 
@@ -242,11 +240,10 @@ def proposition_slope(
     @functools.cache
     def residual(n: int, z: float) -> float:
         try:
-            return _kernel_residual(ScalingParams.from_z(z, t, s), sample_points,
-                                    PearceyContour(nodes_per_ray=n))
+            return _kernel_residual(ScalingParams.from_z(z, t, s), PearceyContour(nodes_per_ray=n))
         except PearceyGapError as exc:
             raise type(exc)(f"kernel evaluation failed at z={z}, "
-                            f"points={sample_points}: {exc}") from exc
+                            f"points={_DEFAULT_POINTS}: {exc}") from exc
 
     probes = {f"residual at z = {z:g}": float(z)
               for z in (z_grid[0], z_grid[len(z_grid) // 2], z_grid[-1])}
@@ -301,10 +298,12 @@ def theorem_ratio_study(
 ) -> StudyReport:
     """Decay order of the gap-probability ratio deviation in tau1.
 
-    The expected order is -4/3.  Every point carries an m -> 2m refinement
-    certificate; uncertified points are kept in the table (certified = 0) but
-    excluded from the fit.  The ablation drops the product term of the
-    second-time matching rule and refits: the law must visibly break.
+    The expected order is -4/3.  With certify, every point carries an m -> 2m
+    refinement certificate; a point that fails it is kept in the table
+    (certified = 0) but excluded from the fit.  Without, every point is fitted
+    and certified reads 0, since no certificate ran.  The ablation drops the
+    product term of the second-time matching rule and refits: the law must
+    visibly break.
 
     Every conjugated block uses one ray-node count (summary nodes_per_ray),
     which walk_ladder picks once from the study's own uncertified query at the
@@ -370,7 +369,7 @@ def theorem_ratio_study(
             "tau2": params.tau2,
             "z": params.z,
             "ratio_dev": r,
-            "certified": int(ok),
+            "certified": int(ok and certify),
         }
         if ablate and not single_time:
             d = t2 - t1

@@ -48,7 +48,6 @@ __all__ = [
     "set_block_cache",
 ]
 
-_FAMILIES = ("airy", "pearcey", "pearcey-conjugated", "custom")
 _CERT_TOL = 1e-8
 
 
@@ -112,14 +111,6 @@ class GapQuery:
 
 _BLOCK_CACHE = None
 
-# the fixed data each family's block routine reads besides its times and points
-_RECORDS = {
-    # empty and complete: an Airy block's lambda-rule follows from its keyed times and points
-    "airy": lambda q: "",
-    "pearcey": lambda q: repr(q.contour),
-    "pearcey-conjugated": lambda q: f"{q.contour!r}|z={q.z!r}",
-}
-
 
 def set_block_cache(cache) -> None:
     """Install a persistent block cache (see cache.KernelCache); None clears.
@@ -131,25 +122,32 @@ def set_block_cache(cache) -> None:
     _BLOCK_CACHE = cache
 
 
-def _block_value(query: GapQuery, t_i, t_j, x_i, x_j, sides) -> np.ndarray:
-    if query.family == "airy":
-        return airy_block_grid(t_i, t_j, x_i, x_j, sides)
-    if query.family == "pearcey":
-        return pearcey_block_grid(t_i, t_j, x_i, x_j, query.contour, sides)
-    if query.family == "pearcey-conjugated":
-        return conjugated_block_grid(query.z, t_i, t_j, x_i, x_j, query.contour)
-    return np.asarray(query.kernel(t_i, t_j, x_i, x_j), dtype=float)
+# family -> (block routine (query, t_i, t_j, x_i, x_j, sides), cache record):
+# the record is the fixed data the routine reads besides its times and points,
+# None if uncached; the grids are looked up at call time, so a wrapper
+# installed on their module-level names sees every block
+_FAMILIES = {
+    # empty and complete: an Airy block's lambda-rule follows from its keyed times and points
+    "airy": (lambda q, ti, tj, x, y, sides: airy_block_grid(ti, tj, x, y, sides), lambda q: ""),
+    "pearcey": (lambda q, ti, tj, x, y, sides: pearcey_block_grid(ti, tj, x, y, q.contour, sides),
+                lambda q: repr(q.contour)),
+    "pearcey-conjugated": (
+        lambda q, ti, tj, x, y, sides: conjugated_block_grid(q.z, ti, tj, x, y, q.contour),
+        lambda q: f"{q.contour!r}|z={q.z!r}"),
+    "custom": (lambda q, ti, tj, x, y, sides: np.asarray(q.kernel(ti, tj, x, y), dtype=float),
+               None),
+}
 
 
 def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j, sides) -> np.ndarray:
-    if _BLOCK_CACHE is None or query.family == "custom":
-        return _block_value(query, t_i, t_j, x_i, x_j, sides)
-    record = _RECORDS[query.family](query)
-    key = cache_mod.block_key(query.family, t_i, t_j, record, x_i, x_j)
+    value, record = _FAMILIES[query.family]
+    if _BLOCK_CACHE is None or record is None:
+        return value(query, t_i, t_j, x_i, x_j, sides)
+    key = cache_mod.block_key(query.family, t_i, t_j, record(query), x_i, x_j)
     hit = _BLOCK_CACHE.lookup(key)
     if hit is not None:
         return hit
-    grid = _block_value(query, t_i, t_j, x_i, x_j, sides)
+    grid = value(query, t_i, t_j, x_i, x_j, sides)
     _BLOCK_CACHE.store(key, grid)
     return grid
 
@@ -187,10 +185,10 @@ def _log_det(query: GapQuery, factor: int) -> float:
 
 
 def _ray_sized(query: GapQuery):
-    """The query at its settled ray-node count and, if walked, its log det at m."""
+    """The query at its settled ray-node count, and its log det at m."""
     contour = query.contour if query.contour is not None else PearceyContour()
     if query.family not in ("pearcey", "pearcey-conjugated") or contour.nodes_per_ray:
-        return query, None
+        return query, _log_det(query, 1)
     at = {}
 
     def log_det(n):
@@ -203,8 +201,6 @@ def _ray_sized(query: GapQuery):
 
 def _certified_log_det(query: GapQuery) -> float:
     query, log_p = _ray_sized(query)
-    if log_p is None:
-        log_p = _log_det(query, 1)
     if query.certify:
         log_p2 = _log_det(query, 2)
         if abs(math.exp(log_p) - math.exp(log_p2)) > _CERT_TOL:

@@ -204,15 +204,12 @@ def airy(x) -> AiryValue:
     lo, hi = xv.min(initial=0.0), xv.max(initial=0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("airy: non-finite argument")
-    if _TAYLOR_FROM <= lo and hi <= _SERIES_FROM:
-        ai, aip = _airy_taylor(xv)
-    else:
-        ai, aip = np.empty_like(xv), np.empty_like(xv)
-        low, high = xv < _TAYLOR_FROM, xv > _SERIES_FROM
-        for part, branch in ((low, lambda v: special.airy(v)[:2]), (high, _airy_series),
-                             (~(low | high), _airy_taylor)):
-            if np.count_nonzero(part):
-                ai[part], aip[part] = branch(xv[part])
+    ai, aip = np.empty_like(xv), np.empty_like(xv)
+    low, high = xv < _TAYLOR_FROM, xv > _SERIES_FROM
+    for part, branch in ((low, lambda v: special.airy(v)[:2]), (high, _airy_series),
+                         (~(low | high), _airy_taylor)):
+        if np.count_nonzero(part):
+            ai[part], aip[part] = branch(xv[part])
     if scalar:
         return AiryValue(x=xa, ai=float(ai[0]), aip=float(aip[0]))
     return AiryValue(x=xa, ai=ai.reshape(xa.shape), aip=aip.reshape(xa.shape))
@@ -225,9 +222,7 @@ def airy_derivs_upto(x, kmax: int):
     val = airy(x)
     xa = val.x
     seq = [val.ai, val.aip]
+    # A^(j) = x A^(j-2) + (j-2) A^(j-3); at j = 2 the second term is 0 * A'
     for j in range(2, kmax + 1):
-        if j == 2:
-            seq.append(xa * seq[0])
-        else:
-            seq.append(xa * seq[j - 2] + (j - 2) * seq[j - 3])
+        seq.append(xa * seq[j - 2] + (j - 2) * seq[j - 3])
     return seq[: kmax + 1]

@@ -172,6 +172,14 @@ def test_lambda_tail_check_rejects_undecayed_integrand():
         airy_block_grid(-4.0, 4.0, gauss_rule(20, -17.0, -10.0).nodes,
                         gauss_rule(20, -16.5, -9.5).nodes)
     assert np.isfinite(airy_block_grid(-3.0, 3.0, [0.0], [0.0])).all()
+    # above lows of about 36 the product of the two end values underflowed to 0,
+    # so the check passed blocks whose integrand e^{20 lam} Ai^2 still grows at
+    # the cut (at low 40 it peaks near lam = 60: log K-tilde is -136.1, the
+    # truncated block gave -186.7)
+    for low in (38.0, 40.0):
+        xs = np.linspace(low, low + 5.0, 3)
+        with pytest.raises(AccuracyError, match="not decayed"):
+            extended_airy_grid(0.0, 20.0, xs, xs)
 
 
 def test_sized_lambda_rule_sweep():
@@ -276,11 +284,15 @@ def test_times_too_far_apart_are_a_domain_error():
     with pytest.raises(DomainError, match=r"time gap 24 too large"):
         log_gap_probability(query)
     # the refusal starts where the weight overflows at the probe's nodes, not
-    # at the cut: a gap a little past log(max float) / 30 still has a value
-    # where Ai(40 + lam) outweighs it
+    # at the cut: a gap a little past log(max float) / 30 is still in the
+    # domain.  Where the weight decays the block has a value; where it grows,
+    # e^{gap lam} Ai(40 + lam)^2 still rises at the cut, which the tail check
+    # refuses as an accuracy failure
     high = np.linspace(40.0, 40.5, 5)
     gap = 1.00003 * math.log(np.finfo(float).max) / 30.0
-    assert np.all(np.isfinite(airy_block_grid(0.0, gap, high, high)))
+    assert np.all(np.isfinite(airy_block_grid(gap, 0.0, high, high)))
+    with pytest.raises(AccuracyError, match="not decayed"):
+        airy_block_grid(0.0, gap, high, high)
 
 
 def test_closed_form_diagonal_block_matches_lambda_integral():

@@ -101,9 +101,9 @@ def test_proposition_slope_evaluates_no_residual_above_its_count(monkeypatch):
     # residual is taken at a ladder level up to the settled count
     counts, kernel_residual = [], analysis._kernel_residual
 
-    def spy(params, points, contour):
+    def spy(params, contour):
         counts.append(contour.nodes_per_ray)
-        return kernel_residual(params, points, contour)
+        return kernel_residual(params, contour)
 
     monkeypatch.setattr(analysis, "_kernel_residual", spy)
     rep = proposition_slope(0.5, 0.3)
@@ -238,6 +238,8 @@ def test_theorem_deviation_decreases():
     )
     devs = [abs(r[3]) for r in rep.rows]
     assert devs[0] > devs[1] > devs[2]
+    # no certificate ran, so no row claims one
+    assert [r[rep.columns.index("certified")] for r in rep.rows] == [0, 0, 0]
 
 
 @pytest.mark.parametrize(

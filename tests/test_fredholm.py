@@ -289,7 +289,7 @@ def test_query_node_count_must_be_an_integer():
 
 def test_conjugated_cache_record_is_independent_of_the_number_type_of_z():
     records = {
-        fredholm._RECORDS["pearcey-conjugated"](
+        fredholm._FAMILIES["pearcey-conjugated"][1](
             GapQuery(family="pearcey-conjugated", times=(0.0,), windows=((0.0, 1.0),), z=z))
         for z in (0.3, np.float64(0.3))
     }
@@ -397,6 +397,28 @@ def test_seeded_one_time_airy_sweep_against_tracy_widom():
     for s in rng.uniform(-4.0, 2.0, 6):
         query = GapQuery(family="airy", times=(0.0,), windows=((s, s + 14.0),), m=40)
         assert abs(log_gap_probability(query) - math.log(tracy_widom_f2(s))) <= 1e-7, s
+
+
+def test_seeded_airy_property_sweep():
+    # two-time certified queries: P is in (0, 1], widening a window never
+    # raises P, and P is at most each one-time marginal, each within twice the
+    # certificate's 1e-8
+    tol = 2e-8
+    rng = np.random.default_rng(2010)
+    for _ in range(12):
+        t1 = rng.uniform(-1.0, 0.0)
+        times = (t1, t1 + rng.uniform(0.5, 1.5))
+        windows = tuple((a, a + w) for a, w in zip(rng.uniform(-6.0, 2.0, 2),
+                                                   rng.uniform(1.0, 8.0, 2)))
+        query = GapQuery(family="airy", times=times, windows=windows, m=30)
+        p = gap_probability(query)
+        assert 0.0 < p <= 1.0, query
+        for k, (a, b) in enumerate(windows):
+            marginal = gap_probability(replace(query, times=(times[k],), windows=((a, b),)))
+            assert 0.0 < marginal <= 1.0 and p <= marginal + tol, (query, k)
+            wider = list(windows)
+            wider[k] = (a - rng.uniform(0.0, 1.0), b + rng.uniform(0.0, 1.0))
+            assert gap_probability(replace(query, windows=tuple(wider))) <= p + tol, (query, k)
 
 
 def test_seeded_pearcey_sweep():
