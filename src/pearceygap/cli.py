@@ -180,13 +180,11 @@ class StudyConfig:
     pde_eta: float = _key(PdeGrid.eta, "pde.eta", "eta", "base point: endpoint asymmetry")
     pde_mu: float = _key(PdeGrid.mu, "pde.mu", "mu", "base point: first window width (< 0)")
     pde_nu: float = _key(PdeGrid.nu, "pde.nu", "nu", "base point: second window width (< 0)")
-    pde_step: float = _key(PdeGrid.h, "pde.step", "step", "finite-difference step h",
-                           param="h")
     pde_nodes: int = _key(PdeGrid.m, "pde.nodes", "nodes", "quadrature nodes per window",
                           param="m")
     pde_nodes_per_ray: int = _key(PdeGrid.nodes_per_ray, "pde.nodes_per_ray", "nodes-per-ray",
                                   "contour nodes per ray (0: chosen once per study until "
-                                  "log P settles; 48 at the defaults)")
+                                  "the PDE terms settle; 48 at the defaults)")
     oracle_s_min: float = _key(-5.0, "oracle.s_min", "s-min",
                                "reference table lower end (the oracle floor is -5)")
     oracle_s_max: float = _key(6.0, "oracle.s_max", "s-max", "reference table upper end")
@@ -461,8 +459,8 @@ def _headline(report: StudyReport) -> str:
                 f" R^2 = {s['r2']:.6f}) -> {report.verdict}")
     if report.name == "pde":
         return (f"pde: normalized residual = {s['normalized_residual']:.3e}"
-                f" (half-step {s['normalized_residual_half_step']:.3e},"
-                f" ablation {s['ablation_ratio']:.1f}x) -> {report.verdict}")
+                f" (m -> 2m gap {s['certificate_gap']:.3e},"
+                f" ablation {s['ablation_ratio']:.3g}x) -> {report.verdict}")
     return (f"oracle-painleve: {s['points']} points,"
             f" F2(0) error = {s['f2_at_zero_error']:.2e} -> {report.verdict}")
 

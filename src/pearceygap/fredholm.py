@@ -139,11 +139,14 @@ _FAMILIES = {
 }
 
 
-def _block(query: GapQuery, t_i: float, t_j: float, x_i, x_j, sides) -> np.ndarray:
-    value, record = _FAMILIES[query.family]
-    if _BLOCK_CACHE is None or record is None:
+def _block(query: GapQuery, record: str | None, t_i: float, t_j: float, x_i, x_j,
+           sides) -> np.ndarray:
+    """One block, through the block cache under the query's record unless
+    that is None (no cache installed, or an uncached family)."""
+    value = _FAMILIES[query.family][0]
+    if record is None:
         return value(query, t_i, t_j, x_i, x_j, sides)
-    key = cache_mod.block_key(query.family, t_i, t_j, record(query), x_i, x_j)
+    key = cache_mod.block_key(query.family, t_i, t_j, record, x_i, x_j)
     hit = _BLOCK_CACHE.lookup(key)
     if hit is not None:
         return hit
@@ -158,16 +161,25 @@ def _log_det(query: GapQuery, factor: int) -> float:
              for t, win in zip(query.times, query.windows) if win is not None]
     if not rules:
         return 0.0
+    make_record = _FAMILIES[query.family][1]
+    record = None if _BLOCK_CACHE is None or make_record is None else make_record(query)
     sides: dict = {}
     sq = [np.sqrt(rule.weights) for _, rule in rules]
-    w = np.block([[sq_i[:, None] * _block(query, t_i, t_j, r_i.nodes, r_j.nodes, sides)
+    w = np.block([[sq_i[:, None] * _block(query, record, t_i, t_j, r_i.nodes, r_j.nodes, sides)
                    * sq_j[None, :]
                    for (t_j, r_j), sq_j in zip(rules, sq)]
                   for (t_i, r_i), sq_i in zip(rules, sq)])
-    # diagonal similarity balancing preserves the determinant exactly but
-    # tames the huge gauge-induced dynamic range of unconjugated kernels
-    # (cross-time blocks can span e^{+-60} and defeat plain LU pivoting)
-    balanced, _ = matrix_balance(np.eye(len(w)) - w, permute=False)
+    return _balanced_log_det(np.eye(len(w)) - w)[2]
+
+
+def _balanced_log_det(a: np.ndarray):
+    """(B, scale, log det a): a balanced by the diagonal similarity
+    B[i, j] = a[i, j] * scale[j] / scale[i], and its log det.  A non-positive
+    det a raises AccuracyError if |det a| <= _CERT_TOL, else ValidityError."""
+    # the similarity preserves the determinant exactly but tames the huge
+    # gauge-induced dynamic range of unconjugated kernels (cross-time blocks
+    # can span e^{+-60} and defeat plain LU pivoting)
+    balanced, (scale, _) = matrix_balance(a, permute=False, separate=True)
     sign, logabs = np.linalg.slogdet(balanced)
     if sign <= 0.0:
         if logabs <= math.log(_CERT_TOL):
@@ -181,7 +193,7 @@ def _log_det(query: GapQuery, factor: int) -> float:
             "discretized Fredholm determinant is not positive "
             f"(sign {sign:+.0f}); the probability interpretation fails"
         )
-    return float(logabs)
+    return balanced, scale, float(logabs)
 
 
 def _ray_sized(query: GapQuery):

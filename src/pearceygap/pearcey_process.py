@@ -32,7 +32,9 @@ the half system, which covers the mirrored half exactly.
   The fold needs sigma1 == sigma1p, sigma2 == sigma2p and tau_ang == tau_angp,
   as on the default contour and every study's; a contour without that
   symmetry sums all four X rays in complex arithmetic, and only there
-  _to_real checks that the imaginary part is rounding.
+  _to_real checks that the imaginary part is rounding.  Derivatives of direct
+  blocks in their times and points (direct_moment_grids) take the same sides:
+  each one weighs the double integral by a polynomial in u and v.
 
 * **recentred** -- change of variables U = A_i (1 + 3 u z^4),
   V = A_j (1 + 3 v z^4) placing O(1)-length contours through the saddle
@@ -75,6 +77,7 @@ __all__ = [
     "ray_radius_bound",
     "pearcey_gauss_term",
     "pearcey_block_grid",
+    "direct_moment_grids",
     "conjugated_tilde_grid",
     "conjugated_gauss_grid",
     "conjugated_block_grid",
@@ -325,6 +328,18 @@ def _ray_system(xray: tuple, yray: tuple, n: int):
     return u, v, m
 
 
+def _u_side(u, tau, xis, n):
+    """exp(u^4/4 - tau u^2/2 + u xi) at the u nodes (rows) and xis (columns)."""
+    u = u[:, None]
+    return _exp_side((u**4 / 4.0 - 0.5 * tau * u**2) + u * xis[None, :], n, "u")
+
+
+def _v_side(v, tau, etas, n):
+    """exp(-v^4/4 + tau v^2/2 - v eta) at the v nodes (rows) and etas (columns)."""
+    v = v[:, None]
+    return _exp_side((-(v**4) / 4.0 + 0.5 * tau * v**2) - v * etas[None, :], n, "v")
+
+
 def _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides):
     """-G F / (4 pi^2) from the u-side G = exp(eu)^T M of (tau_i, xis) and the
     v-side F = exp(ev) of (tau_j, etas), each built once per key in sides.
@@ -337,15 +352,76 @@ def _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides):
     u, v, m = _ray_system(xray, yray, n)
     ukey = ("u", tau_i, xis.tobytes(), xray, yray, n)
     if ukey not in sides:
-        eu = (u[:, None] ** 4 / 4.0 - 0.5 * tau_i * u[:, None] ** 2) + u[:, None] * xis[None, :]
-        sides[ukey] = _exp_side(eu, n, "u").T @ m
+        sides[ukey] = _u_side(u, tau_i, xis, n).T @ m
     vkey = ("v", tau_j, etas.tobytes(), yray, n, fold)
     if vkey not in sides:
-        w = v[:n, None] if fold else v[:, None]
-        sides[vkey] = _exp_side((-(w**4) / 4.0 + 0.5 * tau_j * w**2) - w * etas[None, :], n, "v")
+        sides[vkey] = _v_side(v[:n] if fold else v, tau_j, etas, n)
     if fold:
         return -_fold_product(sides[ukey], sides[vkey], n) / (2.0 * math.pi**2)
     return _to_real(-(sides[ukey] @ sides[vkey]) / (4.0 * math.pi**2))
+
+
+def direct_moment_grids(taus, points, contour, powers: int, moments: int):
+    """The pieces every derivative of a direct-mode block is made of, for
+    windows k at times taus[k] with points points[k] (one window for the u-
+    and the v-side alike), on a folding contour with a fixed ray-node count.
+
+    A derivative of a block in its times and points puts a polynomial
+    P(u, v) into the double integral: d/dx a factor u, d/dy a factor -v,
+    d/dtau_i a factor -u^2/2 and d/dtau_j a factor v^2/2.  Since
+    P(u, v) = P(v, v) + (u - v) Q(u, v) and (u - v) cancels the Cauchy
+    factor 1/(v - u), such a block is a combination of
+    * grids[i, j][d], d < powers: the block with v^d in its double integral,
+      less the d-th x-derivative of the Gaussian term where tau_i < tau_j
+      (the Gaussian term's Fourier integral is the double integral's u = v
+      diagonal, so it takes P(v, v) too); grids[i, j][0] is the block;
+    * the outer products Re(su[i][p] x sv[j][q]), p, q < moments, of
+      single-side sums: the block with (u - v) u^p v^q in its double
+      integral, whose u - v cancels the Cauchy factor.
+    Every side is checked as in a block, and each window's sides are built
+    once for all of its blocks."""
+    if not _folds(contour):
+        raise ContourError("derivative grids need a contour folded by its conjugate symmetry")
+    n = _ray_count(contour)
+    xrays, eu, su, yrays, vpow, ev, sv = [], [], [], [], [], [], []
+    for tau, xs in zip(taus, points):
+        coord_max = float(np.max(np.abs(xs)))
+        xrays.append(tuple(_x_rays(contour, tau, coord_max)[:2]))
+        u, wu = _signed_rays(xrays[-1], n)
+        eu.append(_u_side(u, tau, xs, n))
+        # all u rays sum to 2 Re of the upper X rays' share, whence 2 / (4 pi^2)
+        su.append(np.vander(u, moments, increasing=True).T * wu @ eu[-1] / (2.0 * math.pi**2))
+        yrays.append(tuple(_y_rays(contour, tau, coord_max)))
+        v, wv = _signed_rays(yrays[-1], n)
+        vpow.append(np.vander(v[:n], powers, increasing=True).T[:, :, None])
+        ev.append(_v_side(v[:n], tau, xs, n))
+        # the second Y ray's nodes and exponentials are the first's conjugates
+        vw = np.vander(v, moments, increasing=True).T * wv
+        sv.append(vw[:, :n] @ ev[-1] + vw[:, n:] @ ev[-1].conj())
+    g, grids = {}, {}
+    for i, j in np.ndindex(len(taus), len(taus)):
+        # the u side of window i against the v rays of window j
+        if (i, yrays[j]) not in g:
+            g[i, yrays[j]] = eu[i].T @ _ray_system(xrays[i], yrays[j], n)[2]
+        out = np.stack([-_fold_product(g[i, yrays[j]], e, n) for e in vpow[j] * ev[j]])
+        out /= 2.0 * math.pi**2
+        if taus[i] < taus[j]:
+            out -= _gauss_x_derivatives(taus[j] - taus[i], points[i], points[j], powers)
+        grids[i, j] = out
+    return grids, su, sv
+
+
+def _gauss_x_derivatives(dtau, xis, etas, count: int) -> np.ndarray:
+    """d^k/dxi^k of the Gaussian term at xis x etas, k < count:
+    (-1/s)^k He_k(z) p with s = sqrt(dtau), z = (xi - eta)/s, He_k the
+    probabilists' Hermite polynomials."""
+    s = math.sqrt(dtau)
+    z = (xis[:, None] - etas[None, :]) / s
+    p = pearcey_gauss_term(dtau, xis[:, None], etas[None, :])
+    he = [np.ones_like(z), z]
+    for k in range(1, count - 1):
+        he.append(z * he[k] - k * he[k - 1])
+    return np.stack([(-1.0 / s) ** k * he[k] * p for k in range(count)])
 
 
 # ---------------------------------------------------------------------------

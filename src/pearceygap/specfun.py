@@ -18,6 +18,7 @@ batch it is evaluated in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,8 +60,8 @@ def _leggauss(m: int):
 
 def gauss_rule(m: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule with ``m`` nodes on (a, b)."""
-    if m < 1:
-        raise DomainError(f"node count must be >= 1, got {m}")
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise DomainError(f"node count must be an integer >= 1, got {m!r}")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("interval endpoints must be finite")
     if a >= b:

@@ -1,11 +1,13 @@
 """Independent references the tests compare the library against: the static
 Airy kernel in quotient form, the double-contour representation of the
 extended Airy kernel, Airy derivatives of any order, and the forward space
-map from Airy to Pearcey coordinates with the window map built on it; and the
-seeded two-time Pearcey queries that several tests share."""
+map from Airy to Pearcey coordinates with the window map built on it; the
+seeded two-time Pearcey queries that several tests share; and central
+differences of any mixed order."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -164,3 +166,23 @@ def seeded_pearcey_draws():
         windows = tuple(tuple(np.sort(rng.uniform(-5.0, 5.0, 2))) for _ in range(2))
         draws.append((tuple(times), windows))
     return draws
+
+
+# central difference stencils, (offset in steps, weight) with error O(h^2);
+# zero-weight points are left out
+_STENCILS = {
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+}
+
+
+def central_difference(f, h: float, **orders) -> float:
+    """Mixed partial derivative of f(**offsets) at zero offset, e.g.
+    central_difference(f, h, dtau=1, dxi=2): the product of each axis's
+    central stencil of the given order, offsets i * h, error O(h^2)."""
+    total = 0.0
+    for taps in itertools.product(*(_STENCILS[n] for n in orders.values())):
+        weight = math.prod(w for _, w in taps)
+        total += weight * f(**{axis: i * h for axis, (i, _) in zip(orders, taps)})
+    return total / h ** sum(orders.values())

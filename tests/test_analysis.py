@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -17,9 +18,10 @@ from pearceygap.analysis import (
     theorem_ratio_study,
 )
 from pearceygap.exceptions import AccuracyError, DomainError
-from pearceygap.fredholm import log_gap_probability
+from pearceygap.fredholm import GapQuery, log_gap_probability
 from pearceygap.pearcey_process import _x_rays, _y_rays
-from pearceygap.specfun import gauss_rule
+
+from oracles import central_difference
 
 
 def test_psi_operator_coefficients():
@@ -250,88 +252,101 @@ def test_theorem_rejects_bad_grid(grid):
         theorem_ratio_study(grid)
 
 
-def _pde_determinants(monkeypatch):
-    """The default pde study's report, and log P of every determinant it
-    computed, keyed by its query."""
-    computed = {}
-
-    def record(query):
-        computed[query] = log_gap_probability(query)
-        return computed[query]
-
-    monkeypatch.setattr(analysis, "log_gap_probability", record)
-    return pde_residual(PdeGrid()), computed
-
-
-def _at_nodes(query, n):
-    return replace(query, contour=replace(query.contour, nodes_per_ray=n))
-
-
-def test_pde_residual_default_grid(monkeypatch):
-    rep, computed = _pde_determinants(monkeypatch)
+def test_pde_residual_default_grid():
+    rep = pde_residual(PdeGrid())
     s = rep.summary
+    terms = dict(rep.rows[:-1])
     assert not s["inconclusive"]
-    assert s["noise_estimate"] < s["normalized_residual"]
-    assert s["normalized_residual"] < 1e-2
-    assert s["normalized_residual_half_step"] < s["normalized_residual"]
+    assert s["tolerance"] == analysis._PDE_TOL
+    assert s["normalized_residual"] <= s["tolerance"]
+    assert s["certificate_gap"] == max(s[f"gap_{name}"] for name in terms)
+    assert s["certificate_gap"] <= s["tolerance"]
     assert s["ablation_ratio"] >= 10.0
     assert rep.passed
     names = [r[0] for r in rep.rows]
     assert names == sorted(names[:-1]) + ["pde_total"]
-    # the ray-node count settles at 48: 32 and 48 agree at both probe points
+    assert s["term_scale"] == max(abs(v) for v in terms.values())
+    # the ray-node count settles at 48: 32 and 48 agree at the base point
     assert s["nodes_per_ray"] == 48
     assert s["ray_convergence"] <= analysis._PDE_RAY_TOL
-    probes = [q for q in computed if q.contour.nodes_per_ray == 32]
-    assert len(probes) == 2
-    for q in probes:
-        at_48 = computed[_at_nodes(q, 48)]
-        assert abs(at_48 - log_gap_probability(_at_nodes(q, 384))) <= analysis._PDE_RAY_TOL
 
 
 def test_pde_study_determinants_match_a_384_node_reference(monkeypatch):
-    # a seeded sample of the study's own determinants, each within the
-    # probe's tolerance in log P of the same determinant at 384 nodes per ray
-    rep, computed = _pde_determinants(monkeypatch)
+    # the study's determinants at m and 2m: each is the library's log P of
+    # the same query, within 1e-12 of it at 384 nodes per ray, and each
+    # level's partials lie within the probe's tolerance of the same partials
+    # at 384 nodes per ray
+    seen, balanced = [], analysis._balanced_log_det
+
+    def record(a):
+        seen.append(balanced(a))
+        return seen[-1]
+
+    monkeypatch.setattr(analysis, "_balanced_log_det", record)
+    grid = PdeGrid()
+    rep = pde_residual(grid)
     n = rep.summary["nodes_per_ray"]
-    study = sorted((q for q in computed if q.contour.nodes_per_ray == n), key=repr)
-    assert len(study) == 131
-    for k in np.random.default_rng(1710).choice(len(study), size=8, replace=False):
-        q = study[k]
-        assert abs(computed[q] - log_gap_probability(_at_nodes(q, 384))) <= analysis._PDE_RAY_TOL
+    assert [len(b) for b, _, _ in seen] == [2 * grid.m] * 2 + [4 * grid.m]  # 32, 48, 48 at 2m
+    contour = replace(analysis._pde_contour(grid), nodes_per_ray=n)
+    for factor, (_, _, log_det) in zip((1, 2), seen[1:]):
+        query = GapQuery(family="pearcey", times=(3.5, 4.5), windows=((1.75, 3.75), (2.25, 4.25)),
+                         m=factor * grid.m, contour=contour, certify=False)
+        assert abs(log_det - log_gap_probability(query)) <= 1e-13
+        assert abs(log_det - log_gap_probability(
+            replace(query, contour=replace(contour, nodes_per_ray=384)))) <= 1e-12
+        study = analysis._pde_partials(grid, contour, factor)
+        ref = analysis._pde_partials(grid, replace(contour, nodes_per_ray=384), factor)
+        scale = max(abs(v) for v in ref.values())
+        for axes, value in ref.items():
+            assert abs(study[axes] - value) <= analysis._PDE_RAY_TOL * scale, axes
 
 
-def _recorded_run(monkeypatch, grid, log_p=lambda query: 0.0):
-    """pde_residual(grid) with each query answered by log_p instead of a
-    determinant: its report and the queries it sent, in order."""
-    queries = []
+def _recorded_run(monkeypatch, grid, fake=None):
+    """pde_residual(grid) with the partials of every level it evaluates
+    recorded, and answered by fake(nodes per ray) when given: its report
+    and the (nodes per ray, node factor) of each level, in order."""
+    levels, partials = [], analysis._pde_partials
 
-    def record(query):
-        queries.append(query)
-        return log_p(query)
+    def record(grid, contour, factor):
+        levels.append((contour.nodes_per_ray, factor))
+        if fake is None:
+            return partials(grid, contour, factor)
+        return fake(contour.nodes_per_ray)
 
-    monkeypatch.setattr(analysis, "log_gap_probability", record)
-    return pde_residual(grid), queries
+    monkeypatch.setattr(analysis, "_pde_partials", record)
+    return pde_residual(grid), levels
+
+
+def _constant_partials(n):
+    return dict.fromkeys(analysis._PDE_PARTIALS, 1.0)
 
 
 def test_pde_study_radius_covers_every_block(monkeypatch):
-    rep, queries = _recorded_run(monkeypatch, PdeGrid())
-    # the probe's queries differ from the study's in nodes_per_ray only
-    assert len({q.contour.radius for q in queries}) == 1
-    radius = queries[0].contour.radius
-    assert rep.summary["ray_radius"] == radius
+    calls, grids = [], analysis.direct_moment_grids
+
+    def record(taus, points, contour, *sizes):
+        calls.append((taus, points, contour))
+        return grids(taus, points, contour, *sizes)
+
+    monkeypatch.setattr(analysis, "direct_moment_grids", record)
+    grid = PdeGrid()
+    rep = pde_residual(grid)
+    assert len(calls) == 3  # the probe's two levels at m, then 2m
+    radius = rep.summary["ray_radius"]
+    assert {contour.radius for _, _, contour in calls} == {radius}
     # the per-block rule (radius=None) on each side of every block
-    free = replace(queries[0].contour, radius=None)
+    free = replace(calls[0][2], radius=None)
     block_radii = []
-    for q in queries:
-        for tau, w in zip(q.times, q.windows):
-            coord = float(np.max(np.abs(gauss_rule(q.m, *w).nodes)))
+    for taus, points, _ in calls:
+        assert taus == [grid.tau - grid.sigma, grid.tau + grid.sigma]
+        for tau, xs in zip(taus, points):
+            coord = float(np.max(np.abs(xs)))
             rays = _x_rays(free, tau, coord) + _y_rays(free, tau, coord)
             block_radii.extend(ray[3] for ray in rays)
     assert max(block_radii) <= radius
 
 
-# every derivative the PDE study takes; each has total order >= 2, so its
-# central stencil is exact on cubics
+# every derivative the PDE study takes, as central-difference orders
 _PDE_DERIVATIVES = [
     {"dtau": 3},
     {"dxi": 2},
@@ -340,24 +355,27 @@ _PDE_DERIVATIVES = [
     {"dtau": 1, "dxi": 1},
     {"dtau": 1, "dxi": 1, "deta": 1},
 ]
+_FD_AXES = ("dtau", "dsigma", "dxi", "deta", "dmu", "dnu")
 
 
 @pytest.mark.parametrize("orders", _PDE_DERIVATIVES)
 def test_derivative_exact_on_cubics(orders):
+    # the central-difference oracle's stencils: each derivative has total
+    # order >= 2, so its stencil is exact on cubics
     rng = np.random.default_rng(7)
     powers = [p for p in itertools.product(range(4), repeat=6) if sum(p) <= 3]
     for _ in range(3):
         coeffs = rng.uniform(-1.0, 1.0, len(powers))
 
         def f(**offsets):
-            x = [offsets.get(axis, 0.0) for axis in analysis._PDE_AXES]
+            x = [offsets.get(axis, 0.0) for axis in _FD_AXES]
             return sum(c * np.prod([xa**pa for xa, pa in zip(x, p)])
                        for c, p in zip(coeffs, powers))
 
-        target = tuple(orders.get(axis, 0) for axis in analysis._PDE_AXES)
+        target = tuple(orders.get(axis, 0) for axis in _FD_AXES)
         exact = coeffs[powers.index(target)] * np.prod([math.factorial(n) for n in target])
         for h in (0.05, 0.025):
-            assert analysis._derivative(f, h, **orders) == pytest.approx(exact, abs=1e-9)
+            assert central_difference(f, h, **orders) == pytest.approx(exact, abs=1e-9)
 
 
 @pytest.mark.parametrize("orders", [{"dtau": 1}, {"dxi": 2}, {"dtau": 3, "dxi": 1}])
@@ -369,54 +387,88 @@ def test_derivative_skips_zero_weight_points(orders):
         calls.append(tuple(round(offsets[axis] / h) for axis in orders))
         return 1.0
 
-    analysis._derivative(f, h, **orders)
+    central_difference(f, h, **orders)
     nonzero = {1: (-1, 1), 2: (-1, 0, 1), 3: (-2, -1, 1, 2)}
     expected = set(itertools.product(*(nonzero[n] for n in orders.values())))
     assert sorted(calls) == sorted(expected)  # each once, none at zero weight
 
 
-def test_pde_study_computes_each_query_once(monkeypatch):
-    _, study = _recorded_run(monkeypatch, PdeGrid(nodes_per_ray=48))
-    # the h and h/2 passes share the base point and +-h along tau and xi
-    assert len(study) == len(set(study)) == 130
-    # a constant log P settles at once, at 48 nodes per ray: the probe adds
-    # the base point and the far corner at 32, and the far corner at 48
-    _, queries = _recorded_run(monkeypatch, PdeGrid())
-    assert len(queries) == len(set(queries)) == 133
-    probe = set(queries) - set(study)
-    assert sorted(q.contour.nodes_per_ray for q in probe) == [32, 32, 48]
+@functools.cache
+def _default_pde_log_p(offsets: tuple) -> float:
+    """Uncertified log P at the default grid shifted by offsets (one per
+    _FD_AXES), on the study's contour at 48 nodes per ray."""
     grid = PdeGrid()
-    corner = max(probe, key=lambda q: q.times[1])
-    assert corner.times == pytest.approx((grid.tau - grid.sigma,
-                                          grid.tau + grid.sigma + 4.0 * grid.h))
+    tau, sigma, xi, eta, mu, nu = (getattr(grid, axis[1:]) + off
+                                   for axis, off in zip(_FD_AXES, offsets))
+    return log_gap_probability(GapQuery(
+        family="pearcey", times=(tau - sigma, tau + sigma),
+        windows=((xi - eta + nu, xi - eta - nu), (xi + eta + mu, xi + eta - mu)), m=grid.m,
+        contour=replace(analysis._pde_contour(grid), nodes_per_ray=48), certify=False))
+
+
+@pytest.mark.parametrize("orders", _PDE_DERIVATIVES)
+def test_pde_partials_match_central_differences(orders):
+    # each exact partial of the study's log det is the limit of central
+    # differences of the library's log P: the error quarters as h halves
+    grid = PdeGrid(nodes_per_ray=48)
+    exact = analysis._pde_partials(grid, analysis._pde_contour(grid), 1)[
+        analysis._index(axis[1:] for axis, k in orders.items() for _ in range(k))]
+    errors = [central_difference(
+        lambda **off: _default_pde_log_p(tuple(off.get(axis, 0.0) for axis in _FD_AXES)),
+        h, **orders) - exact for h in (0.05, 0.025)]
+    assert abs(errors[0]) <= 1e-3
+    assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.2)
+
+
+def test_pde_study_computes_each_query_once(monkeypatch):
+    # each level of the study is evaluated once: m for the probe and the
+    # certificate, 2m for the reported terms
+    _, levels = _recorded_run(monkeypatch, PdeGrid(nodes_per_ray=48), _constant_partials)
+    assert levels == [(48, 1), (48, 2)]
+    # constant partials settle at once, at 48 nodes per ray: the probe reads
+    # m at 32 and 48, and only the settled count runs 2m
+    _, levels = _recorded_run(monkeypatch, PdeGrid(), _constant_partials)
+    assert levels == [(32, 1), (48, 1), (48, 2)]
 
 
 def test_pde_fixed_ray_nodes_skip_the_probe(monkeypatch):
-    _, queries = _recorded_run(monkeypatch, PdeGrid(nodes_per_ray=128))
-    assert len(queries) == 130
-    assert {q.contour.nodes_per_ray for q in queries} == {128}
+    rep, levels = _recorded_run(monkeypatch, PdeGrid(nodes_per_ray=128), _constant_partials)
+    assert levels == [(128, 1), (128, 2)]
+    assert rep.summary["nodes_per_ray"] == 128
+    assert rep.summary["ray_convergence"] is None
 
 
 def test_pde_ray_nodes_that_never_settle_raise(monkeypatch):
-    # log P moving by 1/n at every level never agrees within the tolerance
-    with pytest.raises(AccuracyError, match="far corner|base point"):
-        _recorded_run(monkeypatch, PdeGrid(), lambda query: 1.0 / query.contour.nodes_per_ray)
+    # partials moving by 1/n at every level never agree within the tolerance
+    with pytest.raises(AccuracyError, match="at the base point"):
+        _recorded_run(monkeypatch, PdeGrid(),
+                      lambda n: dict.fromkeys(analysis._PDE_PARTIALS, 1.0 / n))
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"sigma": 0.05, "h": 0.05},
+        {"sigma": 0.0},
         {"mu": 0.3},
         {"nu": 0.0},
-        {"h": 0.0},
+        {"tau": 0.25},
         {"tau": 9.8},
-        {"sigma": 3.95},
+        {"sigma": 4.0},
+        {"m": 24.5},
+        {"m": np.float64(24.0)},
+        {"m": 1},
+        {"nodes_per_ray": 48.5},
+        {"nodes_per_ray": 2},
     ],
 )
 def test_pde_grid_validation(kwargs):
     with pytest.raises(DomainError):
         PdeGrid(**kwargs)
+
+
+def test_pde_grid_accepts_numpy_integers():
+    grid = PdeGrid(m=np.int64(16), nodes_per_ray=np.int32(48))
+    assert (grid.m, grid.nodes_per_ray) == (16, 48)
 
 
 _NON_FINITE_CALLS = {
@@ -432,7 +484,7 @@ _NON_FINITE_CALLS = {
     "identities-y": (identity_grid_study, ([0.0], [-math.inf], [0.3]), {}),
     "identities-s": (identity_grid_study, ([0.0], [0.0], [math.nan]), {}),
     **{f"pde-{name}": (PdeGrid, (), {name: math.nan})
-       for name in ("tau", "sigma", "xi", "eta", "mu", "nu", "h")},
+       for name in ("tau", "sigma", "xi", "eta", "mu", "nu", "m", "nodes_per_ray")},
 }
 
 

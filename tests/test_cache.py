@@ -504,3 +504,34 @@ def test_pearcey_block_keys_carry_the_ray_count_of_their_determinant(tmp_path, m
     assert warm == cold
     assert rerun == cold
     assert cache.misses == misses  # a warm rerun computes no block
+
+
+def test_cache_record_is_made_once_per_determinant(tmp_path, monkeypatch):
+    # every block of a determinant shares its query's record (for Pearcey, a
+    # contour repr), so the certified query makes it once at m and once at
+    # 2m, not once per block; the keys, so the values, are those of a cold run
+    from pearceygap import fredholm
+
+    query = GapQuery(family="pearcey", times=(3.0, 4.0), windows=((-3.0, 3.0), (-3.5, 3.5)),
+                     m=10, contour=PearceyContour(radius=4.5, nodes_per_ray=48))
+    cold = log_gap_probability(query)
+    records = []
+    block, record = fredholm._FAMILIES["pearcey"]
+
+    def counted(q):
+        records.append(record(q))
+        return records[-1]
+
+    monkeypatch.setitem(fredholm._FAMILIES, "pearcey", (block, counted))
+    values = []
+    for session in range(2):
+        cache = KernelCache(str(tmp_path))
+        set_block_cache(cache)
+        try:
+            values.append(log_gap_probability(query))
+        finally:
+            set_block_cache(None)
+            cache.close()
+    assert records == [repr(query.contour)] * 4  # two determinants per session
+    assert values == [cold, cold]
+    assert (cache.hits, cache.misses) == (8, 0)

@@ -52,10 +52,10 @@ def test_config_roundtrip_customized():
 
 
 def test_config_ignores_comments_and_blank_lines():
-    text = "# comment\n\nstudy.kind = pde\npde.step = 0.025\n"
+    text = "# comment\n\nstudy.kind = pde\npde.nodes = 16\n"
     config = parse_config(text)
     assert config.kind == "pde"
-    assert config.pde_step == 0.025
+    assert config.pde_nodes == 16
 
 
 @pytest.mark.parametrize(
@@ -194,7 +194,7 @@ def test_inconclusive_study_exits_2(tmp_path, monkeypatch):
         ["gap", "--family", "pearcey", "--times", "nan", "--windows", "-1:1", "--no-cache"],
         ["gap", "--family", "pearcey", "--times", "inf", "--windows", "-1:1", "--no-cache"],
         ["pde", "--tau", "nan", "--no-cache"],
-        ["pde", "--step", "nan", "--no-cache"],
+        ["pde", "--mu", "nan", "--no-cache"],
         ["theorem", "--tau1", "30,nan", "--no-cache"],
         ["identities", "--tolerance", "nan", "--no-cache"],
         ["theorem", "--single-time", "--windows", "", "--no-cache"],  # no window to take
@@ -360,7 +360,7 @@ _STUDY_PARAMS = {
     "prop21": ("t", "s", "z_grid"),
     "theorem": ("tau1_grid", "t1", "t2", "airy_windows", "m", "single_time", "ablate",
                 "certify"),
-    "pde": ("tau", "sigma", "xi", "eta", "mu", "nu", "h", "m", "nodes_per_ray"),
+    "pde": ("tau", "sigma", "xi", "eta", "mu", "nu", "m", "nodes_per_ray"),
     "oracle-painleve": ("s_min", "s_max", "step"),
 }
 

@@ -320,6 +320,62 @@ def test_folded_direct_blocks_match_the_four_ray_sum():
                 assert np.max(np.abs(got - ref.real) / scale) <= 1e-14
 
 
+def _four_ray_sides(tau_i, tau_j, xis, etas, n):
+    """Signed nodes and weights of all four X rays and both Y rays, and the
+    exponentials of both sides, for the block (tau_i, xis) x (tau_j, etas)."""
+    contour = PearceyContour(nodes_per_ray=n)
+    u, wu = pearcey_process._signed_rays(
+        pearcey_process._x_rays(contour, tau_i, np.max(np.abs(xis))), n)
+    v, wv = pearcey_process._signed_rays(
+        pearcey_process._y_rays(contour, tau_j, np.max(np.abs(etas))), n)
+    fu = np.exp(u[:, None] ** 4 / 4 - tau_i * u[:, None] ** 2 / 2 + u[:, None] * xis)
+    fv = np.exp(-(v[:, None] ** 4) / 4 + tau_j * v[:, None] ** 2 / 2 - v[:, None] * etas)
+    return u, wu, fu, v, wv, fv
+
+
+def test_moment_grids_match_the_four_ray_sums():
+    # the v^d-weighted blocks and the single-side sums of two seeded queries
+    # (every window its own ray system), against the double sums over all
+    # four X rays, relative to the sum of the terms' magnitudes; the Gaussian
+    # term's x-derivatives against their closed forms
+    powers, moments, pref = 3, 4, -1.0 / (4 * math.pi**2)
+    for times, windows in seeded_pearcey_draws()[:2]:
+        pts = [gauss_rule(16, a, b).nodes for a, b in windows]
+        grids, su, sv = pearcey_process.direct_moment_grids(
+            times, pts, PearceyContour(nodes_per_ray=48), powers, moments)
+        for i, j in itertools.product(range(2), repeat=2):
+            u, wu, fu, v, wv, fv = _four_ray_sides(times[i], times[j], pts[i], pts[j], 48)
+            cauchy = wu[:, None] / (v[None, :] - u[:, None]) * wv
+            dx = pts[i][:, None] - pts[j][None, :]
+            dt = times[j] - times[i]
+            for d in range(powers):
+                ref = pref * (fu.T @ (cauchy * v**d) @ fv)
+                scale = abs(pref) * (np.abs(fu).T @ np.abs(cauchy * v**d) @ np.abs(fv))
+                if dt > 0:
+                    p = pearcey_gauss_term(dt, pts[i][:, None], pts[j][None, :])
+                    gauss = [p, -dx / dt * p, (dx**2 / dt**2 - 1 / dt) * p][d]
+                    ref = ref - gauss
+                    scale = scale + [p, np.abs(dx) / dt * p, (dx**2 / dt**2 + 1 / dt) * p][d]
+                assert np.max(np.abs(grids[i, j][d] - ref.real) / scale) <= 1e-14
+            # (u - v) cancels 1 / (v - u): -pref times the product of two sums
+            for p_, q in itertools.product(range(moments), repeat=2):
+                lo, hi = (wu * u**p_) @ fu, (wv * v**q) @ fv
+                ref = -pref * np.outer(lo, hi)
+                scale = abs(pref) * np.outer(np.abs(wu * u**p_) @ np.abs(fu),
+                                             np.abs(wv * v**q) @ np.abs(fv))
+                got = np.outer(su[i][p_], sv[j][q]).real
+                assert np.max(np.abs(got - ref.real) / scale) <= 1e-14
+        assert np.array_equal(grids[0, 1][0], pearcey_block_grid(
+            times[0], times[1], pts[0], pts[1], PearceyContour(nodes_per_ray=48)))
+
+
+def test_moment_grids_need_a_folding_contour():
+    with pytest.raises(ContourError, match="folded"):
+        pearcey_process.direct_moment_grids(
+            (1.0, 2.0), (np.zeros(2), np.ones(2)),
+            PearceyContour(sigma1p=0.7, nodes_per_ray=48), 1, 1)
+
+
 def test_folded_conjugated_blocks_match_the_two_ray_sum():
     # every block of the default theorem study: its tau1 grid, the Airy
     # times -0.5 and 0.5, window (-1, 6) at m = 30, 64 nodes per ray

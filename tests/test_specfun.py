@@ -7,7 +7,7 @@ import pytest
 
 from pearceygap import specfun
 from pearceygap.exceptions import AccuracyError, ContourError, DomainError, ValidityError
-from pearceygap.specfun import QuadratureRule, airy, airy_derivs_upto, gauss_rule
+from pearceygap.specfun import QuadratureRule, airy, airy_derivs_upto, gauss_rule, ray_rule
 
 from oracles import airy_deriv
 
@@ -256,6 +256,22 @@ def test_gauss_rule_rejects_bad_interval():
         gauss_rule(0, 0.0, 1.0)
     with pytest.raises(DomainError):
         gauss_rule(4, 0.0, float("inf"))
+
+
+@pytest.mark.parametrize("count", [2.5, np.float64(3.9), 4.0, "4", None])
+def test_rules_reject_non_integer_node_counts(count):
+    # a float count is refused, not truncated to fewer nodes
+    with pytest.raises(DomainError, match="node count must be an integer"):
+        gauss_rule(count, 0.0, 1.0)
+    with pytest.raises(DomainError, match="node count must be an integer"):
+        ray_rule(0j, 1.0, 2.0, count)
+
+
+def test_rules_accept_numpy_integer_node_counts():
+    assert gauss_rule(np.int64(3), 0.0, 1.0).nodes.size == 3
+    nodes, weights = ray_rule(0j, 1.0, 2.0, np.int32(5))
+    assert nodes.size == weights.size == 5
+    assert np.array_equal(gauss_rule(np.int64(3), 0.0, 1.0).nodes, gauss_rule(3, 0.0, 1.0).nodes)
 
 
 def test_airy_vector_matches_scalar():
