@@ -28,7 +28,7 @@ from .pearcey_process import (
     direct_moment_grids,
     ray_radius_bound,
 )
-from .scaling import ScalingParams, match_tau2, t_from_tau
+from .scaling import ScalingParams, _require_finite, match_tau2, t_from_tau
 from .specfun import airy_derivs_upto, gauss_rule, walk_ladder
 
 __all__ = [
@@ -88,13 +88,6 @@ class StudyReport:
         if self.passed is None:
             return "inconclusive"
         return "pass" if self.passed else "fail"
-
-
-def _require_finite(**values) -> None:
-    """Reject a non-finite number in any of the named scalars or grids."""
-    for name, value in values.items():
-        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            raise DomainError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------

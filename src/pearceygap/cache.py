@@ -3,8 +3,8 @@ per-root process lock, which a cache takes when it first touches its root.
 
 Entries are keyed by a SHA-256 over (family, block times, a record of the
 family's fixed data such as the contour, node coordinates), so identical
-kernel blocks are recognized across runs and across the many stencil shifts
-of the PDE study that share times.
+kernel blocks are recognized across runs and across the queries of one run
+that share them; the pde study builds its derivative blocks and reads none.
 A session writes the blocks it stores to one pack file, which it publishes
 when it closes (KernelCache).  Each entry carries a digest over its key and
 its values; a pack with an entry or a footer that fails its checks (torn

@@ -27,14 +27,16 @@ the half system, which covers the mirrored half exactly.
   radius for all rays.  A fixed radius (ray_radius_bound over a whole study's
   reach) gives every block the same ray nodes, so their Cauchy matrix is built
   once.  A block is a product of two sides, K-tilde_ij = G_i F_j
-  with G_i = exp(eu_i)^T M and F_j = exp(ev_j); each side, checked, is built
-  once per key in the caller's ``sides`` dict (one per Fredholm determinant).
+  with G_i = exp(eu_i)^T M and F_j = exp(ev_j), ev = -eu at the v nodes.  One
+  builder makes each window's side (rays, signed nodes and weights, checked
+  exponential) once per key in the caller's ``sides`` dict (one per Fredholm
+  determinant), and one product every direct grid, with G_i once per u side.
   The fold needs sigma1 == sigma1p, sigma2 == sigma2p and tau_ang == tau_angp,
   as on the default contour and every study's; a contour without that
   symmetry sums all four X rays in complex arithmetic, and only there
   _to_real checks that the imaginary part is rounding.  Derivatives of direct
-  blocks in their times and points (direct_moment_grids) take the same sides:
-  each one weighs the double integral by a polynomial in u and v.
+  blocks in their times and points (direct_moment_grids) are that product
+  with v^d in the double integral, and sums over the same sides.
 
 * **recentred** -- change of variables U = A_i (1 + 3 u z^4),
   V = A_j (1 + 3 v z^4) placing O(1)-length contours through the saddle
@@ -158,8 +160,8 @@ class PearceyContour:
                 raise ContourError(
                     f"{name}={ang:.6f} outside the Y band (3pi/8, 5pi/8)"
                 )
-        if self.radius is not None and self.radius <= 0.0:
-            raise ContourError("truncation radius must be positive")
+        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ContourError(f"radius must be finite and positive, got {self.radius}")
         n = self.nodes_per_ray
         if not isinstance(n, numbers.Integral) or (n and n < 4):
             raise ContourError(f"nodes_per_ray must be an integer, 0 or >= 4, got {n!r}")
@@ -315,7 +317,7 @@ def _folds(contour: PearceyContour) -> bool:
             and contour.tau_ang == contour.tau_angp)
 
 
-@lru_cache(maxsize=2)  # the pde probe walks two levels on one shared ray geometry
+@lru_cache(maxsize=2)  # the pde walk's two levels (32, 48; 2m reuses 48): a rerun builds neither
 def _ray_system(xray: tuple, yray: tuple, n: int):
     """X and Y nodes and the Cauchy matrix of both ray systems.  It depends
     only on the ray geometry, so blocks under a fixed-radius contour (one per
@@ -328,37 +330,40 @@ def _ray_system(xray: tuple, yray: tuple, n: int):
     return u, v, m
 
 
-def _u_side(u, tau, xis, n):
-    """exp(u^4/4 - tau u^2/2 + u xi) at the u nodes (rows) and xis (columns)."""
-    u = u[:, None]
-    return _exp_side((u**4 / 4.0 - 0.5 * tau * u**2) + u * xis[None, :], n, "u")
-
-
-def _v_side(v, tau, etas, n):
-    """exp(-v^4/4 + tau v^2/2 - v eta) at the v nodes (rows) and etas (columns)."""
-    v = v[:, None]
-    return _exp_side((-(v**4) / 4.0 + 0.5 * tau * v**2) - v * etas[None, :], n, "v")
-
-
-def _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides):
-    """-G F / (4 pi^2) from the u-side G = exp(eu)^T M of (tau_i, xis) and the
-    v-side F = exp(ev) of (tau_j, etas), each built once per key in sides.
-    A folding contour takes the upper X rays only and the v-side on the first
-    Y ray only (the second's rows are its conjugate): -Re(G F) / (2 pi^2)."""
+def _side(sides, contour, n, tag, tau, pts):
+    """A window's side, memoized in sides: its rays (tag "u": the X rays, the
+    upper pair on a folding contour; "v": the Y rays), their signed nodes and
+    weights, and the checked exp(eu), eu = w^4/4 - tau w^2/2 + w xi, at the u
+    nodes w, or exp(-eu) at the v nodes (the first Y ray's on a folding contour)."""
     fold = _folds(contour)
-    xray = _x_rays(contour, tau_i, float(np.max(np.abs(xis))))
-    xray = tuple(xray[:2] if fold else xray)
-    yray = tuple(_y_rays(contour, tau_j, float(np.max(np.abs(etas)))))
-    u, v, m = _ray_system(xray, yray, n)
-    ukey = ("u", tau_i, xis.tobytes(), xray, yray, n)
-    if ukey not in sides:
-        sides[ukey] = _u_side(u, tau_i, xis, n).T @ m
-    vkey = ("v", tau_j, etas.tobytes(), yray, n, fold)
-    if vkey not in sides:
-        sides[vkey] = _v_side(v[:n] if fold else v, tau_j, etas, n)
-    if fold:
-        return -_fold_product(sides[ukey], sides[vkey], n) / (2.0 * math.pi**2)
-    return _to_real(-(sides[ukey] @ sides[vkey]) / (4.0 * math.pi**2))
+    coord_max = float(np.max(np.abs(pts)))
+    rays = tuple(_x_rays(contour, tau, coord_max)[:2 if fold else 4] if tag == "u"
+                 else _y_rays(contour, tau, coord_max))
+    key = (tag, tau, pts.tobytes(), rays, n, fold)
+    if key not in sides:
+        w, wt = _signed_rays(rays, n)
+        at = (w[:n] if fold and tag == "v" else w)[:, None]
+        expo = (at**4 / 4.0 - 0.5 * tau * at**2) + at * pts
+        sides[key] = rays, w, wt, _exp_side(expo if tag == "u" else -expo, n, tag)
+    return sides[key]
+
+
+def _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides, powers=1):
+    """The K-tilde grids with v^d in the double integral, d < powers, stacked:
+    -G (v^d F) / (4 pi^2), from the u side (tau_i, xis) and the v side
+    F = exp(ev) of (tau_j, etas), with G = exp(eu)^T M built once per u side
+    and Y rays; the sides and G are memoized in sides.  A folding contour
+    takes the upper X rays and F on the first Y ray: -Re(G v^d F) / (2 pi^2)."""
+    xray, _, _, eu = _side(sides, contour, n, "u", tau_i, xis)
+    yray, v, _, ev = _side(sides, contour, n, "v", tau_j, etas)
+    gkey = ("G", tau_i, xis.tobytes(), xray, yray, n)
+    if gkey not in sides:
+        sides[gkey] = eu.T @ _ray_system(xray, yray, n)[2]
+    g = sides[gkey]
+    weighted = np.vander(v[:len(ev)], powers, increasing=True).T[:, :, None] * ev
+    if _folds(contour):
+        return np.stack([-_fold_product(g, e, n) for e in weighted]) / (2.0 * math.pi**2)
+    return np.stack([_to_real(-(g @ e) / (4.0 * math.pi**2)) for e in weighted])
 
 
 def direct_moment_grids(taus, points, contour, powers: int, moments: int):
@@ -378,36 +383,25 @@ def direct_moment_grids(taus, points, contour, powers: int, moments: int):
     * the outer products Re(su[i][p] x sv[j][q]), p, q < moments, of
       single-side sums: the block with (u - v) u^p v^q in its double
       integral, whose u - v cancels the Cauchy factor.
-    Every side is checked as in a block, and each window's sides are built
-    once for all of its blocks."""
+    The grids are _direct_grid's, as every block's, over one sides dict: each
+    window's sides are built and checked once, and the sums read them too."""
     if not _folds(contour):
         raise ContourError("derivative grids need a contour folded by its conjugate symmetry")
     n = _ray_count(contour)
-    xrays, eu, su, yrays, vpow, ev, sv = [], [], [], [], [], [], []
+    sides, grids, su, sv = {}, {}, [], []
+    for i, j in np.ndindex(len(taus), len(taus)):
+        grids[i, j] = _direct_grid(taus[i], taus[j], points[i], points[j], contour, n,
+                                   sides, powers)
+        if taus[i] < taus[j]:
+            grids[i, j] -= _gauss_x_derivatives(taus[j] - taus[i], points[i], points[j], powers)
     for tau, xs in zip(taus, points):
-        coord_max = float(np.max(np.abs(xs)))
-        xrays.append(tuple(_x_rays(contour, tau, coord_max)[:2]))
-        u, wu = _signed_rays(xrays[-1], n)
-        eu.append(_u_side(u, tau, xs, n))
+        _, u, wu, eu = _side(sides, contour, n, "u", tau, xs)
         # all u rays sum to 2 Re of the upper X rays' share, whence 2 / (4 pi^2)
-        su.append(np.vander(u, moments, increasing=True).T * wu @ eu[-1] / (2.0 * math.pi**2))
-        yrays.append(tuple(_y_rays(contour, tau, coord_max)))
-        v, wv = _signed_rays(yrays[-1], n)
-        vpow.append(np.vander(v[:n], powers, increasing=True).T[:, :, None])
-        ev.append(_v_side(v[:n], tau, xs, n))
+        su.append(np.vander(u, moments, increasing=True).T * wu @ eu / (2.0 * math.pi**2))
+        _, v, wv, ev = _side(sides, contour, n, "v", tau, xs)
         # the second Y ray's nodes and exponentials are the first's conjugates
         vw = np.vander(v, moments, increasing=True).T * wv
-        sv.append(vw[:, :n] @ ev[-1] + vw[:, n:] @ ev[-1].conj())
-    g, grids = {}, {}
-    for i, j in np.ndindex(len(taus), len(taus)):
-        # the u side of window i against the v rays of window j
-        if (i, yrays[j]) not in g:
-            g[i, yrays[j]] = eu[i].T @ _ray_system(xrays[i], yrays[j], n)[2]
-        out = np.stack([-_fold_product(g[i, yrays[j]], e, n) for e in vpow[j] * ev[j]])
-        out /= 2.0 * math.pi**2
-        if taus[i] < taus[j]:
-            out -= _gauss_x_derivatives(taus[j] - taus[i], points[i], points[j], powers)
-        grids[i, j] = out
+        sv.append(vw[:, :n] @ ev + vw[:, n:] @ ev.conj())
     return grids, su, sv
 
 
@@ -589,7 +583,7 @@ def _tilde_grid(tau_i, tau_j, xis, etas, contour, sides=None):
     spec = contour.recenter
     n = _ray_count(contour)
     if spec is None:
-        return _direct_grid(tau_i, tau_j, xis, etas, contour, n, {} if sides is None else sides)
+        return _direct_grid(tau_i, tau_j, xis, etas, contour, n, {} if sides is None else sides)[0]
     t_i, t_j = t_from_tau(tau_i, spec.z), t_from_tau(tau_j, spec.z)
     xs = x_from_xi(xis, tau_i)
     ys = x_from_xi(etas, tau_j)

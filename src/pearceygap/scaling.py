@@ -9,6 +9,7 @@ fixed to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,18 @@ __all__ = [
 ]
 
 
+def _require_finite(**values) -> None:
+    """Reject a non-finite number in any of the named scalars or grids."""
+    for name, value in values.items():
+        # the float test is the cheap one: the maps run inside for_theorem's root finder
+        if not (math.isfinite(value) if isinstance(value, float)
+                else np.all(np.isfinite(np.asarray(value, dtype=float)))):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def tau_from_z(z: float, t_i: float) -> float:
     """Pearcey time for scale z and Airy time t_i: (1 + 6 t_i z^4)/(3 z^6)."""
+    _require_finite(z=z, t_i=t_i)
     if not 0.0 < z < 1.0:
         raise DomainError(f"scale parameter must be in (0, 1), got {z}")
     return (1.0 + 6.0 * t_i * z**4) / (3.0 * z**6)
@@ -35,6 +46,7 @@ def tau_from_z(z: float, t_i: float) -> float:
 
 def t_from_tau(tau: float, z: float) -> float:
     """Invert tau_from_z at fixed z: t = (3 z^6 tau - 1)/(6 z^4)."""
+    _require_finite(tau=tau, z=z)
     if not 0.0 < z < 1.0:
         raise DomainError(f"scale parameter must be in (0, 1), got {z}")
     return (3.0 * z**6 * tau - 1.0) / (6.0 * z**4)
@@ -43,6 +55,7 @@ def t_from_tau(tau: float, z: float) -> float:
 def x_from_xi(xi, tau: float):
     """Airy space coordinate of a Pearcey coordinate xi at time tau:
     x = ((2/27)(3 tau)^{3/2} - xi) / (3 tau)^{1/6}."""
+    _require_finite(xi=xi, tau=tau)
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
     xi = np.asarray(xi, dtype=float)
@@ -56,6 +69,7 @@ def match_tau2(tau1: float, t1: float, t2: float) -> float:
     tau2 = tau1 + 2(t2-t1) [ (3 tau1)^(1/3) + (t2-t1)/(3 tau1)^(1/3)
                              + 2 t1 t2 / (3 tau1) ].
     """
+    _require_finite(tau1=tau1, t1=t1, t2=t2)
     if tau1 <= 0.0:
         raise DomainError(f"tau1 must be positive, got {tau1}")
     if t2 <= t1:
@@ -67,6 +81,7 @@ def match_tau2(tau1: float, t1: float, t2: float) -> float:
 
 def t_from_u(u_i: float, z: float) -> float:
     """The re-substituted Airy time t = u (1 + u z^4)."""
+    _require_finite(u_i=u_i, z=z)
     if not 0.0 < z < 1.0:
         raise DomainError(f"scale parameter must be in (0, 1), got {z}")
     return u_i * (1.0 + u_i * z**4)
@@ -87,6 +102,7 @@ class ScalingParams:
     @classmethod
     def from_z(cls, z: float, t: float = 0.0, s: float = 0.0) -> "ScalingParams":
         """Exact z-parametrization: both taus from tau_from_z."""
+        _require_finite(z=z, t=t, s=s)
         t1, t2 = t + s, t - s
         return cls(z=z, t1=t1, t2=t2, tau1=tau_from_z(z, t1), tau2=tau_from_z(z, t2))
 
@@ -98,6 +114,7 @@ class ScalingParams:
         inverts the time map at the matched tau2, so both (tau_i, t_i) pairs
         satisfy the blow-up relation exactly.
         """
+        _require_finite(tau1=tau1, u1=u1, u2=u2)
         if tau1 <= 0.0:
             raise DomainError(f"tau1 must be positive, got {tau1}")
         if u2 <= u1:
@@ -118,6 +135,7 @@ class ScalingParams:
     @classmethod
     def for_single_time(cls, tau: float) -> "ScalingParams":
         """One-time parametrization at t = 0: z = (3 tau)^{-1/6}."""
+        _require_finite(tau=tau)
         if tau <= 0.0:
             raise DomainError(f"tau must be positive, got {tau}")
         z = (3.0 * tau) ** (-1.0 / 6.0)

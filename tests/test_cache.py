@@ -17,6 +17,8 @@ from pearceygap.fredholm import GapQuery, log_gap_probability, set_block_cache
 from pearceygap.pearcey_process import PearceyContour
 from pearceygap.specfun import gauss_rule
 
+from oracles import seeded_pearcey_draws
+
 
 def test_block_key_is_stable_and_discriminating():
     x = np.linspace(-1.0, 6.0, 8)
@@ -468,6 +470,22 @@ def test_warm_cache_two_time_pearcey(tmp_path):
     assert first == cold
     assert second == first
     assert cache.hits >= 4  # 2x2 block structure replayed from cache
+    # the seeded sweep's queries, certified at m = 20, in two sessions on one
+    # root: the second reads every block the first computed from its pack
+    seeded = [GapQuery(family="pearcey", times=times, windows=windows, m=20)
+              for times, windows in seeded_pearcey_draws()]
+    sessions = []
+    for _ in range(2):
+        cache = KernelCache(str(tmp_path / "seeded"))
+        set_block_cache(cache)
+        try:
+            sessions.append(([log_gap_probability(q) for q in seeded], cache.hits, cache.misses))
+        finally:
+            set_block_cache(None)
+            cache.close()
+    (cold_values, _, cold_misses), (warm_values, warm_hits, warm_misses) = sessions
+    assert cold_misses > 0 and (warm_hits, warm_misses) == (cold_misses, 0)
+    assert warm_values == cold_values
 
 
 def test_pearcey_block_keys_carry_the_ray_count_of_their_determinant(tmp_path, monkeypatch):

@@ -355,6 +355,18 @@ def test_pearcey_query_that_does_not_settle_is_an_accuracy_error(monkeypatch):
         log_gap_probability(query)
 
 
+def test_determinant_level_builds_each_window_side_once(monkeypatch):
+    # one level of a two-window determinant with per-block radii: each window
+    # has one u side and one v side, whatever the other window's rays
+    tags, exp_side = [], pearcey_process._exp_side
+    monkeypatch.setattr(pearcey_process, "_exp_side",
+                        lambda expo, n, tag: tags.append(tag) or exp_side(expo, n, tag))
+    query = GapQuery(family="pearcey", times=(3, 4), windows=((-3, 3), (-3.5, 3.5)), m=20,
+                     contour=PearceyContour(nodes_per_ray=48))
+    fredholm._log_det(query, 1)
+    assert sorted(tags) == ["u", "u", "v", "v"]
+
+
 def test_pearcey_query_refuses_by_the_ladder_top(monkeypatch):
     # the tau = 0 window (-30, 30) never settles; the walk stops at 512 nodes
     # per ray and never builds a larger ray system

@@ -131,6 +131,14 @@ def test_contour_nodes_per_ray_must_be_an_integer():
         PearceyContour(nodes_per_ray=48))
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_contour_radius_must_be_finite_and_positive(radius):
+    # nan and inf were accepted and failed later, inside gauss_rule, naming no
+    # contour field
+    with pytest.raises(ContourError, match="radius must be finite"):
+        PearceyContour(radius=radius)
+
+
 def test_recenter_band_validation():
     with pytest.raises(ContourError):
         RecenterSpec(z=0.3, u_angle=math.pi / 6 - 0.01)
@@ -254,15 +262,16 @@ def test_fixed_radius_blocks_share_one_ray_system():
 def test_determinant_walk_reuses_each_ray_system(monkeypatch):
     # a fixed radius with nodes_per_ray=0: the determinant walks the ray
     # ladder at m (32, then 48, where it settles) and runs 2m at 48, all on
-    # one ray geometry, so the Cauchy matrix is built once per level; each of
-    # the 3 x 4 blocks looks its ray system up once
+    # one ray geometry, so the Cauchy matrix is built once per level; each
+    # level looks it up once per u side (its two windows), and the blocks
+    # that share a u side and the Y rays share that side's product with it
     query = GapQuery(family="pearcey", times=(3, 4), windows=((-3, 3), (-3.5, 3.5)),
                      contour=PearceyContour(radius=4.5))
     cached = pearcey_process._ray_system
     cached.cache_clear()
     value = log_gap_probability(query)
     info = cached.cache_info()
-    assert (info.misses, info.hits) == (2, 10)
+    assert (info.misses, info.hits) == (2, 4)
     # reuse changes no bit: a fresh build for every call gives the same log P
     monkeypatch.setattr(pearcey_process, "_ray_system", cached.__wrapped__)
     assert log_gap_probability(query) == value

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,25 @@ def test_scaling_params_single_time():
     _assert_blowup_consistent(p)
     assert abs(tau_from_z(p.z, 0.0) - 100.0) <= 1e-9
     assert p.t1 == p.t2 == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ScalingParams.for_theorem(math.nan, -0.5, 0.5), id="for_theorem-tau1"),
+    pytest.param(lambda: ScalingParams.for_theorem(30.0, math.nan, 0.5), id="for_theorem-u1"),
+    pytest.param(lambda: ScalingParams.for_theorem(30.0, -0.5, math.nan), id="for_theorem-u2"),
+    pytest.param(lambda: ScalingParams.for_single_time(math.inf), id="for_single_time"),
+    pytest.param(lambda: ScalingParams.from_z(0.3, math.nan), id="from_z-t"),
+    pytest.param(lambda: ScalingParams.from_z(0.3, 0.0, -math.inf), id="from_z-s"),
+    pytest.param(lambda: x_from_xi(0.0, math.inf), id="x_from_xi-tau"),
+    pytest.param(lambda: x_from_xi(np.array([0.0, math.nan]), 10.0), id="x_from_xi-xi"),
+    pytest.param(lambda: match_tau2(math.nan, 0.0, 1.0), id="match_tau2-tau1"),
+    pytest.param(lambda: match_tau2(1000.0, 0.0, math.nan), id="match_tau2-t2"),
+    pytest.param(lambda: t_from_tau(math.nan, 0.3), id="t_from_tau"),
+    pytest.param(lambda: tau_from_z(0.3, math.nan), id="tau_from_z"),
+    pytest.param(lambda: t_from_u(math.inf, 0.3), id="t_from_u"),
+])
+def test_scaling_maps_reject_non_finite_arguments(call):
+    # these passed nan or inf through, returned z = 0 for tau = inf, or
+    # failed inside scipy's root finder with a bare ValueError
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
