@@ -12,9 +12,10 @@ kernels, so agreement of two dyadic levels is a meaningful error bound.  A
 non-positive determinant of size at most that bound (1e-8) is below the
 resolvable floor and raises AccuracyError; a larger one raises ValidityError.
 
-Airy and direct Pearcey blocks are products of two sides, one per (time,
-window); each determinant gives its blocks one empty ``sides`` dict, so a
-side is built once, when a block needing it misses the block cache.  An Airy
+Every built-in family's block (Airy, direct or recentred Pearcey) is a
+product of two sides, one per (time, window); each determinant gives its
+blocks one empty ``sides`` dict, so a side is built once, when a block
+needing it misses the block cache.  An Airy
 cross-time block sizes its lambda-rule from its own times and points, so its
 value, like its cache key, does not depend on the rest of the determinant;
 the diagonal blocks are the static Airy kernel in closed form and need no
@@ -123,16 +124,17 @@ def set_block_cache(cache) -> None:
 
 
 # family -> (block routine (query, t_i, t_j, x_i, x_j, sides), cache record):
-# the record is the fixed data the routine reads besides its times and points,
-# None if uncached; the grids are looked up at call time, so a wrapper
-# installed on their module-level names sees every block
+# a built-in routine builds its sides into the determinant's sides; the record
+# is the fixed data the routine reads besides its times and points, None if
+# uncached; the grids are looked up at call time, so a wrapper installed on
+# their module-level names sees every block
 _FAMILIES = {
     # empty and complete: an Airy block's lambda-rule follows from its keyed times and points
     "airy": (lambda q, ti, tj, x, y, sides: airy_block_grid(ti, tj, x, y, sides), lambda q: ""),
     "pearcey": (lambda q, ti, tj, x, y, sides: pearcey_block_grid(ti, tj, x, y, q.contour, sides),
                 lambda q: repr(q.contour)),
     "pearcey-conjugated": (
-        lambda q, ti, tj, x, y, sides: conjugated_block_grid(q.z, ti, tj, x, y, q.contour),
+        lambda q, ti, tj, x, y, sides: conjugated_block_grid(q.z, ti, tj, x, y, q.contour, sides),
         lambda q: f"{q.contour!r}|z={q.z!r}"),
     "custom": (lambda q, ti, tj, x, y, sides: np.asarray(q.kernel(ti, tj, x, y), dtype=float),
                None),

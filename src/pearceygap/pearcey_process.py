@@ -51,7 +51,13 @@ the half system, which covers the mirrored half exactly.
   recentred block takes phi off again.  The left X-pair's contribution is
   exponentially small (e^{-3 tau^2/4}-sized) and is dropped; the mode
   therefore requires tau >= 5.  Its u and v rays are always a mirror pair
-  each, so it always folds: one u ray, and the v exponential on one ray.
+  each, so it always folds.  Its sides are memoized as direct ones, under
+  (tag, recentring record, Airy time, points, vertex, n, conjugated), which
+  fix the rays: the first u ray with its exponential, both v rays with the
+  first's.  The v vertex is -0.4, the u vertex 0.4 + max(0, t_j - t_i):
+  above the diagonal it offsets the z (t_j - t_i) in
+  V - U = z (t_j - t_i) + B_j v - B_i u (B ~ z), so the vertices stay about
+  0.8 z apart, and such a u side has its own key.
 """
 
 from __future__ import annotations
@@ -491,72 +497,59 @@ def _gauss_scalars(z: float, t_i: float, t_j: float):
     return {k: float(v) for k, v in out.items()}
 
 
-def _recentred_rays(spec: RecenterSpec, dt: float, cs_u, cs_v, xmax: float, ymax: float):
-    """Signed (u, v) ray systems through the separated vertices, for the
-    Airy-time difference dt = t_j - t_i: each a ray and its mirror image."""
-    u0, v0 = 0.4 + max(0.0, dt), -0.4
-
-    def radius(angle, cubic, lin):
-        c3 = abs(cubic) * abs(math.cos(3.0 * angle))
-        if c3 < 1e-3:
-            raise ContourError("recentred ray angle too close to a cubic-neutral direction")
-        return _ray_radius([c3 / 3.0, 0.0, -lin], 1.1)
-
-    ru = radius(spec.u_angle, cs_u["p3"], abs(cs_u["q1"]) * xmax + abs(cs_u["p1"]))
-    rv = radius(math.pi - spec.v_angle, cs_v["p3"], abs(cs_v["q1"]) * ymax + abs(cs_v["p1"]))
-    u_rays = [
-        (u0 + 0.0j, spec.u_angle, -1.0, ru),
-        (u0 + 0.0j, -spec.u_angle, +1.0, ru),
-    ]
-    v_rays = [
-        (v0 + 0.0j, math.pi - spec.v_angle, +1.0, rv),
-        (v0 + 0.0j, -(math.pi - spec.v_angle), -1.0, rv),
-    ]
-    return u_rays, v_rays
-
-
 def _quartic(cs, w):
     return cs["p0"] + w * (cs["p1"] + w * (cs["p2"] + w * (cs["p3"] + w * cs["p4"])))
 
 
-def _recentred_grid(spec, t_i, t_j, xs, ys, conjugated, n):
-    """Recentred K-tilde grid in Airy coordinates at Airy times (t_i, t_j).
+def _recentred_side(sides, spec, n, tag, t, pts, conjugated, vertex):
+    """A window's recentred side at Airy time t, memoized in sides under the
+    data that fix it: its rays through vertex (tag "u": the first ray of the
+    pair at u_angle; "v": the pair at pi - v_angle), their signed nodes w and
+    weights, and the checked exp(-/+ e) on the first ray,
+    e = quartic(w) + (q0 + q1 w) x + (h or phi)."""
+    key = (tag, spec, t, pts.tobytes(), vertex, n, conjugated)
+    if key not in sides:
+        cs = _side_coeffs(spec.z, t)
+        angle = spec.u_angle if tag == "u" else math.pi - spec.v_angle
+        c3 = abs(cs["p3"]) * abs(math.cos(3.0 * angle))
+        if c3 < 1e-3:
+            raise ContourError("recentred ray angle too close to a cubic-neutral direction")
+        lin = abs(cs["q1"]) * float(np.max(np.abs(pts))) + abs(cs["p1"])
+        radius = _ray_radius([c3 / 3.0, 0.0, -lin], 1.1)
+        sign = -1.0 if tag == "u" else +1.0
+        rays = ((vertex + 0.0j, angle, sign, radius),
+                (vertex + 0.0j, -angle, -sign, radius))[:1 if tag == "u" else 2]
+        w, wt = _signed_rays(rays, n)
+        g = _conj_h(spec.z, pts, t) if conjugated else cs["phi0"] + cs["phi1"] * pts
+        expo = (_quartic(cs, w[:n])[:, None]
+                + (cs["q0"] + cs["q1"] * w[:n])[:, None] * pts[None, :]) + g[None, :]
+        sides[key] = rays, w, wt, _exp_side(-expo if tag == "u" else expo, n, tag)
+    return sides[key]
+
+
+def _recentred_grid(spec, t_i, t_j, xs, ys, conjugated, n, sides):
+    """Recentred K-tilde grid in Airy coordinates at Airy times (t_i, t_j),
+    from the u side (t_i, xs) and the v side (t_j, ys) memoized in sides.
 
     conjugated=True returns the S-conjugated, Jacobian-weighted entries
     directly comparable to airy blocks; conjugated=False undoes the
     conjugation (the raw Pearcey kernel value in (xi, eta) coordinates, with
     no sqrt(dxi deta) weight)."""
-    cs_u = _side_coeffs(spec.z, t_i)
-    cs_v = _side_coeffs(spec.z, t_j)
+    cs_u, cs_v = _side_coeffs(spec.z, t_i), _side_coeffs(spec.z, t_j)
     if min(cs_u["tau"], cs_v["tau"]) < _RECENTER_TAU_MIN:
         raise ContourError(
             f"recentring requires tau >= {_RECENTER_TAU_MIN} (left X-pair drop)"
         )
-    xmax = float(np.max(np.abs(xs)))
-    ymax = float(np.max(np.abs(ys)))
-    u_rays, v_rays = _recentred_rays(spec, t_j - t_i, cs_u, cs_v, xmax, ymax)
-    # both ray pairs are conjugate: the u side runs on its first ray, the v
-    # side's exponential on its first ray, and the sum is 2 Re of that share
-    u, wu = _signed_rays(u_rays[:1], n)
-    v, wv = _signed_rays(v_rays, n)
+    _, u, wu, eu = _recentred_side(sides, spec, n, "u", t_i, xs, conjugated,
+                                   0.4 + max(0.0, t_j - t_i))
+    _, v, wv, ev = _recentred_side(sides, spec, n, "v", t_j, ys, conjugated, -0.4)
     # V - U in original variables, kept in the well-scaled z*O(1) form
     m = _cauchy(cs_u["B"] * u, wu, spec.z * (t_j - t_i) + cs_v["B"] * v, wv, n)
-
-    # exponent matrices: columns are x (resp. y) points
-    v = v[:n]
-    eu = -(_quartic(cs_u, u)[:, None] + (cs_u["q0"] + cs_u["q1"] * u)[:, None] * xs[None, :])
-    ev = +(_quartic(cs_v, v)[:, None] + (cs_v["q0"] + cs_v["q1"] * v)[:, None] * ys[None, :])
-    if conjugated:
-        gx, gy = _conj_h(spec.z, xs, t_i), _conj_h(spec.z, ys, t_j)
-    else:
-        gx = cs_u["phi0"] + cs_u["phi1"] * xs
-        gy = cs_v["phi0"] + cs_v["phi1"] * ys
-    eu = eu - gx[None, :]
-    ev = ev + gy[None, :]
     pref = -cs_u["B"] * cs_v["B"] / (4.0 * math.pi**2)
     if conjugated:
         pref *= (3.0 * cs_u["tau"]) ** (1.0 / 12.0) * (3.0 * cs_v["tau"]) ** (1.0 / 12.0)
-    return 2.0 * pref * _fold_product(_exp_side(eu, n, "u").T @ m, _exp_side(ev, n, "v"), n)
+    # both ray pairs are conjugate: the sum is 2 Re of the first u ray's share
+    return 2.0 * pref * _fold_product(eu.T @ m, ev, n)
 
 
 # ---------------------------------------------------------------------------
@@ -576,18 +569,19 @@ def pearcey_gauss_term(tau: float, xi, eta):
 
 def _tilde_grid(tau_i, tau_j, xis, etas, contour, sides=None):
     """K-tilde grid in (xi, eta) coordinates, dispatching on the contour;
-    direct-mode sides are memoized in sides."""
+    either mode's sides are memoized in sides."""
     contour = contour if contour is not None else PearceyContour()
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     spec = contour.recenter
     n = _ray_count(contour)
+    sides = {} if sides is None else sides
     if spec is None:
-        return _direct_grid(tau_i, tau_j, xis, etas, contour, n, {} if sides is None else sides)[0]
+        return _direct_grid(tau_i, tau_j, xis, etas, contour, n, sides)[0]
     t_i, t_j = t_from_tau(tau_i, spec.z), t_from_tau(tau_j, spec.z)
     xs = x_from_xi(xis, tau_i)
     ys = x_from_xi(etas, tau_j)
-    return _recentred_grid(spec, t_i, t_j, xs, ys, False, n)
+    return _recentred_grid(spec, t_i, t_j, xs, ys, False, n, sides)
 
 
 def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
@@ -603,16 +597,18 @@ def pearcey_block_grid(tau_i: float, tau_j: float, xis, etas,
 
 
 def conjugated_tilde_grid(z: float, t_i: float, t_j: float, xs, ys,
-                          contour: PearceyContour | None = None) -> np.ndarray:
+                          contour: PearceyContour | None = None, sides=None) -> np.ndarray:
     """Conjugated, Jacobian-weighted K-tilde grid in Airy coordinates at Airy
     times (t_i, t_j) and scale z, on recentred contours with the contour's
-    recentring angles (the defaults when it has none)."""
+    recentring angles (the defaults when it has none); its sides are memoized
+    in sides."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     contour = contour if contour is not None else PearceyContour()
     rec = contour.recenter or RecenterSpec(z=z)
     spec = RecenterSpec(z=z, u_angle=rec.u_angle, v_angle=rec.v_angle)
-    return _recentred_grid(spec, t_i, t_j, xs, ys, True, _ray_count(contour))
+    return _recentred_grid(spec, t_i, t_j, xs, ys, True, _ray_count(contour),
+                           {} if sides is None else sides)
 
 
 def conjugated_gauss_grid(z: float, t_i: float, t_j: float, xs, ys) -> np.ndarray:
@@ -630,11 +626,11 @@ def conjugated_gauss_grid(z: float, t_i: float, t_j: float, xs, ys) -> np.ndarra
 
 
 def conjugated_block_grid(z: float, t_i: float, t_j: float, xs, ys,
-                          contour: PearceyContour | None = None) -> np.ndarray:
+                          contour: PearceyContour | None = None, sides=None) -> np.ndarray:
     """The conjugated kernel block at Airy times (t_i, t_j) and scale z,
     directly comparable to airy_block_grid(t_i, t_j, xs, ys): K-tilde minus
-    the Gaussian term when t_i < t_j (the Fredholm assembly path)."""
-    out = conjugated_tilde_grid(z, t_i, t_j, xs, ys, contour)
+    the Gaussian term when t_i < t_j (the Fredholm path shares ``sides``)."""
+    out = conjugated_tilde_grid(z, t_i, t_j, xs, ys, contour, sides)
     if t_i < t_j:
         out = out - conjugated_gauss_grid(z, t_i, t_j, xs, ys)
     return out

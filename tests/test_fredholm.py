@@ -356,15 +356,30 @@ def test_pearcey_query_that_does_not_settle_is_an_accuracy_error(monkeypatch):
 
 
 def test_determinant_level_builds_each_window_side_once(monkeypatch):
-    # one level of a two-window determinant with per-block radii: each window
-    # has one u side and one v side, whatever the other window's rays
+    # one level of a two-window determinant.  Direct blocks with per-block
+    # radii: each window has one u side and one v side, whatever the other
+    # window's rays.  Recentred blocks, conjugated or raw: each window has one
+    # v side, and the earlier window a second u side, whose vertex moves right
+    # by the time gap in the block above the diagonal
     tags, exp_side = [], pearcey_process._exp_side
     monkeypatch.setattr(pearcey_process, "_exp_side",
                         lambda expo, n, tag: tags.append(tag) or exp_side(expo, n, tag))
-    query = GapQuery(family="pearcey", times=(3, 4), windows=((-3, 3), (-3.5, 3.5)), m=20,
-                     contour=PearceyContour(nodes_per_ray=48))
-    fredholm._log_det(query, 1)
-    assert sorted(tags) == ["u", "u", "v", "v"]
+    direct = GapQuery(family="pearcey", times=(3, 4), windows=((-3, 3), (-3.5, 3.5)), m=20,
+                      contour=PearceyContour(nodes_per_ray=48))
+    p = ScalingParams.for_theorem(30, -0.5, 0.5)
+    conjugated = GapQuery(family="pearcey-conjugated", times=(p.t1, p.t2),
+                          windows=((-1, 6), (-1, 6)), m=30, z=p.z,
+                          contour=PearceyContour(nodes_per_ray=64))
+    # shaped like test_conjugation_invariance_large_tau
+    p = ScalingParams.from_z(0.45, 0.0, 0.5)
+    raw = GapQuery(family="pearcey", times=(p.tau2, p.tau1), m=30,
+                   windows=tuple(map_windows([(-0.2, 0.5), (0.0, 0.7)], p.tau2, p.tau1)),
+                   contour=PearceyContour(nodes_per_ray=64, recenter=RecenterSpec(z=p.z)))
+    for query, want in ((direct, ["u", "u", "v", "v"]), (conjugated, ["u", "u", "u", "v", "v"]),
+                        (raw, ["u", "u", "u", "v", "v"])):
+        tags.clear()
+        fredholm._log_det(query, 1)
+        assert sorted(tags) == want, query.family
 
 
 def test_pearcey_query_refuses_by_the_ladder_top(monkeypatch):

@@ -25,7 +25,7 @@ from pearceygap.pearcey_process import (
     pearcey_block_grid,
     pearcey_gauss_term,
 )
-from pearceygap.scaling import ScalingParams, tau_from_z
+from pearceygap.scaling import ScalingParams, t_from_tau, tau_from_z, x_from_xi
 from pearceygap.specfun import gauss_rule
 
 from oracles import airy_kernel, seeded_pearcey_draws, xi_from_x
@@ -300,9 +300,11 @@ def _two_ray_conjugated(z, t_i, t_j, xs, ys, n):
     """The conjugated recentred K-tilde grid summed over both u rays and both
     v rays, with the sum of its terms' magnitudes."""
     cu, cv = pearcey_process._side_coeffs(z, t_i), pearcey_process._side_coeffs(z, t_j)
-    u_rays, v_rays = pearcey_process._recentred_rays(
-        RecenterSpec(z=z), t_j - t_i, cu, cv, np.max(np.abs(xs)), np.max(np.abs(ys)))
-    u, wu = pearcey_process._signed_rays(u_rays, n)
+    side, spec = pearcey_process._recentred_side, RecenterSpec(z=z)
+    (u_ray,) = side({}, spec, n, "u", t_i, xs, True, 0.4 + max(0.0, t_j - t_i))[0]
+    v_rays = side({}, spec, n, "v", t_j, ys, True, -0.4)[0]
+    vertex, angle, sign, radius = u_ray
+    u, wu = pearcey_process._signed_rays([u_ray, (vertex, -angle, -sign, radius)], n)
     v, wv = pearcey_process._signed_rays(v_rays, n)
     quartic, conj_h = pearcey_process._quartic, pearcey_process._conj_h
     fu = np.exp(-(quartic(cu, u)[:, None] + (cu["q0"] + cu["q1"] * u)[:, None] * xs)
@@ -395,6 +397,33 @@ def test_folded_conjugated_blocks_match_the_two_ray_sum():
             got = conjugated_tilde_grid(p.z, t_i, t_j, xs, xs, PearceyContour(nodes_per_ray=64))
             ref, scale = _two_ray_conjugated(p.z, t_i, t_j, xs, xs, 64)
             assert np.max(np.abs(got - ref.real) / scale) <= 1e-14
+
+
+def test_recentred_blocks_share_sides_without_changing_a_bit():
+    # the blocks of a two-time conjugated level built into one sides dict,
+    # each against itself built alone
+    p = ScalingParams.for_theorem(30.0, -0.5, 0.5)
+    contour = PearceyContour(nodes_per_ray=64)
+    pts = {p.t1: gauss_rule(30, -1.0, 6.0).nodes, p.t2: gauss_rule(24, -0.5, 4.0).nodes}
+    sides = {}
+    for t_i, t_j in itertools.product(pts, repeat=2):
+        shared = conjugated_block_grid(p.z, t_i, t_j, pts[t_i], pts[t_j], contour, sides)
+        alone = conjugated_block_grid(p.z, t_i, t_j, pts[t_i], pts[t_j], contour)
+        assert np.array_equal(shared, alone)
+    # a raw and a conjugated block at the raw block's Airy time and points,
+    # whose sides differ only in the conjugation, into one dict in either order
+    z = (1.0 / (3.0 * 9.7)) ** (1.0 / 6.0)
+    tau = tau_from_z(z, 0.0)
+    xis = xi_from_x(tau, np.array([-0.5, 0.3, 1.2]))
+    t, xs = t_from_tau(tau, z), x_from_xi(xis, tau)
+    contour = _recentred_contour(z)
+    blocks = [lambda sides: pearcey_block_grid(tau, tau, xis, xis, contour, sides),
+              lambda sides: conjugated_block_grid(z, t, t, xs, xs, contour, sides)]
+    alone = [block(None) for block in blocks]
+    for order in ((0, 1), (1, 0)):
+        sides = {}
+        for k in order:
+            assert np.array_equal(blocks[k](sides), alone[k])
 
 
 def test_default_contour_folds_its_x_rays(monkeypatch):
