@@ -8,7 +8,8 @@ q'' = s q + 2 q^3 with q(s) ~ Ai(s) as s -> +infinity, and
 The ODE is integrated downward from s0 = 8 where the Airy asymptotics are
 accurate far below double precision; the two tail integrals ride along as
 extra state components (I' = -J, J' = -q^2).  scipy supplies both the
-boundary data (special.airy) and the integrator.  The module calls scipy's
+boundary data (special.airy) and the integrator, imported at call time, so
+only a run that asks for the oracle loads scipy.  The module calls scipy's
 airy directly on purpose, not ``specfun.airy`` with its Taylor anchors on
 [-10, 10] and its asymptotic series above 10: the Tracy-Widom oracle that
 one-time Airy gap probabilities are checked against thereby stays
@@ -24,8 +25,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.special import airy as _scipy_airy
 
 from .exceptions import DomainError
 
@@ -42,6 +41,9 @@ def _rhs(s, y):
 
 @lru_cache(maxsize=8)
 def _solution(s_min: float):
+    from scipy.integrate import quad, solve_ivp
+    from scipy.special import airy as _scipy_airy
+
     ai0, aip0, _, _ = _scipy_airy(_S_START)
     j0, _ = quad(
         lambda x: _scipy_airy(x)[0] ** 2, _S_START, np.inf,
@@ -66,6 +68,8 @@ def _solution(s_min: float):
 
 
 def _eval(s):
+    from scipy.special import airy as _scipy_airy
+
     s = np.asarray(s, dtype=float)
     if np.any(s < _S_FLOOR):
         raise DomainError(

@@ -29,8 +29,10 @@ the half system, which covers the mirrored half exactly.
   once.  A block is a product of two sides, K-tilde_ij = G_i F_j
   with G_i = exp(eu_i)^T M and F_j = exp(ev_j), ev = -eu at the v nodes.  One
   builder makes each window's side (rays, signed nodes and weights, checked
-  exponential) once per key in the caller's ``sides`` dict (one per Fredholm
-  determinant), and one product every direct grid, with G_i once per u side.
+  exponential) once per (tag, time, points, contour, node count) in the
+  caller's ``sides`` dict (one per Fredholm determinant), its rays and their
+  radius roots only then, and one product every direct grid, with G_i once
+  per u side.
   The fold needs sigma1 == sigma1p, sigma2 == sigma2p and tau_ang == tau_angp,
   as on the default contour and every study's; a contour without that
   symmetry sums all four X rays in complex arithmetic, and only there
@@ -286,15 +288,16 @@ def _direct_radius(contour: PearceyContour, quartic: float, angle: float,
     return _ray_radius([0.25 * max(c4, 0.02), 0.0, -g2, -coord_max], 1.05)
 
 
-def _x_rays(contour: PearceyContour, tau_i: float, coord_max: float):
-    """Right pair downward, left pair upward, vertices at +/-1/2: the upper
-    right and upper left rays first, then the lower right and lower left."""
+def _x_rays(contour: PearceyContour, tau_i: float, coord_max: float, count: int = 4):
+    """Right pair downward, left pair upward, vertices at +/-1/2: the first
+    count of the upper right and upper left rays, then the lower right and
+    lower left."""
     s1, s1p = contour.sigma1, contour.sigma1p
     s2, s2p = math.pi - contour.sigma2, -(math.pi - contour.sigma2p)
     return [
         (vertex, angle, sign, _direct_radius(contour, +1.0, angle, tau_i, coord_max))
         for vertex, angle, sign in ((0.5 + 0.0j, s1, -1.0), (-0.5 + 0.0j, s2, +1.0),
-                                    (0.5 + 0.0j, -s1p, +1.0), (-0.5 + 0.0j, s2p, -1.0))
+                                    (0.5 + 0.0j, -s1p, +1.0), (-0.5 + 0.0j, s2p, -1.0))[:count]
     ]
 
 
@@ -337,16 +340,18 @@ def _ray_system(xray: tuple, yray: tuple, n: int):
 
 
 def _side(sides, contour, n, tag, tau, pts):
-    """A window's side, memoized in sides: its rays (tag "u": the X rays, the
-    upper pair on a folding contour; "v": the Y rays), their signed nodes and
-    weights, and the checked exp(eu), eu = w^4/4 - tau w^2/2 + w xi, at the u
-    nodes w, or exp(-eu) at the v nodes (the first Y ray's on a folding contour)."""
-    fold = _folds(contour)
-    coord_max = float(np.max(np.abs(pts)))
-    rays = tuple(_x_rays(contour, tau, coord_max)[:2 if fold else 4] if tag == "u"
-                 else _y_rays(contour, tau, coord_max))
-    key = (tag, tau, pts.tobytes(), rays, n, fold)
+    """A window's side, memoized in sides under the data that fix it: its rays
+    (tag "u": the X rays, the upper pair on a folding contour; "v": the Y
+    rays), their signed nodes and weights, and the checked exp(eu),
+    eu = w^4/4 - tau w^2/2 + w xi, at the u nodes w, or exp(-eu) at the v nodes
+    (the first Y ray's on a folding contour).  The rays, with their radius
+    roots, are built only on a miss."""
+    key = (tag, tau, pts.tobytes(), contour, n)
     if key not in sides:
+        fold = _folds(contour)
+        coord_max = float(np.max(np.abs(pts)))
+        rays = tuple(_x_rays(contour, tau, coord_max, 2 if fold else 4) if tag == "u"
+                     else _y_rays(contour, tau, coord_max))
         w, wt = _signed_rays(rays, n)
         at = (w[:n] if fold and tag == "v" else w)[:, None]
         expo = (at**4 / 4.0 - 0.5 * tau * at**2) + at * pts

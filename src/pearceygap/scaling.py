@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import DomainError
 
@@ -30,7 +29,7 @@ __all__ = [
 def _require_finite(**values) -> None:
     """Reject a non-finite number in any of the named scalars or grids."""
     for name, value in values.items():
-        # the float test is the cheap one: the maps run inside for_theorem's root finder
+        # the float test is the cheap one
         if not (math.isfinite(value) if isinstance(value, float)
                 else np.all(np.isfinite(np.asarray(value, dtype=float)))):
             raise DomainError(f"{name} must be finite, got {value}")
@@ -41,7 +40,12 @@ def tau_from_z(z: float, t_i: float) -> float:
     _require_finite(z=z, t_i=t_i)
     if not 0.0 < z < 1.0:
         raise DomainError(f"scale parameter must be in (0, 1), got {z}")
-    return (1.0 + 6.0 * t_i * z**4) / (3.0 * z**6)
+    return _tau(z, t_i)
+
+
+def _tau(z: float, t: float) -> float:
+    # tau_from_z's map without its checks, for for_theorem's root finder
+    return (1.0 + 6.0 * t * z**4) / (3.0 * z**6)
 
 
 def t_from_tau(tau: float, z: float) -> float:
@@ -84,7 +88,12 @@ def t_from_u(u_i: float, z: float) -> float:
     _require_finite(u_i=u_i, z=z)
     if not 0.0 < z < 1.0:
         raise DomainError(f"scale parameter must be in (0, 1), got {z}")
-    return u_i * (1.0 + u_i * z**4)
+    return _t_of_u(u_i, z)
+
+
+def _t_of_u(u: float, z: float) -> float:
+    # t_from_u's map without its checks, for for_theorem's root finder
+    return u * (1.0 + u * z**4)
 
 
 @dataclass(frozen=True)
@@ -121,12 +130,18 @@ class ScalingParams:
             raise DomainError(f"need u2 > u1, got u1={u1}, u2={u2}")
 
         def mismatch(z):
-            return tau_from_z(z, t_from_u(u1, z)) - tau1
+            # z stays in [lo, hi], inside (0, 1), so the maps' checks are skipped
+            return _tau(z, _t_of_u(u1, z)) - tau1
 
         lo, hi = 1e-3, 0.6
-        if mismatch(hi) > 0.0 or mismatch(lo) < 0.0:
+        # written so that a nan mismatch (a t that overflows) is refused too
+        if not mismatch(hi) <= 0.0 <= mismatch(lo):
             raise DomainError(f"tau1={tau1} outside the solvable range for u1={u1}")
-        z = float(brentq(mismatch, lo, hi, xtol=1e-15, rtol=8.9e-16))
+        # bisection down to adjacent floats: the mismatch falls through 0 on [lo, hi]
+        z = 0.5 * (lo + hi)
+        while lo < z < hi:
+            lo, hi = (z, hi) if mismatch(z) > 0.0 else (lo, z)
+            z = 0.5 * (lo + hi)
         t1 = t_from_u(u1, z)
         tau2 = match_tau2(tau1, u1, u2)
         t2 = t_from_tau(tau2, z)

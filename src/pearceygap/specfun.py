@@ -2,7 +2,8 @@
 on rays, and the ladder walk that sizes every adaptive quadrature.
 
 Ai and Ai' have three branches.  At x < -10 they come from
-``scipy.special.airy``.  On -10 <= x <= 10 they are Taylor sums about the
+``scipy.special.airy``, imported at call time, so a run that never evaluates
+there never loads scipy.  On -10 <= x <= 10 they are Taylor sums about the
 nearest of 81 anchors spaced 0.25 apart: the anchor values are filled at
 import by Taylor steps backward from the series value at x = 10 (Ai's stable
 direction), and the coefficients follow from Ai'' = x Ai by the recurrence
@@ -24,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 from .exceptions import AccuracyError, DomainError, ValidityError
 
@@ -194,6 +194,13 @@ def _airy_taylor(x: np.ndarray) -> np.ndarray:
     return s
 
 
+def _airy_scipy(x: np.ndarray):
+    """Rows Ai, Ai' at x < -10 from scipy.special, imported (once) at call time."""
+    from scipy import special
+
+    return special.airy(x)[:2]
+
+
 def airy(x) -> AiryValue:
     """Airy function value and first derivative at ``x`` (scalar or array),
     each point from its branch: scipy below -10, the Taylor anchors on
@@ -207,8 +214,7 @@ def airy(x) -> AiryValue:
         raise DomainError("airy: non-finite argument")
     ai, aip = np.empty_like(xv), np.empty_like(xv)
     low, high = xv < _TAYLOR_FROM, xv > _SERIES_FROM
-    for part, branch in ((low, lambda v: special.airy(v)[:2]), (high, _airy_series),
-                         (~(low | high), _airy_taylor)):
+    for part, branch in ((low, _airy_scipy), (high, _airy_series), (~(low | high), _airy_taylor)):
         if np.count_nonzero(part):
             ai[part], aip[part] = branch(xv[part])
     if scalar:

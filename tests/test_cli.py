@@ -100,14 +100,39 @@ def test_docs_config_defaults_match_study_config():
         assert getattr(config, field_name) == defaults[key], key
 
 
-def test_cli_import_leaves_the_painleve_oracle_unloaded():
-    code = "import sys, pearceygap.cli; print('pearceygap.painleve' in sys.modules)"
+def _python(code: str, cwd=None):
+    """Run code in a fresh interpreter that imports the package from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_cli_import_leaves_the_painleve_oracle_unloaded():
+    code = "import sys, pearceygap.cli; print('pearceygap.painleve' in sys.modules)"
+    assert _python(code).strip() == "False"
+
+
+def test_only_the_painleve_oracle_loads_scipy(tmp_path):
+    # the five other default studies run on numpy and mpmath alone; the
+    # oracle integrates Painleve II with scipy
+    code = """if True:
+        import sys
+        from pearceygap.cli import main
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        for study in ("gap", "identities", "prop21", "theorem", "pde"):
+            assert main([study, "--no-cache"]) == 0, study
+            assert not scipy_modules(), (study, scipy_modules()[:5])
+        assert main(["oracle-painleve", "--no-cache"]) == 0
+        assert "scipy.integrate" in scipy_modules()
+    """
+    _python(code, cwd=tmp_path)
 
 
 # ---------------------------------------------------------------------------

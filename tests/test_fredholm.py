@@ -253,6 +253,17 @@ def test_accuracy_error_when_certificate_fails():
         gap_probability(q)
 
 
+def test_small_p_certificate_compares_log_p():
+    # P(14) = 2.95e-11 and P(28) = 1.99e-19 agree to 1e-8 in P, but not in
+    # log P: -24.24 against -43.06 (-43.0630438 at m = 60), a wrong answer the
+    # test in P alone certified as -43.0630301
+    q = GapQuery(family="airy", times=(0.0,), windows=((-8.0, 8.0),), m=14)
+    with pytest.raises(AccuracyError, match=r"in log space: log P\(m=14\) = -24\.24.* vs "
+                                            r"log P\(m=28\) = -43\.06"):
+        log_gap_probability(q)
+    assert abs(log_gap_probability(replace(q, m=60)) + 43.0630438) <= 1e-7
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -380,6 +391,104 @@ def test_determinant_level_builds_each_window_side_once(monkeypatch):
         tags.clear()
         fredholm._log_det(query, 1)
         assert sorted(tags) == want, query.family
+
+
+def _balanced(a):
+    """fredholm.matrix_balance(a), checked: every scale an exact power of two,
+    and B exactly the similarity they make."""
+    b, scale = fredholm.matrix_balance(a)
+    assert np.all(np.frexp(scale)[0] == 0.5)
+    assert np.array_equal(b, a * scale[None, :] / scale[:, None])
+    return b, scale
+
+
+def _balance_like_scipy(a):
+    """_balanced(a), whose log det agrees to 1e-12 with that of scipy's gebal
+    balancing without permutation.  Returns the scales."""
+    from scipy.linalg import matrix_balance
+
+    b, scale = _balanced(a)
+    ref, _ = matrix_balance(a, permute=False, separate=True)
+    sign, logabs = np.linalg.slogdet(b)
+    ref_sign, ref_logabs = np.linalg.slogdet(ref)
+    assert sign == ref_sign and abs(logabs - ref_logabs) <= 1e-12
+    return scale
+
+
+def test_balancing_undoes_a_power_of_two_gauge():
+    rng = np.random.default_rng(2010)
+    gauge = np.exp2(rng.integers(-60, 61, 60).astype(float))
+    a = rng.standard_normal((60, 60)) * gauge[:, None] / gauge[None, :]
+    scale = _balance_like_scipy(a)
+    assert np.log2(scale.max() / scale.min()) >= 100.0
+
+
+def test_balancing_entries_whose_squares_overflow():
+    # a gauge 2^k, k from -260 to 260, puts entries near 2^520, whose squares
+    # overflow: the norms are taken of a over a power of two (scipy's own
+    # balancing cannot serve as the reference here: its scales pass 2^63,
+    # which it casts to int, and it warns)
+    rng = np.random.default_rng(2010)
+    k = np.concatenate([[-260, 260], rng.integers(-260, 261, 58)]).astype(float)
+    r = rng.standard_normal((60, 60))
+    a = r * np.exp2(k[:, None] - k[None, :])
+    assert np.max(np.abs(a)) > 2.0**512
+    b, _ = _balanced(a)
+    assert np.max(np.abs(b)) < 100.0
+    assert abs(np.linalg.slogdet(b)[1] - np.linalg.slogdet(r)[1]) <= 1e-12
+
+
+def test_balancing_tames_the_raw_recentred_level(monkeypatch):
+    # the level of test_conjugation_invariance_large_tau at 64 nodes per ray:
+    # entries from 1e-34 to 5e26, and log det 2.58 unbalanced against -0.0609
+    p = ScalingParams.from_z(0.45, 0.0, 0.5)
+    raw = GapQuery(family="pearcey", times=(p.tau2, p.tau1), m=30,
+                   windows=tuple(map_windows([(-0.2, 0.5), (0.0, 0.7)], p.tau2, p.tau1)),
+                   contour=PearceyContour(nodes_per_ray=64, recenter=RecenterSpec(z=p.z)))
+    seen, balance = [], fredholm.matrix_balance
+    monkeypatch.setattr(fredholm, "matrix_balance", lambda a: seen.append(a) or balance(a))
+    fredholm._log_det(raw, 1)
+    (a,) = seen
+    scale = _balance_like_scipy(a)
+    assert np.log2(scale.max() / scale.min()) >= 80.0
+    assert abs(np.linalg.slogdet(a)[1] - fredholm._balanced_log_det(a)[2]) > 1.0
+
+
+def test_balancing_leaves_a_balanced_matrix_alone():
+    rng = np.random.default_rng(2010)
+    a = rng.standard_normal((40, 40))
+    a += a.T  # every column norm equals its row norm
+    b, scale = fredholm.matrix_balance(a)
+    assert np.all(scale == 1.0) and np.array_equal(b, a)
+
+
+def test_balancing_moves_coupled_indices_by_half_steps():
+    # full steps taken at once swap the corners forever; half steps settle
+    b, scale = fredholm.matrix_balance(np.array([[1.0, 1024.0], [1.0, 1.0]]))
+    assert scale.tolist() == [4.0, 0.25] and b.tolist() == [[1.0, 64.0], [16.0, 1.0]]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_balancing_a_zero_row_or_column_gives_finite_scales(axis):
+    rng = np.random.default_rng(2010)
+    gauge = np.exp2(rng.integers(-30, 31, 20).astype(float))
+    a = rng.standard_normal((20, 20)) * gauge[:, None] / gauge[None, :]
+    np.moveaxis(a, axis, 0)[3] = 0.0
+    _, scale = _balanced(a)
+    assert np.all(np.isfinite(scale))
+
+
+def test_direct_sides_take_each_radius_root_once(monkeypatch):
+    # CI's certified two-time Pearcey query walks 32 and 48 nodes per ray at m
+    # and certifies at 2m: three levels of two u and two v sides, each side two
+    # rays with a radius root each (a folding contour's lower X pair is never
+    # built).  Sides keyed on their rays took every X root on every lookup: 72
+    calls, ray_radius = [], pearcey_process._ray_radius
+    monkeypatch.setattr(pearcey_process, "_ray_radius",
+                        lambda *args: calls.append(args) or ray_radius(*args))
+    query = GapQuery(family="pearcey", times=(3, 4), windows=((-3, 3), (-3.5, 3.5)), m=20)
+    log_gap_probability(query)
+    assert len(calls) == 24
 
 
 def test_pearcey_query_refuses_by_the_ladder_top(monkeypatch):

@@ -426,6 +426,21 @@ def test_recentred_blocks_share_sides_without_changing_a_bit():
             assert np.array_equal(blocks[k](sides), alone[k])
 
 
+def test_direct_blocks_share_sides_without_changing_a_bit():
+    # a two-time direct level built into one sides dict, each block against
+    # itself built alone; each u side holds the upper X pair of the four rays
+    contour = PearceyContour(nodes_per_ray=48)
+    pts = {3.0: gauss_rule(20, -3.0, 3.0).nodes, 4.0: gauss_rule(20, -3.5, 3.5).nodes}
+    sides = {}
+    for tau_i, tau_j in itertools.product(pts, repeat=2):
+        shared = pearcey_block_grid(tau_i, tau_j, pts[tau_i], pts[tau_j], contour, sides)
+        alone = pearcey_block_grid(tau_i, tau_j, pts[tau_i], pts[tau_j], contour)
+        assert np.array_equal(shared, alone)
+    for tau, xs in pts.items():
+        rays = pearcey_process._side(sides, contour, 48, "u", tau, xs)[0]
+        assert rays == tuple(pearcey_process._x_rays(contour, tau, np.max(np.abs(xs)))[:2])
+
+
 def test_default_contour_folds_its_x_rays(monkeypatch):
     # one ray of each conjugate X pair against both Y rays: the Cauchy
     # matrix has 2n rows, not 4n

@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from pearceygap import specfun
 from pearceygap.exceptions import AccuracyError, ContourError, DomainError, ValidityError
@@ -75,7 +76,7 @@ def test_airy_taylor_term_count_meets_its_bound():
     n = specfun._TAYLOR_TERMS
     c_n = (x0 * c[n - 2] + c[n - 3]) / (n * (n - 1))
     c_n1 = (x0 * c[n - 1] + c[n - 2]) / ((n + 1) * n)
-    ai, aip, bi, bip = specfun.special.airy(x0)
+    ai, aip, bi, bip = special.airy(x0)
     neg = x0 <= 0.0
     scale = np.where(neg, np.hypot(ai, bi), np.abs(ai))
     dscale = np.where(neg, np.hypot(aip, bip), np.abs(aip))
@@ -102,15 +103,16 @@ def test_airy_keeps_shape_and_returns_floats_for_scalars():
 
 
 def test_scipy_airy_sees_only_x_below_minus_10(monkeypatch):
-    # on [-10, 10] the Taylor anchors and above 10 the series stand in for scipy
+    # on [-10, 10] the Taylor anchors and above 10 the series stand in for
+    # scipy; the branch below -10 reads scipy.special.airy at call time
     seen = []
-    scipy_airy = specfun.special.airy
+    scipy_airy = special.airy
 
     def spy(x):
         seen.append(np.asarray(x))
         return scipy_airy(x)
 
-    monkeypatch.setattr(specfun.special, "airy", spy)
+    monkeypatch.setattr(special, "airy", spy)
     airy(np.linspace(-5.0, 60.0, 131))
     airy(30.0)
     airy(10.0)
@@ -149,7 +151,7 @@ def test_airy_taylor_branch_against_mpmath():
     xs = np.concatenate([anchors, anchors[:-1] + 0.125, [0.0], seams])
     v = airy(xs)
     ours = _scaled_errors(xs, v.ai, v.aip)
-    scipy_ai, scipy_aip, _, _ = specfun.special.airy(xs)
+    scipy_ai, scipy_aip, _, _ = special.airy(xs)
     theirs = _scaled_errors(xs, scipy_ai, scipy_aip)
     taylor = (xs >= -10.0) & (xs <= 10.0)  # all but the outer neighbours of the splits
     for err, ref in zip(ours, theirs):
