@@ -19,8 +19,15 @@ from dataclasses import dataclass, field, fields as dataclass_fields, replace
 import numpy as np
 
 from .airy_process import airy_block_grid
+from .cache import BlockStore
 from .exceptions import AccuracyError, DomainError, PearceyGapError
-from .fredholm import GapQuery, _balanced_log_det, log_gap_probability
+from .fredholm import (
+    GapQuery,
+    _balanced_log_det,
+    block_cache,
+    installed_block_cache,
+    log_gap_probability,
+)
 from .pearcey_process import (
     _RAY_TOL,
     PearceyContour,
@@ -344,46 +351,51 @@ def theorem_ratio_study(
             contour=PearceyContour(nodes_per_ray=n), certify=cert,
         ))
 
-    n, ray_convergence = walk_ladder(
-        lambda n: {f"log P at the tau1 = {tau1:g}": (conjugated_log_p(
-            _theorem_params(float(tau1), t1, t2, single_time), False, n), 1.0)
-            for tau1 in (tau1_grid[0], tau1_grid[-1])},
-        _RAY_TOL, "theorem ray quadrature", "nodes per ray")
+    # the certified loop repeats the walk's determinants at the first and the
+    # last tau1, and each ablated determinant its full partner's (t1, t1)
+    # block: with no cache installed, an in-memory store shares them
+    cache = block_cache()
+    with installed_block_cache(cache if cache is not None else BlockStore()):
+        n, ray_convergence = walk_ladder(
+            lambda n: {f"log P at the tau1 = {tau1:g}": (conjugated_log_p(
+                _theorem_params(float(tau1), t1, t2, single_time), False, n), 1.0)
+                for tau1 in (tau1_grid[0], tau1_grid[-1])},
+            _RAY_TOL, "theorem ray quadrature", "nodes per ray")
 
-    def ratio_dev(params: ScalingParams, cert: bool) -> float:
-        """R = P_pearcey / P_airy - 1 over the shared windows."""
-        return math.expm1(conjugated_log_p(params, cert, n) - airy_log_p(cert))
+        def ratio_dev(params: ScalingParams, cert: bool) -> float:
+            """R = P_pearcey / P_airy - 1 over the shared windows."""
+            return math.expm1(conjugated_log_p(params, cert, n) - airy_log_p(cert))
 
-    rows = []
-    trusted = []
-    devs = []
-    devs_ablated = []
-    for tau1 in tau1_grid:
-        params = _theorem_params(float(tau1), t1, t2, single_time)
-        try:
-            r = ratio_dev(params, certify)
-            ok = True
-        except AccuracyError:
-            r = ratio_dev(params, False)
-            ok = False
-        trusted.append(ok)
-        if ok:
-            devs.append(abs(r))
-        row = {
-            "tau1": float(tau1),
-            "tau2": params.tau2,
-            "z": params.z,
-            "ratio_dev": r,
-            "certified": int(ok and certify),
-        }
-        if ablate and not single_time:
-            d = t2 - t1
-            tau2_ab = match_tau2(float(tau1), t1, t2) - 4.0 * d * t1 * t2 / (3.0 * tau1)
-            ablated = replace(params, t2=t_from_tau(tau2_ab, params.z), tau2=tau2_ab)
-            r_ab = ratio_dev(ablated, False)
-            devs_ablated.append(abs(r_ab))
-            row["ratio_dev_ablated"] = r_ab
-        rows.append(row)
+        rows = []
+        trusted = []
+        devs = []
+        devs_ablated = []
+        for tau1 in tau1_grid:
+            params = _theorem_params(float(tau1), t1, t2, single_time)
+            try:
+                r = ratio_dev(params, certify)
+                ok = True
+            except AccuracyError:
+                r = ratio_dev(params, False)
+                ok = False
+            trusted.append(ok)
+            if ok:
+                devs.append(abs(r))
+            row = {
+                "tau1": float(tau1),
+                "tau2": params.tau2,
+                "z": params.z,
+                "ratio_dev": r,
+                "certified": int(ok and certify),
+            }
+            if ablate and not single_time:
+                d = t2 - t1
+                tau2_ab = match_tau2(float(tau1), t1, t2) - 4.0 * d * t1 * t2 / (3.0 * tau1)
+                ablated = replace(params, t2=t_from_tau(tau2_ab, params.z), tau2=tau2_ab)
+                r_ab = ratio_dev(ablated, False)
+                devs_ablated.append(abs(r_ab))
+                row["ratio_dev_ablated"] = r_ab
+            rows.append(row)
 
     fit_taus = tau1_grid[np.array(trusted)]
     if fit_taus.size < 2:

@@ -8,7 +8,9 @@ that share them; the pde study builds its derivative blocks and reads none.
 A session writes the blocks it stores to one pack file, which it publishes
 when it closes (KernelCache).  Each entry carries a digest over its key and
 its values; a pack with an entry or a footer that fails its checks (torn
-write, bit rot) is deleted and its blocks are recomputed.
+write, bit rot) is deleted and its blocks are recomputed.  BlockStore keeps
+blocks in memory under the same interface, for a study that repeats blocks
+within one run with no cache installed.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 
 from .exceptions import ConcurrencyError
 
-__all__ = ["KernelCache", "CacheLock", "block_key", "default_root"]
+__all__ = ["KernelCache", "BlockStore", "CacheLock", "block_key", "default_root"]
 
 # Bump whenever kernel evaluation or the entry or pack layout changes.
-_FORMAT = b"pearceygap-cache-12"
+_FORMAT = b"pearceygap-cache-13"
 ENV_ROOT = "PEARCEYGAP_CACHE"
 _DEFAULT_DIRNAME = ".pearceygap-cache"
 _DIGEST = 32  # entry and pack layout: see KernelCache
@@ -173,6 +175,24 @@ class KernelCache:
         offset = self._part.tell()
         self._part.writelines((_digest(kb, head, data), head, data))
         self._own[kb] = (offset, _HEAD + data.nbytes)
+
+
+class BlockStore:
+    """In-memory blocks under KernelCache's lookup/store interface, for one
+    study run that repeats blocks with no cache installed; it writes nothing.
+    A stored grid is kept as a read-only copy, so no caller can change the
+    value that later lookups return."""
+
+    def __init__(self):
+        self._grids = {}
+
+    def lookup(self, key: str) -> np.ndarray | None:
+        return self._grids.get(key)
+
+    def store(self, key: str, grid: np.ndarray) -> None:
+        grid = np.array(grid, dtype=float)
+        grid.flags.writeable = False
+        self._grids[key] = grid
 
 
 class _Pack:

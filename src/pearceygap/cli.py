@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .cache import KernelCache, default_root
 from .exceptions import ConcurrencyError, DomainError, PearceyGapError
-from .fredholm import GapQuery, log_gap_probability, set_block_cache
+from .fredholm import GapQuery, installed_block_cache, log_gap_probability, set_block_cache
 
 __all__ = ["StudyConfig", "StudyReport", "run", "main"]
 
@@ -44,6 +44,12 @@ _TAU1_DEFAULT = (30.0, 60.0, 120.0, 240.0, 480.0, 960.0)
 # frozen one-time GUE edge value from the Painleve II oracle, used as the
 # oracle-painleve self-check
 _F2_AT_ZERO = 0.9693728283552667
+# oracle-painleve's cross-check: each row's F2(s) against the certified
+# one-time Airy determinant on (s, s + span) at m nodes, which must agree in
+# log to the tolerance (the table's worst, at s = -5, is 5.5e-7)
+_FREDHOLM_SPAN = 14.0
+_FREDHOLM_NODES = 40
+_FREDHOLM_LOG_TOL = 1e-6
 
 # value kinds that are tuples; a field's annotation names its kind
 Floats = tuple[float, ...]  # config text "0.0,0.5"
@@ -83,17 +89,26 @@ def _oracle_study(s_min: float, s_max: float, step: float) -> StudyReport:
         rows.append((float(s), q, qp, tracy_widom_f2(float(s))))
     check = abs(tracy_widom_f2(0.0) - _F2_AT_ZERO)
     f2s = [r[3] for r in rows]
+    # computed afresh, so that the oracle's run reads and writes no cached block
+    with installed_block_cache(None):
+        errors = [abs(math.log(f2) - log_gap_probability(GapQuery(
+            family="airy", times=(0.0,), windows=((s, s + _FREDHOLM_SPAN),),
+            m=_FREDHOLM_NODES))) for s, _, _, f2 in rows]
+    worst = int(np.argmax(errors))
     summary = {
         "points": len(rows),
         "f2_at_zero_error": check,
         "monotone": bool(all(b >= a for a, b in zip(f2s, f2s[1:]))),
+        "max_log_error_vs_fredholm": errors[worst],
+        "max_log_error_at_s": rows[worst][0],
     }
     return StudyReport(
         name="oracle-painleve",
         columns=("s", "q", "q_prime", "f2"),
         rows=rows,
         summary=summary,
-        passed=check < 1e-6 and summary["monotone"],
+        passed=(check < 1e-6 and summary["monotone"]
+                and errors[worst] <= _FREDHOLM_LOG_TOL),
     )
 
 
@@ -462,7 +477,9 @@ def _headline(report: StudyReport) -> str:
                 f" (m -> 2m gap {s['certificate_gap']:.3e},"
                 f" ablation {s['ablation_ratio']:.3g}x) -> {report.verdict}")
     return (f"oracle-painleve: {s['points']} points,"
-            f" F2(0) error = {s['f2_at_zero_error']:.2e} -> {report.verdict}")
+            f" F2(0) error = {s['f2_at_zero_error']:.2e},"
+            f" max log error vs Fredholm = {s['max_log_error_vs_fredholm']:.2e}"
+            f" at s = {s['max_log_error_at_s']:g} -> {report.verdict}")
 
 
 def main(argv=None) -> int:

@@ -29,6 +29,7 @@ log det at m, and every block, so every block key, takes the settled count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -46,6 +47,8 @@ __all__ = [
     "GapQuery",
     "gap_probability",
     "log_gap_probability",
+    "block_cache",
+    "installed_block_cache",
     "set_block_cache",
 ]
 
@@ -60,6 +63,9 @@ _BALANCE_FACTOR = 0.95
 # takes 1, the raw recentred z = 0.45 level of the tests 7, and 60 x 60 random
 # matrices under random gauges 2^{+-60} take 7 to 15
 _BALANCE_SWEEPS = 64
+# a column or row norm, over the matrix's largest entry, below which its
+# squares may have underflowed: each such index's norms are taken again
+_BALANCE_TINY = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -124,13 +130,31 @@ _BLOCK_CACHE = None
 
 
 def set_block_cache(cache) -> None:
-    """Install a persistent block cache (see cache.KernelCache); None clears.
+    """Install a block cache: cache.KernelCache, or cache.BlockStore for one
+    run in memory; None clears.
 
     Only the built-in families are cached; a custom kernel callable has no
     content address.
     """
     global _BLOCK_CACHE
     _BLOCK_CACHE = cache
+
+
+def block_cache():
+    """The installed block cache, or None."""
+    return _BLOCK_CACHE
+
+
+@contextlib.contextmanager
+def installed_block_cache(cache):
+    """Install cache (None clears) for the with-block, then reinstall the
+    cache that was installed before it."""
+    previous = _BLOCK_CACHE
+    set_block_cache(cache)
+    try:
+        yield
+    finally:
+        set_block_cache(previous)
 
 
 # family -> (block routine (query, t_i, t_j, x_i, x_j, sides), cache record):
@@ -196,9 +220,12 @@ def matrix_balance(a: np.ndarray):
     step shrinks c + r below _BALANCE_FACTOR of its old value.  The half step
     keeps two indices coupled both ways from overshooting into each other's
     place, as full steps taken at once do: [[1, 1024], [1, 1]] would swap its
-    corners forever.  An index with a zero column or row never moves, nor one
-    whose column or row norm is below about 2^-537 of the largest entry (its
-    squares underflow).  B is a itself when no index moves."""
+    corners forever.  An index with a zero column or row never moves.  The
+    norms are taken of b over the power of two above its largest entry, and
+    an index whose column or row norm falls below _BALANCE_TINY of that has
+    both taken again each over its own power of two, as gebal's dnrm2 does
+    every vector, so that no square underflows.  B is a itself when no index
+    moves."""
     b = np.asarray(a, dtype=float)
     scale = np.ones(len(b))
     for _ in range(_BALANCE_SWEEPS):
@@ -207,6 +234,10 @@ def matrix_balance(a: np.ndarray):
         top = max(b.max(initial=0.0), -b.min(initial=0.0))
         sq = np.square(np.ldexp(b, -np.frexp(top)[1]))
         c, r = np.sqrt(sq.sum(axis=0)), np.sqrt(sq.sum(axis=1))
+        # an index whose squares underflow from that prescale: each of its
+        # norms again, over its own power of two (c and r in one unit per index)
+        for k in np.flatnonzero(np.minimum(c, r) < _BALANCE_TINY):
+            c[k], r[k] = _norm(b[:, k]), _norm(b[k])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             j = np.ceil((np.log2(r / c) - 2.0) / 4.0)
             f = np.exp2(2.0 * j)
@@ -217,6 +248,13 @@ def matrix_balance(a: np.ndarray):
         b = b * g[None, :] / g[:, None]
         scale *= g
     return b, scale
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of v, its squares taken of v over the power of two just above
+    its largest entry, so that none underflows or overflows."""
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    return math.ldexp(math.sqrt(float(np.sum(np.square(np.ldexp(v, -e))))), e)
 
 
 def _balanced_log_det(a: np.ndarray):

@@ -30,9 +30,10 @@ the half system, which covers the mirrored half exactly.
   with G_i = exp(eu_i)^T M and F_j = exp(ev_j), ev = -eu at the v nodes.  One
   builder makes each window's side (rays, signed nodes and weights, checked
   exponential) once per (tag, time, points, contour, node count) in the
-  caller's ``sides`` dict (one per Fredholm determinant), its rays and their
-  radius roots only then, and one product every direct grid, with G_i once
-  per u side.
+  caller's ``sides`` dict (one per Fredholm determinant), its rays only then,
+  each ray's radius the one positive root of its envelope polynomial, taken by
+  Newton's method (_ray_radius), and one product every direct grid, with G_i
+  once per u side.
   The fold needs sigma1 == sigma1p, sigma2 == sigma2p and tau_ang == tau_angp,
   as on the default contour and every study's; a contour without that
   symmetry sums all four X rays in complex arithmetic, and only there
@@ -56,8 +57,9 @@ the half system, which covers the mirrored half exactly.
   each, so it always folds.  Its sides are memoized as direct ones, under
   (tag, recentring record, Airy time, points, vertex, n, conjugated), which
   fix the rays: the first u ray with its exponential, both v rays with the
-  first's.  The v vertex is -0.4, the u vertex 0.4 + max(0, t_j - t_i):
-  above the diagonal it offsets the z (t_j - t_i) in
+  first's, each ray's radius the positive root of a cubic, by the same
+  Newton iteration as the direct rays'.  The v vertex is -0.4, the u vertex
+  0.4 + max(0, t_j - t_i): above the diagonal it offsets the z (t_j - t_i) in
   V - U = z (t_j - t_i) + B_j v - B_i u (B ~ z), so the vertices stay about
   0.8 z apart, and such a u side has its own key.
 """
@@ -98,6 +100,7 @@ _ENDPOINT_DROP = math.log(1e12)  # required decay from peak to ray endpoint
 _EXP_LIMIT = 700.0  # beyond this a float64 exponential overflows
 _IMAG_RTOL = 1e-8  # largest imaginary residue of a kernel grid, relative
 _RECENTER_TAU_MIN = 5.0  # left X-pair drop is justified only past this
+_NEWTON_STEPS = 64  # a ray radius settles in at most 10 from the Fujiwara bound
 
 
 @dataclass(frozen=True)
@@ -182,14 +185,34 @@ class PearceyContour:
 
 
 def _ray_radius(coeffs, margin: float) -> float:
-    """margin times the largest positive root of the polynomial with leading
-    coefficients ``coeffs`` and constant term -budget."""
-    roots = np.roots([*coeffs, -(_LOG_EPS + 5.0)])
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    pos = real[real > 0.0]
-    if pos.size == 0:
-        raise ContourError("no admissible truncation radius for ray")
-    return float(np.max(pos)) * margin
+    """margin times the positive root of the polynomial with leading
+    coefficients ``coeffs`` and constant term -budget.
+
+    Every caller's polynomial has a positive leading coefficient and no other
+    positive one, so by Descartes' rule it has exactly one positive root, and
+    it is increasing and convex to the right of it.  Newton's method in plain
+    floats therefore falls monotonically onto the root from any start above
+    it; it starts at the Fujiwara bound 2 max |c_i / c_0|^(1/i) and stops at
+    the first step that does not decrease the iterate (rounding).  Coefficients
+    outside that shape, or an iteration that leaves the floats, raise
+    ContourError."""
+    cs = [float(c) for c in coeffs] + [-(_LOG_EPS + 5.0)]
+    lead = cs[0]
+    if not (all(math.isfinite(c) for c in cs) and lead > 0.0 and max(cs[1:]) <= 0.0):
+        raise ContourError(f"no admissible truncation radius for ray coefficients {cs}")
+    r = 2.0 * max(abs(c / lead) ** (1.0 / i) for i, c in enumerate(cs) if i)
+    for _ in range(_NEWTON_STEPS):
+        p, dp = lead, 0.0
+        for c in cs[1:]:
+            dp = dp * r + p
+            p = p * r + c
+        if not (math.isfinite(p) and dp > 0.0 and math.isfinite(dp)):
+            break
+        step = r - p / dp
+        if not step < r:
+            return r * margin
+        r = step
+    raise ContourError(f"no admissible truncation radius for ray coefficients {cs}")
 
 
 def _signed_rays(ray_list, n):
@@ -344,8 +367,8 @@ def _side(sides, contour, n, tag, tau, pts):
     (tag "u": the X rays, the upper pair on a folding contour; "v": the Y
     rays), their signed nodes and weights, and the checked exp(eu),
     eu = w^4/4 - tau w^2/2 + w xi, at the u nodes w, or exp(-eu) at the v nodes
-    (the first Y ray's on a folding contour).  The rays, with their radius
-    roots, are built only on a miss."""
+    (the first Y ray's on a folding contour).  The rays, with their radii,
+    are built only on a miss."""
     key = (tag, tau, pts.tobytes(), contour, n)
     if key not in sides:
         fold = _folds(contour)

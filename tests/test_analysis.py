@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pearceygap import analysis, pearcey_process, specfun
+from pearceygap import analysis, fredholm, pearcey_process, specfun
 from pearceygap.analysis import (
     PdeGrid,
     PsiOperator,
@@ -161,6 +161,30 @@ def test_theorem_two_time_rate():
     assert len(rep.rows) == 6
     assert all(0.0 < abs(r[3]) < 1.0 for r in rep.rows)
     assert all(r[5] == 1 for r in rep.rows)
+
+
+def test_theorem_builds_each_repeated_block_once(monkeypatch):
+    # 24 determinants of 2 x 2 blocks, each with 3 u and 2 v recentred sides:
+    # the walk's first and last tau1 at 32, 48 and 64 nodes per ray, the six
+    # certified points at m and 2m, and the six ablated points.  With no cache
+    # installed an in-memory store serves the certified loop the walk's two
+    # 64-node determinants (8 blocks, 10 sides) and each ablated point its full
+    # partner's (t1, t1) block and that block's own u side: 82 blocks and 104
+    # sides, against 96 and 120 without it.  Every radius is a Newton root
+    calls = {"roots": 0, "sides": 0, "blocks": 0}
+
+    def counted(name, real):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+
+    monkeypatch.setattr(np, "roots", counted("roots", np.roots))
+    monkeypatch.setattr(pearcey_process, "_ray_radius",
+                        counted("sides", pearcey_process._ray_radius))
+    monkeypatch.setattr(pearcey_process, "_recentred_grid",
+                        counted("blocks", pearcey_process._recentred_grid))
+    rep = theorem_ratio_study(np.geomspace(30.0, 960.0, 6))
+    assert rep.passed and rep.summary["nodes_per_ray"] == 64
+    assert calls == {"roots": 0, "sides": 104, "blocks": 82}
+    assert fredholm.block_cache() is None  # the store lives for the run only
 
 
 def test_theorem_airy_reference_computed_once_per_certify_level(monkeypatch):

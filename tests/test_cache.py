@@ -11,7 +11,7 @@ import pytest
 
 import pearceygap
 from pearceygap import cache as cache_mod
-from pearceygap.cache import CacheLock, KernelCache, block_key, default_root
+from pearceygap.cache import BlockStore, CacheLock, KernelCache, block_key, default_root
 from pearceygap.exceptions import ConcurrencyError
 from pearceygap.fredholm import GapQuery, log_gap_probability, set_block_cache
 from pearceygap.pearcey_process import PearceyContour
@@ -41,7 +41,7 @@ def test_block_key_pinned_digest():
     # update this digest only together with a bump of the cache format
     x = np.linspace(-1.0, 6.0, 8)
     key = block_key("airy", -0.5, 0.5, "rec", x, x)
-    assert key == "d97747ad0a9b5a73cb0f350495e0c0cb4375ce2c372c4d7d887b79f6af5d314a"
+    assert key == "34b6300ad82cebd11df4f446b5ef892cacaf8dbce6929839547529120a273230"
 
 
 def test_default_root_precedence(tmp_path, monkeypatch):
@@ -486,6 +486,43 @@ def test_warm_cache_two_time_pearcey(tmp_path):
     (cold_values, _, cold_misses), (warm_values, warm_hits, warm_misses) = sessions
     assert cold_misses > 0 and (warm_hits, warm_misses) == (cold_misses, 0)
     assert warm_values == cold_values
+
+
+def test_seeded_airy_sweep_reads_the_same_warm_as_cold(tmp_path):
+    # ten one-time and ten two-time certified Airy draws at m = 20: uncached,
+    # in a cold session and in a warm one on the same root, bit for bit
+    rng = np.random.default_rng(2010)
+    queries = []
+    for _ in range(10):
+        s = rng.uniform(-4.0, 2.0)
+        queries.append(GapQuery(family="airy", times=(0.0,), windows=((s, s + 14.0),), m=20))
+        t1 = rng.uniform(-1.0, 0.5)
+        t2 = rng.uniform(t1 + 0.5, 1.0)
+        windows = tuple((rng.uniform(-3.0, 0.0), rng.uniform(2.0, 8.0)) for _ in range(2))
+        queries.append(GapQuery(family="airy", times=(t1, t2), windows=windows, m=20))
+    uncached = [log_gap_probability(q) for q in queries]
+    sessions = []
+    for _ in range(2):
+        cache = KernelCache(str(tmp_path))
+        set_block_cache(cache)
+        try:
+            sessions.append(([log_gap_probability(q) for q in queries], cache.misses))
+        finally:
+            set_block_cache(None)
+            cache.close()
+    (cold, cold_misses), (warm, warm_misses) = sessions
+    assert cold_misses > 0 and warm_misses == 0
+    assert cold == uncached and warm == uncached
+
+
+def test_block_store_keeps_read_only_copies():
+    store = BlockStore()
+    grid = np.arange(6.0).reshape(2, 3)
+    assert store.lookup("k") is None
+    store.store("k", grid)
+    grid[0, 0] = -1.0  # the caller's array is not the stored one
+    hit = store.lookup("k")
+    assert hit.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]] and not hit.flags.writeable
 
 
 def test_pearcey_block_keys_carry_the_ray_count_of_their_determinant(tmp_path, monkeypatch):

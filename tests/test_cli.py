@@ -361,6 +361,45 @@ def test_oracle_grid_stops_at_s_max(tmp_path, monkeypatch):
     assert float(rows[-1].split(",")[0]) <= 2.0
 
 
+def test_theorem_csv_is_the_same_uncached_cold_and_warm(tmp_path, monkeypatch):
+    # with the cache off the study shares its repeated blocks in memory; with
+    # it on, the cache's own entries do: either way each block has one value
+    monkeypatch.chdir(tmp_path)
+    csvs = []
+    for label, flags in (("off", ["--no-cache"]), ("cold", ["--cache-dir", "cache"]),
+                         ("warm", ["--cache-dir", "cache"])):
+        assert main(["theorem", *flags, "--csv", f"{label}.csv", "--json", f"{label}.json"]) == 0
+        csvs.append((tmp_path / f"{label}.csv").read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
+    warm = json.loads((tmp_path / "warm.json").read_text())["metadata"]
+    assert warm["cache_misses"] == 0 and warm["cache_hits"] > 0
+    assert not (tmp_path / ".pearceygap-cache").exists()  # the run with the cache off wrote none
+
+
+def test_oracle_verdict_checks_every_row_against_fredholm(tmp_path, monkeypatch):
+    # F2 off by 1e-5 at s = 1 leaves F2(0) and the monotone table intact: only
+    # the cross-check against the certified Airy determinant sees it
+    from pearceygap import painleve
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["oracle-painleve", "--s-min", "-2", "--s-max", "2", "--step", "1",
+            "--no-cache", "--json", "oracle.json"]
+
+    def summary():
+        return json.loads((tmp_path / "oracle.json").read_text())["summary"]
+
+    assert main(argv) == 0
+    assert summary()["max_log_error_vs_fredholm"] <= 1e-9
+    f2 = painleve.tracy_widom_f2
+    monkeypatch.setattr(painleve, "tracy_widom_f2",
+                        lambda s: f2(s) + (1e-5 if s == 1.0 else 0.0))
+    assert main(argv) == 1
+    s = summary()
+    assert s["monotone"] and s["f2_at_zero_error"] < 1e-6
+    assert s["max_log_error_at_s"] == 1.0
+    assert 0.9e-5 < s["max_log_error_vs_fredholm"] < 1.1e-5
+
+
 def test_json_separates_metadata_from_data(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(

@@ -438,6 +438,26 @@ def test_balancing_entries_whose_squares_overflow():
     assert abs(np.linalg.slogdet(b)[1] - np.linalg.slogdet(r)[1]) <= 1e-12
 
 
+def test_balancing_moves_indices_whose_squares_underflow():
+    # a gauge 2^k, k from -300 to 300, gives columns and rows whose norms sit
+    # below 2^-537 of the largest entry: their squares over that entry's power
+    # of two underflow, so each such index's norms are taken over its own
+    from scipy.linalg import matrix_balance
+
+    rng = np.random.default_rng(2010)
+    k = rng.integers(-300, 301, 60).astype(float)
+    r = rng.standard_normal((60, 60))
+    a = r * np.exp2(k[:, None] - k[None, :])
+    b, scale = _balanced(a)
+    with np.errstate(invalid="ignore"):  # scipy casts its unused permutation to int
+        _, (ref, _) = matrix_balance(a, permute=False, separate=True)
+    # both undo the gauge up to one common factor, ours within one step of 2
+    assert np.ptp(np.log2(ref) - k) == 0.0
+    assert np.ptp(np.log2(scale) - k) <= 1.0
+    assert np.max(np.abs(b)) < 100.0
+    assert abs(np.linalg.slogdet(b)[1] - np.linalg.slogdet(r)[1]) <= 1e-13
+
+
 def test_balancing_tames_the_raw_recentred_level(monkeypatch):
     # the level of test_conjugation_invariance_large_tau at 64 nodes per ray:
     # entries from 1e-34 to 5e26, and log det 2.58 unbalanced against -0.0609

@@ -245,6 +245,38 @@ def test_insufficient_radius_raises_accuracy_error():
         pearcey_block_grid(1.0, 1.0, 0.0, 0.0, PearceyContour(radius=2.0, nodes_per_ray=64))
 
 
+def _companion_radius(coeffs):
+    """The positive root of coeffs + [-budget], from numpy's companion matrix."""
+    roots = np.roots([*coeffs, -(pearcey_process._LOG_EPS + 5.0)])
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    return float(np.max(real[real > 0.0]))
+
+
+def test_ray_radius_matches_the_companion_matrix_roots():
+    # both callers' forms: the recentred cubic (c3/3) r^3 - lin r - b and the
+    # direct quartic c4/4 r^4 - g2 r^2 - coord_max r - b, over and past the
+    # ranges the studies reach
+    rng = np.random.default_rng(2010)
+    for _ in range(1000):
+        cubic = [rng.uniform(1e-3, 30.0) / 3.0, 0.0, -rng.uniform(0.0, 1e3)]
+        quartic = [0.25 * rng.uniform(0.02, 1.0), 0.0, -rng.uniform(0.0, 60.0),
+                   -rng.uniform(0.0, 40.0)]
+        for coeffs in (cubic, quartic):
+            ref = _companion_radius(coeffs)
+            assert pearcey_process._ray_radius(coeffs, 1.0) == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [math.nan, 0.0, -1.0], [1.0, 0.0, math.nan], [math.inf, 0.0, -1.0],
+    [0.25, 0.0, -math.inf, -1.0], [0.0, 0.0, -1.0], [-1.0, 0.0, -1.0],
+    [1.0, 2.0, -1.0],  # a second sign change: no single positive root
+    [1e-300, 0.0, 0.0, -1e300],  # the start overflows
+])
+def test_ray_radius_refuses_coefficients_without_one_finite_root(coeffs):
+    with pytest.raises(ContourError, match="no admissible truncation radius"):
+        pearcey_process._ray_radius(coeffs, 1.0)
+
+
 def test_fixed_radius_blocks_share_one_ray_system():
     contour = PearceyContour(radius=4.5, nodes_per_ray=96)
     xs = np.linspace(-2.0, 2.5, 5)
